@@ -4,7 +4,7 @@ Times the bind stage on the largest paper benchmark ("chem" by
 default) for both binders three ways, asserting identical binding
 solutions throughout:
 
-1. **reference** — the seed binders (``bind_engine="reference"``):
+1. **reference** — the seed binders (``bind_hlpower``/``bind_lopass``):
    HLPower's per-edge Python weight dicts and the networkx min-cost
    flow of the LOPASS baseline;
 2. **fast (cold)** — the vectorized engines of

@@ -1,7 +1,8 @@
 """Simulator kernel benchmark — the first point on the perf trajectory.
 
 Times :func:`repro.fpga.simulate_design` on the largest paper benchmark
-("chem": 171 adds / 176 mults, Table 1) with both kernels, checks they
+("chem": 171 adds / 176 mults, Table 1) against the seed reference
+kernel (:func:`repro.fpga.simulate._simulate_reference`), checks they
 agree byte-for-byte, and writes the numbers to ``BENCH_sim.json`` at
 the repo root so later PRs can track the trend. A ``batched`` section
 times :func:`repro.fpga.simulate_batch` over a mixed config set
@@ -33,6 +34,7 @@ from repro.fpga import (
     simulate_batch,
     simulate_design,
 )
+from repro.fpga.simulate import _simulate_reference
 from repro.rtl import build_datapath
 from repro.techmap import map_netlist
 
@@ -70,13 +72,13 @@ def build_design():
     return mapped, vectors
 
 
-def time_kernel(design, vectors, kernel: str, repeats: int):
+def time_kernel(design, vectors, simulate, repeats: int):
     """Best-of-``repeats`` wall time plus the last result."""
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        result = simulate_design(design, vectors, kernel=kernel)
+        result = simulate(design, vectors)
         best = min(best, time.perf_counter() - started)
     return best, result
 
@@ -136,9 +138,10 @@ def main() -> int:
     # Warm the compile cache so the event timing is the steady-state
     # per-call cost (the compiled netlist is reused across calls).
     simulate_design(design, vectors)
-    event_s, event = time_kernel(design, vectors, "event", REPEATS)
+    event_s, event = time_kernel(design, vectors, simulate_design, REPEATS)
     print(f"  event kernel:     {event_s:8.3f} s")
-    reference_s, reference = time_kernel(design, vectors, "reference", 1)
+    reference_s, reference = time_kernel(design, vectors,
+                                         _simulate_reference, 1)
     print(f"  reference kernel: {reference_s:8.3f} s")
     if event != reference:
         raise SystemExit("kernels disagree — refusing to record timings")

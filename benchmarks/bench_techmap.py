@@ -3,7 +3,7 @@
 Times the techmap stage on the largest paper benchmark ("chem" by
 default) three ways, asserting bit-identical covers throughout:
 
-1. **reference** — the seed mapper (``effort="reference"``), the
+1. **reference** — the seed mapper (``_map_reference``), the
    pre-PR-4 techmap stage;
 2. **fast (cold)** — the compiled mapper with every per-netlist cache
    and the cone memo empty, the cost of a first-ever techmap stage;
@@ -38,6 +38,7 @@ from repro.flow.run import FlowConfig, build_pipeline
 from repro.scheduling import list_schedule
 from repro.techmap import map_netlist
 from repro.techmap.compile import ConeMemo
+from repro.techmap.mapper import _map_reference
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _OUT_PATH = os.path.join(_REPO_ROOT, "BENCH_techmap.json")
@@ -86,9 +87,7 @@ def main() -> None:
     memo_stats = {}
     for trial in range(TRIALS):
         started = time.perf_counter()
-        reference = map_netlist(
-            netlist, k=K, input_activities=activities, effort="reference"
-        )
+        reference = _map_reference(netlist, k=K, input_activities=activities)
         reference_s.append(time.perf_counter() - started)
 
         _drop_netlist_caches(netlist)

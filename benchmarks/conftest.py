@@ -79,9 +79,8 @@ class SuiteResults:
 
 @pytest.fixture(scope="session")
 def sa_table() -> SATable:
-    table = SATable(path=_TABLE_PATH)
-    yield table
-    table.save_if_dirty()
+    # The shipped table, read-only: a bench run never rewrites it.
+    return SATable().load(_TABLE_PATH)
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +101,6 @@ def suite(sa_table) -> SuiteResults:
         n_vectors=vectors,
     )
     sweep = run_sweep(spec, jobs=1, sa_table=sa_table, keep_results=True)
-    sa_table.save_if_dirty()
     results = {
         (name, config): sweep.result_of(name, config)
         for name in bench_names()

@@ -4,7 +4,9 @@ Section 5.2.2: "Experimental results show that this method [the
 precalculated table] provided us with the same results as running the
 algorithm with dynamic SA estimation, but with a much shorter run
 time." We verify both halves: identical binding solutions, and a large
-speedup for the (warm) table.
+speedup for the (warm) table. The committed
+``results/ablation_sa_table.txt`` keeps only the deterministic
+columns; the timings are printed.
 """
 
 import time
@@ -88,14 +90,19 @@ def test_ablation_sa_table(benchmark, sa_table):
         compare_modes, args=(sa_table,), rounds=1, iterations=1
     )
     text = format_table(
-        ["Bench", "Identical binding", "Table (s)", "Dynamic (s)", "Speedup"],
-        rows,
+        ["Bench", "Identical binding"],
+        [row[:2] for row in rows],
         title=(
             "Ablation: precalculated SA table vs dynamic estimation "
             "(paper: identical results, much faster)"
         ),
     )
     write_result("ablation_sa_table.txt", text)
+    print(format_table(
+        ["Bench", "Table (s)", "Dynamic (s)", "Speedup"],
+        [[row[0]] + row[2:] for row in rows],
+        title="Measured SA-table vs dynamic binding time",
+    ))
 
     assert all_identical
     assert max(speedups) > 2.0

@@ -4,6 +4,8 @@ Regenerates the paper's Table 2 on our substrate: the schedule length
 produced by list scheduling under the published constraints, the
 register allocation from lifetime analysis, and the measured HLPower
 binding runtime (paper ran a 2.8 GHz Pentium 4; we report our own).
+The committed ``results/table2.txt`` keeps only the deterministic
+columns; the measured runtimes are printed.
 """
 
 import time
@@ -53,12 +55,15 @@ def test_table2_schedule(benchmark, sa_table):
     text = format_table(
         [
             "Bench", "Add", "Mult", "Cycle", "Paper cyc",
-            "Reg", "Paper reg", "Runtime(s)", "Paper rt(s)",
+            "Reg", "Paper reg", "Paper rt(s)",
         ],
-        rows,
+        [row[:7] + row[8:] for row in rows],
         title="Table 2: Constraints, schedule length, registers, runtime",
     )
     write_result("table2.txt", text)
+    print(format_table(["Bench", "Runtime(s)"],
+                       [[row[0], row[7]] for row in rows],
+                       title="Measured HLPower binding runtime"))
 
     for row in rows:
         name = row[0]

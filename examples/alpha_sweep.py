@@ -20,6 +20,7 @@ from repro import (
     run_flow,
 )
 from repro.binding import SATable, assign_ports, bind_registers
+from repro.binding.sa_table import SHIPPED_TABLE_PATH
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     schedule = list_schedule(load_benchmark(name), spec.constraints)
     registers = bind_registers(schedule)
     ports = assign_ports(schedule.cdfg)
-    table = SATable(path="data/sa_table.txt")
+    table = SATable().load(SHIPPED_TABLE_PATH)  # read-only
 
     print(f"alpha sweep on {name} (constraints {spec.constraints})\n")
     results = []
@@ -40,7 +41,6 @@ def main() -> None:
             schedule, spec.constraints, "hlpower", config, registers, ports
         )
         results.append((alpha, result))
-    table.save_if_dirty()
 
     peak = max(r.power.dynamic_power_mw for _, r in results)
     print(f"{'alpha':>5s}  {'power mW':>8s}  {'muxDiff':>7s}  "

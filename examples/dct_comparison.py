@@ -21,6 +21,7 @@ from repro import (
     load_benchmark,
 )
 from repro.binding import SATable
+from repro.binding.sa_table import SHIPPED_TABLE_PATH
 from repro.flow import format_table, percent_change
 
 
@@ -40,10 +41,9 @@ def main() -> None:
         f"(paper: {spec.paper_cycles})"
     )
 
-    table = SATable(path="data/sa_table.txt")
+    table = SATable().load(SHIPPED_TABLE_PATH)  # read-only
     config = FlowConfig(width=width, n_vectors=256, sa_table=table)
     results = compare_binders(schedule, spec.constraints, config)
-    table.save_if_dirty()
 
     lo, hl = results["lopass"], results["hlpower"]
     rows = []

@@ -14,7 +14,7 @@
 * :mod:`~repro.binding.lopass` — the network-flow baseline binder
   standing in for LOPASS [3,4] (see DESIGN.md substitutions).
 * :mod:`~repro.binding.compile` — vectorized engines for both binders
-  (``bind_engine="fast"``), decision-identical to the seed binders.
+  (what the flow runs), decision-identical to the seed binders.
 * :mod:`~repro.binding.mcts` — seeded Monte-Carlo tree search binder
   (``binder="mcts"``), never worse than the best heuristic.
 """
@@ -37,7 +37,6 @@ from repro.binding.lopass import bind_lopass
 from repro.binding.leftedge import bind_registers_left_edge
 from repro.binding.optimal import bind_optimal
 from repro.binding.compile import (
-    BIND_ENGINES,
     BindMemo,
     bind_hlpower_fast,
     bind_lopass_fast,
@@ -52,7 +51,6 @@ from repro.binding.mcts import (
 
 __all__ = [
     "BINDER_NAMES",
-    "BIND_ENGINES",
     "DEFAULT_MCTS_BUDGET",
     "DEFAULT_MCTS_SEED",
     "MCTSConfig",

@@ -1,4 +1,4 @@
-"""Vectorized binding engines (``bind_engine="fast"``).
+"""Vectorized binding engines — the flow's only bind implementation.
 
 The seed binders (:func:`~repro.binding.hlpower.bind_hlpower`,
 :func:`~repro.binding.lopass.bind_lopass`) are exact but spend their
@@ -28,8 +28,8 @@ pins the equivalence):
   whose Dantzig/Bland pivot search evaluates reduced costs a block at
   a time with numpy instead of one Python call per edge.
 
-The seed binders stay untouched behind ``bind_engine="reference"``;
-:data:`BIND_ENGINES` names the two paths the flow accepts.
+The seed binders stay untouched as the differential-testing oracles;
+tests and benches call them directly.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ from repro.binding.registers import assign_ports, bind_registers
 from repro.binding.sa_table import SATable
 from repro.binding.weights import DEFAULT_BETA
 from repro.cdfg.schedule import Schedule
-
-#: The bind-stage engines the flow accepts ("fast" is the default).
-BIND_ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 _POPCOUNT = getattr(np, "bitwise_count", None)
 

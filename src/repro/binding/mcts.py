@@ -59,8 +59,7 @@ from repro.binding.base import (
     RegisterBinding,
 )
 from repro.binding.compile import BindMemo, bind_hlpower_fast, bind_lopass_fast
-from repro.binding.hlpower import HLPowerConfig, bind_hlpower
-from repro.binding.lopass import bind_lopass
+from repro.binding.hlpower import HLPowerConfig
 from repro.binding.registers import assign_ports, bind_registers
 from repro.binding.sa_table import SATable
 from repro.cdfg.schedule import Schedule
@@ -87,10 +86,8 @@ class MCTSConfig:
     ``budget`` is the number of search iterations *per resource class*;
     each iteration expands one tree node and completes one playout.
     With ``budget=0`` no search runs and the result is exactly the best
-    heuristic's assignment. ``engine`` selects how the heuristic
-    incumbents are computed ("fast" reuses the vectorized binders and
-    the optional ``bind_memo``; "reference" runs the seed binders —
-    decision-identical either way).
+    heuristic's assignment. The heuristic incumbents come from the
+    vectorized binders, which share the optional ``bind_memo``.
     """
 
     budget: int = DEFAULT_MCTS_BUDGET
@@ -98,7 +95,6 @@ class MCTSConfig:
     alpha: float = 0.5
     sa_table: Optional[SATable] = None
     exploration: float = UCT_EXPLORATION
-    engine: str = "fast"
     bind_memo: Optional[BindMemo] = None
 
 
@@ -190,15 +186,10 @@ def _heuristic_incumbents(
     the same way everywhere.
     """
     hl_cfg = HLPowerConfig(alpha=cfg.alpha, sa_table=cfg.sa_table)
-    if cfg.engine == "reference":
-        hlpower = bind_hlpower(schedule, constraints, registers, ports, hl_cfg)
-        lopass = bind_lopass(schedule, constraints, registers, ports)
-    else:
-        hlpower = bind_hlpower_fast(
-            schedule, constraints, registers, ports, hl_cfg,
-            memo=cfg.bind_memo,
-        )
-        lopass = bind_lopass_fast(schedule, constraints, registers, ports)
+    hlpower = bind_hlpower_fast(
+        schedule, constraints, registers, ports, hl_cfg, memo=cfg.bind_memo,
+    )
+    lopass = bind_lopass_fast(schedule, constraints, registers, ports)
     return (hlpower, lopass)
 
 

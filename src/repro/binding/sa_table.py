@@ -36,6 +36,9 @@ from repro.techmap import map_netlist
 
 Key = Tuple[str, int, int]
 
+#: The checked-in precalculated table, relative to the repository root.
+SHIPPED_TABLE_PATH = "data/sa_table.txt"
+
 #: Default datapath bit-width used for the table's partial datapaths.
 #: The table drives *relative* edge weights; 4 bits preserves ordering
 #: while keeping precalculation fast (see module docstring).
@@ -53,7 +56,12 @@ class SATableConfig:
 
 
 class SATable:
-    """Lazy, optionally file-backed SA lookup for partial datapaths."""
+    """Lazy, optionally file-backed SA lookup for partial datapaths.
+
+    ``path`` is both read at construction and written back by
+    :meth:`save_if_dirty`; :meth:`load` reads a file without making it
+    the save target.
+    """
 
     def __init__(
         self,
@@ -64,9 +72,15 @@ class SATable:
         self.path = path
         self._values: Dict[Key, float] = {}
         self._dirty = False
-        if path is not None and os.path.exists(path):
+        if path is not None:
+            self.load(path)
+
+    def load(self, path: str) -> "SATable":
+        """Absorb the matching entries of ``path`` (if it exists)."""
+        if os.path.exists(path):
             with open(path) as handle:
                 self._read(handle)
+        return self
 
     # -- lookup -----------------------------------------------------------
 

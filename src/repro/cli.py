@@ -9,7 +9,7 @@ Commands:
 * ``suite`` — the full LOPASS-vs-HLPower comparison over all seven
   benchmarks (what `benchmarks/test_table3_power_area.py` runs).
 * ``sweep`` — run a declarative ``benchmark x binder x alpha x width x
-  idle x jitter x kernel x seed`` grid across worker processes and
+  effort x idle x jitter x seed`` grid across worker processes and
   dump a JSON result store (see docs/sweeps.md).
 * ``estimate`` — the partial flow: Equation-(3) switching-activity and
   area estimates after tech-map, with no vectors and no simulation
@@ -44,19 +44,18 @@ from repro import (
     synthesize,
 )
 from repro.binding import (
-    BIND_ENGINES,
     BINDER_NAMES,
     DEFAULT_MCTS_BUDGET,
     DEFAULT_MCTS_SEED,
     SATable,
 )
+from repro.binding.sa_table import SHIPPED_TABLE_PATH
 from repro.cdfg.corpus import (
     CORPUS_FAMILIES,
     corpus_instances,
     oracle_feasible,
 )
 from repro.errors import ReproError
-from repro.fpga import ELAB_ENGINES
 from repro.techmap import MAP_EFFORTS
 from repro.flow import (
     BinderConfig,
@@ -65,10 +64,6 @@ from repro.flow import (
     format_table,
     percent_change,
 )
-
-
-#: Simulation kernel vocabulary (mirrors repro.fpga.simulate).
-SIM_KERNELS = ("event", "reference")
 
 
 def _axis_type(choices: Sequence[str], flag: str):
@@ -101,8 +96,18 @@ def _axis_type(choices: Sequence[str], flag: str):
 # choices cannot drift apart (tests/test_cli_args.py pins this).
 
 def _add_sa_table_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sa-table", default="data/sa_table.txt",
-                        help="persistent SA table path")
+    parser.add_argument(
+        "--sa-table", default=None, metavar="FILE",
+        help="SA table file, read at start and written back with new "
+             f"entries (default: read the shipped {SHIPPED_TABLE_PATH} "
+             "and write nothing)")
+
+
+def _open_sa_table(path: Optional[str]) -> SATable:
+    """The run's SA table: the user's file, or the shipped one read-only."""
+    if path is not None:
+        return SATable(path=path)
+    return SATable().load(SHIPPED_TABLE_PATH)
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -113,8 +118,8 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
 def _add_map_effort_arg(
     parser: argparse.ArgumentParser, multi: bool = False
 ) -> None:
-    help_text = ("technology-mapper effort (default fast; 'reference' "
-                 "is the seed mapper, byte-identical and slower)")
+    help_text = ("technology-mapper effort (default fast; 'exhaustive' "
+                 "evaluates every surviving cut per node)")
     if multi:
         parser.add_argument(
             "--map-effort", default="fast",
@@ -124,55 +129,6 @@ def _add_map_effort_arg(
     else:
         parser.add_argument("--map-effort", default="fast",
                             choices=MAP_EFFORTS, help=help_text)
-
-
-def _add_bind_engine_arg(
-    parser: argparse.ArgumentParser, multi: bool = False
-) -> None:
-    help_text = ("binding engine (default fast; 'reference' is the "
-                 "seed binders, byte-identical and slower)")
-    if multi:
-        parser.add_argument(
-            "--bind-engine", default="fast",
-            type=_axis_type(BIND_ENGINES, "--bind-engine"),
-            metavar="{" + ",".join(BIND_ENGINES) + "}[,...]",
-            help="comma-separated axis: " + help_text)
-    else:
-        parser.add_argument("--bind-engine", default="fast",
-                            choices=BIND_ENGINES, help=help_text)
-
-
-def _add_elab_engine_arg(
-    parser: argparse.ArgumentParser, multi: bool = False
-) -> None:
-    help_text = ("elaboration engine (default fast; 'reference' is the "
-                 "seed elaborator, byte-identical and slower)")
-    if multi:
-        parser.add_argument(
-            "--elab-engine", default="fast",
-            type=_axis_type(ELAB_ENGINES, "--elab-engine"),
-            metavar="{" + ",".join(ELAB_ENGINES) + "}[,...]",
-            help="comma-separated axis: " + help_text)
-    else:
-        parser.add_argument("--elab-engine", default="fast",
-                            choices=ELAB_ENGINES, help=help_text)
-
-
-def _add_sim_kernel_arg(
-    parser: argparse.ArgumentParser, multi: bool = False
-) -> None:
-    help_text = ("simulation kernel (default event, the compiled "
-                 "event-driven kernel; 'reference' is the waveform "
-                 "loop, byte-identical and slower)")
-    if multi:
-        parser.add_argument(
-            "--sim-kernel", default="event",
-            type=_axis_type(SIM_KERNELS, "--sim-kernel"),
-            metavar="{" + ",".join(SIM_KERNELS) + "}[,...]",
-            help="comma-separated axis: " + help_text)
-    else:
-        parser.add_argument("--sim-kernel", default="event",
-                            choices=SIM_KERNELS, help=help_text)
 
 
 def _add_mcts_args(parser: argparse.ArgumentParser) -> None:
@@ -196,8 +152,6 @@ def _add_flow_args(parser: argparse.ArgumentParser) -> None:
     _add_sa_table_arg(parser)
     _add_jobs_arg(parser)
     _add_map_effort_arg(parser)
-    _add_bind_engine_arg(parser)
-    _add_elab_engine_arg(parser)
     _add_mcts_args(parser)
 
 
@@ -267,15 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binder label (or name) percent changes compare "
                             "against; 'none' disables the column "
                             "(default lopass)")
-    _add_sim_kernel_arg(sweep, multi=True)
     _add_map_effort_arg(sweep, multi=True)
-    _add_bind_engine_arg(sweep, multi=True)
-    _add_elab_engine_arg(sweep, multi=True)
     _add_mcts_args(sweep)
     sweep.add_argument(
         "--sim-batch", type=int, default=32, metavar="N",
         help="max configurations per batched simulation kernel pass: "
-             "event-kernel cells sharing the mapped design run "
+             "cells sharing the mapped design run "
              "together (default 32; 1 disables batching — metrics are "
              "byte-identical either way)")
     sweep.add_argument("--idle-modes", default="zero",
@@ -332,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "compares against; 'none' disables the "
                                "column (default lopass)")
     _add_map_effort_arg(estimate)
-    _add_bind_engine_arg(estimate)
     _add_mcts_args(estimate)
-    _add_elab_engine_arg(estimate)
     _add_sa_table_arg(estimate)
     estimate.add_argument("--out", metavar="FILE",
                           help="write the JSON result store here")
@@ -373,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'estimate' (default) stops every cell after "
                              "tech-map; 'full' simulates every instance")
     _add_map_effort_arg(corpus)
-    _add_bind_engine_arg(corpus)
-    _add_elab_engine_arg(corpus)
     _add_mcts_args(corpus)
     corpus.add_argument("--profile", action="store_true",
                         help="print per-stage wall clock and peak memory "
@@ -510,8 +457,6 @@ def _bench_rows(names: Sequence[str], args, table: SATable) -> List[List[str]]:
         widths=(args.width,),
         n_vectors=args.vectors,
         map_effort=args.map_effort,
-        bind_engine=args.bind_engine,
-        elab_engine=args.elab_engine,
         mcts_budget=args.mcts_budget,
         mcts_seed=args.mcts_seed,
     )
@@ -543,7 +488,7 @@ def _bench_rows(names: Sequence[str], args, table: SATable) -> List[List[str]]:
 
 
 def cmd_bench(args) -> int:
-    table = SATable(path=args.sa_table)
+    table = _open_sa_table(args.sa_table)
     try:
         rows = _bench_rows([args.name], args, table)
     except ReproError as exc:
@@ -557,7 +502,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    table = SATable(path=args.sa_table)
+    table = _open_sa_table(args.sa_table)
     try:
         rows = _bench_rows(list(BENCHMARK_NAMES), args, table)
     except ReproError as exc:
@@ -572,11 +517,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # The axis flags carry parse-time validated lists (see _axis_type).
-    kernels = args.sim_kernel
+    # The axis flag carries a parse-time validated list (see _axis_type).
     efforts = args.map_effort
-    engines = args.bind_engine
-    elabs = args.elab_engine
     designs = _load_designs(args.design)
     if designs and args.flow != "estimate":
         raise SystemExit(
@@ -594,14 +536,8 @@ def cmd_sweep(args) -> int:
             n_vectors=args.vectors,
             scheduler=args.scheduler,
             baseline=args.baseline,
-            sim_kernel=kernels[0],
-            sim_kernels=kernels if len(kernels) > 1 else None,
             map_effort=efforts[0],
             map_efforts=efforts if len(efforts) > 1 else None,
-            bind_engine=engines[0],
-            bind_engines=engines if len(engines) > 1 else None,
-            elab_engine=elabs[0],
-            elab_engines=elabs if len(elabs) > 1 else None,
             idle_modes=_comma_list(args.idle_modes, str, "--idle-modes"),
             jitters=_comma_list(args.jitters, int, "--jitters"),
             flow=args.flow,
@@ -612,7 +548,7 @@ def cmd_sweep(args) -> int:
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table = SATable(path=args.sa_table)
+    table = _open_sa_table(args.sa_table)
     try:
         sweep = run_sweep(
             spec,
@@ -643,8 +579,6 @@ def cmd_estimate(args) -> int:
             widths=(args.width,),
             baseline=args.baseline,
             map_effort=args.map_effort,
-            bind_engine=args.bind_engine,
-            elab_engine=args.elab_engine,
             flow="estimate",
             designs=designs,
             mcts_budget=args.mcts_budget,
@@ -652,7 +586,7 @@ def cmd_estimate(args) -> int:
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table = SATable(path=args.sa_table)
+    table = _open_sa_table(args.sa_table)
     try:
         sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
     except ReproError as exc:
@@ -740,7 +674,7 @@ def _corpus_profile(args, instances) -> int:
 
     binders = _comma_list(args.binders, str, "--binders")
     alphas = _comma_list(args.alphas, float, "--alphas")
-    table = SATable(path=args.sa_table)
+    table = _open_sa_table(args.sa_table)
     records = []
     tracemalloc.start()
     try:
@@ -756,8 +690,6 @@ def _corpus_profile(args, instances) -> int:
                         alpha=alpha,
                         sa_table=table,
                         map_effort=args.map_effort,
-                        bind_engine=args.bind_engine,
-                        elab_engine=args.elab_engine,
                         flow=args.flow,
                         mcts_budget=args.mcts_budget,
                         mcts_seed=args.mcts_seed,
@@ -799,8 +731,7 @@ def _corpus_profile(args, instances) -> int:
         rows,
         title=(
             f"corpus profile: {len(records)} flows "
-            f"({args.flow}, {args.bind_engine} bind, "
-            f"{args.elab_engine} elab, {args.map_effort} map)"
+            f"({args.flow}, {args.map_effort} map)"
         ),
     ))
     return 0
@@ -841,15 +772,13 @@ def cmd_corpus(args) -> int:
             widths=(args.width,),
             baseline="lopass" if "lopass" in binders else "none",
             map_effort=args.map_effort,
-            bind_engine=args.bind_engine,
-            elab_engine=args.elab_engine,
             flow=args.flow,
             mcts_budget=args.mcts_budget,
             mcts_seed=args.mcts_seed,
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    table = SATable(path=args.sa_table)
+    table = _open_sa_table(args.sa_table)
     try:
         sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
     except ReproError as exc:

@@ -90,10 +90,7 @@ class SweepResult:
         vector_seed: Optional[int] = None,
         idle_selects: Optional[str] = None,
         delay_jitter: Optional[int] = None,
-        sim_kernel: Optional[str] = None,
         map_effort: Optional[str] = None,
-        bind_engine: Optional[str] = None,
-        elab_engine: Optional[str] = None,
     ) -> SweepCell:
         """The unique cell matching the given coordinates."""
         matches = [
@@ -105,23 +102,18 @@ class SweepResult:
             and (vector_seed is None or c.vector_seed == vector_seed)
             and (idle_selects is None or c.idle_selects == idle_selects)
             and (delay_jitter is None or c.delay_jitter == delay_jitter)
-            and (sim_kernel is None or c.sim_kernel == sim_kernel)
             and (map_effort is None or c.map_effort == map_effort)
-            and (bind_engine is None or c.bind_engine == bind_engine)
-            and (elab_engine is None or c.elab_engine == elab_engine)
         ]
         if not matches:
             raise KeyError(
                 (benchmark, config, width, vector_seed, idle_selects,
-                 delay_jitter, sim_kernel, map_effort, bind_engine,
-                 elab_engine)
+                 delay_jitter, map_effort)
             )
         if len(matches) > 1:
             raise KeyError(
                 f"ambiguous cell {(benchmark, config)}: {len(matches)} "
                 f"matches; pass width/vector_seed/idle_selects/"
-                f"delay_jitter/sim_kernel/map_effort/bind_engine/"
-                f"elab_engine"
+                f"delay_jitter/map_effort"
             )
         return matches[0]
 
@@ -133,16 +125,12 @@ class SweepResult:
         vector_seed: Optional[int] = None,
         idle_selects: Optional[str] = None,
         delay_jitter: Optional[int] = None,
-        sim_kernel: Optional[str] = None,
         map_effort: Optional[str] = None,
-        bind_engine: Optional[str] = None,
-        elab_engine: Optional[str] = None,
     ) -> FlowResult:
         """The retained FlowResult for a cell (needs keep_results)."""
         cell = self.cell(
             benchmark, config, width, vector_seed, idle_selects,
-            delay_jitter, sim_kernel, map_effort, bind_engine,
-            elab_engine,
+            delay_jitter, map_effort,
         )
         return self.results[cell.key]
 
@@ -151,8 +139,8 @@ class SweepResult:
     def aggregates(self) -> List[Dict[str, Any]]:
         """Per-group stats across vector seeds.
 
-        Groups are ``(benchmark, config, width, idle, jitter, kernel,
-        map effort)`` — everything but the seed axis. Full-flow groups report
+        Groups are ``(benchmark, config, width, idle, jitter, map
+        effort)`` — everything but the seed axis. Full-flow groups report
         mean/stdev dynamic power and toggle rate (the seed-sensitive
         metrics); estimate-flow groups report the Equation-(3)
         switching-activity estimate and glitch fraction instead (keys
@@ -169,8 +157,7 @@ class SweepResult:
         for cell in self.cells:
             group = (
                 cell.benchmark, cell.config, cell.width,
-                cell.idle_selects, cell.delay_jitter, cell.sim_kernel,
-                cell.map_effort, cell.bind_engine, cell.elab_engine,
+                cell.idle_selects, cell.delay_jitter, cell.map_effort,
             )
             groups.setdefault(group, []).append(cell)
 
@@ -189,8 +176,7 @@ class SweepResult:
 
         out = []
         for group, cells in groups.items():
-            (benchmark, config, width, idle, jitter, kernel,
-             map_effort, bind_engine, elab_engine) = group
+            benchmark, config, width, idle, jitter, map_effort = group
             primary = [c.metrics[primary_key] for c in cells]
             base = baseline_primary.get((benchmark,) + group[2:])
             mean_primary = statistics.fmean(primary)
@@ -200,10 +186,7 @@ class SweepResult:
                 "width": width,
                 "idle_selects": idle,
                 "delay_jitter": jitter,
-                "sim_kernel": kernel,
                 "map_effort": map_effort,
-                "bind_engine": bind_engine,
-                "elab_engine": elab_engine,
                 "n_seeds": len(cells),
                 "area_luts": cells[0].metrics["area_luts"],
                 "largest_mux": cells[0].metrics["largest_mux"],

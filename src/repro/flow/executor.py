@@ -155,10 +155,7 @@ def _flow_config(job: SweepJob, spec: SweepSpec, table: SATable) -> FlowConfig:
         check_function=spec.check_function,
         idle_selects=job.idle_selects,
         delay_jitter=job.delay_jitter,
-        sim_kernel=job.sim_kernel,
         map_effort=job.map_effort,
-        bind_engine=job.bind_engine,
-        elab_engine=job.elab_engine,
         flow=spec.flow,
         mcts_budget=spec.mcts_budget,
         mcts_seed=spec.mcts_seed,
@@ -198,10 +195,7 @@ def _execute_design(state: Dict[str, Any], job: SweepJob,
         sa_new_entries=0,
         idle_selects=job.idle_selects,
         delay_jitter=job.delay_jitter,
-        sim_kernel=job.sim_kernel,
         map_effort=job.map_effort,
-        bind_engine=job.bind_engine,
-        elab_engine=job.elab_engine,
         stage_timings=dict(result.stage_timings),
         cache_hits=list(result.cache_hits),
     )
@@ -242,10 +236,7 @@ def _execute(state: Dict[str, Any], job: SweepJob,
         sa_new_entries=len(new_entries),
         idle_selects=job.idle_selects,
         delay_jitter=job.delay_jitter,
-        sim_kernel=job.sim_kernel,
         map_effort=job.map_effort,
-        bind_engine=job.bind_engine,
-        elab_engine=job.elab_engine,
         stage_timings=dict(result.stage_timings),
         cache_hits=list(result.cache_hits),
     )
@@ -256,17 +247,13 @@ def _batch_key(job: SweepJob, spec: SweepSpec) -> Optional[Tuple]:
     """Grouping key for batched simulation, or None if ineligible.
 
     Jobs sharing a key share everything upstream of the simulate stage
-    (same benchmark, binder config, width, mapper effort, bind and
-    elab engines), so their techmap fingerprints coincide and they can
-    ride one batched kernel pass. Only full-flow event-kernel cells
-    qualify.
+    (same benchmark, binder config, width and mapper effort), so their
+    techmap fingerprints coincide and they can ride one batched kernel
+    pass. Only full-flow cells qualify.
     """
-    if spec.flow != "full" or job.sim_kernel != "event":
+    if spec.flow != "full":
         return None
-    return (
-        job.benchmark, job.config.label, job.width, job.map_effort,
-        job.bind_engine, job.elab_engine,
-    )
+    return (job.benchmark, job.config.label, job.width, job.map_effort)
 
 
 def _prefetch_batches(

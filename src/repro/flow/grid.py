@@ -2,7 +2,7 @@
 
 This module is the pure data layer under the sweep engine: a
 :class:`SweepSpec` describes one experiment grid (benchmarks, binder
-configurations, widths, engine/effort/simulation axes, seeds, shared
+configurations, widths, effort/simulation axes, seeds, shared
 flow knobs), :func:`expand_grid` expands it into concrete
 :class:`SweepJob` cells, and :class:`SweepCell` is the record one job
 produces. Execution lives in :mod:`repro.flow.executor` (the resident
@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.binding import BIND_ENGINES, BINDER_NAMES
+from repro.binding import BINDER_NAMES
 from repro.cdfg import benchmark_spec
 from repro.errors import ConfigError
-from repro.fpga.compile import ELAB_ENGINES
 from repro.techmap import MAP_EFFORTS
 
 
@@ -42,13 +41,12 @@ class SweepSpec:
     """Declarative description of one experiment grid.
 
     The grid is the cross product ``benchmarks x binder_configs x
-    widths x bind engines x elab engines x map efforts x idle_modes x
-    jitters x sim kernels x vector_seeds``.
+    widths x map efforts x idle_modes x jitters x vector_seeds``.
     Binder configurations come either from the ``binders x alphas``
     cross product (the default) or from an explicit ``configs`` list
     when the columns are not a product — e.g. the bench suite's
     ``lopass / hlpower_a1 / hlpower_a05``. The simulation-only axes
-    (idle mode, jitter, kernel, seed) vary nothing before the simulate
+    (idle mode, jitter, seed) vary nothing before the simulate
     stage, so the pipeline cache turns them into simulate-only work.
     """
 
@@ -62,26 +60,10 @@ class SweepSpec:
     k: int = 4
     scheduler: str = "list"
     check_function: bool = True
-    #: Simulation kernel for every cell: "event" (default) or
-    #: "reference" (the differential-testing oracle; several-fold
-    #: slower, byte-identical metrics). ``sim_kernels`` overrides this
-    #: scalar with a grid axis.
-    sim_kernel: str = "event"
     #: Technology-mapper effort for every cell: "fast" (default,
-    #: byte-identical to the seed mapper), "exhaustive", or
-    #: "reference" (the seed mapper; the differential oracle).
+    #: byte-identical to the seed mapper) or "exhaustive".
     #: ``map_efforts`` overrides this scalar with a grid axis.
     map_effort: str = "fast"
-    #: Binding engine for every cell: "fast" (default, the vectorized
-    #: engines — byte-identical solutions) or "reference" (the seed
-    #: binders; the differential oracle). ``bind_engines`` overrides
-    #: this scalar with a grid axis.
-    bind_engine: str = "fast"
-    #: Elaboration engine for every cell: "fast" (default, the
-    #: template-stamped elaborator — byte-identical netlists) or
-    #: "reference" (the seed elaborator; the differential oracle).
-    #: ``elab_engines`` overrides this scalar with a grid axis.
-    elab_engine: str = "fast"
     #: Binder label (or binder name) used as the reference for
     #: percentage changes; "none" (or empty) disables the comparison.
     baseline: str = "lopass"
@@ -89,14 +71,8 @@ class SweepSpec:
     idle_modes: Sequence[str] = ("zero",)
     #: Per-gate delay-jitter values to sweep (0 = pure unit delay).
     jitters: Sequence[int] = (0,)
-    #: Optional kernel axis; ``None`` means ``(sim_kernel,)``.
-    sim_kernels: Optional[Sequence[str]] = None
     #: Optional mapper-effort axis; ``None`` means ``(map_effort,)``.
     map_efforts: Optional[Sequence[str]] = None
-    #: Optional bind-engine axis; ``None`` means ``(bind_engine,)``.
-    bind_engines: Optional[Sequence[str]] = None
-    #: Optional elab-engine axis; ``None`` means ``(elab_engine,)``.
-    elab_engines: Optional[Sequence[str]] = None
     #: "full" runs the paper's measurement chain; "estimate" stops
     #: every cell after tech-map (Equation-(3) numbers, no simulator).
     flow: str = "full"
@@ -110,8 +86,8 @@ class SweepSpec:
     #: worker-pool shipping see the design content.
     designs: Optional[Mapping[str, str]] = None
     #: Maximum configurations per batched simulation kernel pass.
-    #: Event-kernel cells that share the mapped design (same benchmark
-    #: / binder / width / effort / engine, differing only in seed,
+    #: Cells that share the mapped design (same benchmark / binder /
+    #: width / effort, differing only in seed,
     #: idle mode or jitter) are dispatched through
     #: :func:`~repro.flow.pipeline.batch_simulate_pipelines` in groups
     #: of up to this many; ``1`` disables batching (every cell runs
@@ -152,29 +128,11 @@ class SweepSpec:
                 out.append(BinderConfig(label, binder, alpha))
         return out
 
-    def kernels(self) -> List[str]:
-        """The kernel axis (the scalar ``sim_kernel`` unless overridden)."""
-        if self.sim_kernels is not None:
-            return list(self.sim_kernels)
-        return [self.sim_kernel]
-
     def efforts(self) -> List[str]:
         """The mapper-effort axis (scalar unless overridden)."""
         if self.map_efforts is not None:
             return list(self.map_efforts)
         return [self.map_effort]
-
-    def engines(self) -> List[str]:
-        """The bind-engine axis (scalar unless overridden)."""
-        if self.bind_engines is not None:
-            return list(self.bind_engines)
-        return [self.bind_engine]
-
-    def elab(self) -> List[str]:
-        """The elab-engine axis (scalar unless overridden)."""
-        if self.elab_engines is not None:
-            return list(self.elab_engines)
-        return [self.elab_engine]
 
     def validate(self) -> None:
         if not self.benchmarks and not self.designs:
@@ -185,29 +143,11 @@ class SweepSpec:
             self._validate_designs()
         if self.scheduler not in ("list", "force"):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-        for kernel in [self.sim_kernel] + self.kernels():
-            if kernel not in ("event", "reference"):
-                raise ConfigError(
-                    f"unknown simulation kernel {kernel!r}; choose "
-                    f"from ('event', 'reference')"
-                )
         for effort in [self.map_effort] + self.efforts():
             if effort not in MAP_EFFORTS:
                 raise ConfigError(
                     f"unknown mapper effort {effort!r}; choose from "
                     f"{MAP_EFFORTS}"
-                )
-        for engine in [self.bind_engine] + self.engines():
-            if engine not in BIND_ENGINES:
-                raise ConfigError(
-                    f"unknown bind engine {engine!r}; choose from "
-                    f"{BIND_ENGINES}"
-                )
-        for engine in [self.elab_engine] + self.elab():
-            if engine not in ELAB_ENGINES:
-                raise ConfigError(
-                    f"unknown elab engine {engine!r}; choose from "
-                    f"{ELAB_ENGINES}"
                 )
         if self.flow not in ("full", "estimate"):
             raise ConfigError(
@@ -311,14 +251,8 @@ class SweepSpec:
         data["vector_seeds"] = list(self.vector_seeds)
         data["idle_modes"] = list(self.idle_modes)
         data["jitters"] = list(self.jitters)
-        if self.sim_kernels is not None:
-            data["sim_kernels"] = list(self.sim_kernels)
         if self.map_efforts is not None:
             data["map_efforts"] = list(self.map_efforts)
-        if self.bind_engines is not None:
-            data["bind_engines"] = list(self.bind_engines)
-        if self.elab_engines is not None:
-            data["elab_engines"] = list(self.elab_engines)
         if self.configs is not None:
             data["configs"] = [asdict(config) for config in self.configs]
         if self.designs is not None:
@@ -346,10 +280,7 @@ class SweepJob:
     vector_seed: int
     idle_selects: str = "zero"
     delay_jitter: int = 0
-    sim_kernel: str = "event"
     map_effort: str = "fast"
-    bind_engine: str = "fast"
-    elab_engine: str = "fast"
     #: Set for external-design cells: the key into ``spec.designs``.
     design: Optional[str] = None
 
@@ -376,10 +307,7 @@ class SweepCell:
     sa_new_entries: int
     idle_selects: str = "zero"
     delay_jitter: int = 0
-    sim_kernel: str = "event"
     map_effort: str = "fast"
-    bind_engine: str = "fast"
-    elab_engine: str = "fast"
     #: Per-pipeline-stage wall clock of this cell's flow run.
     stage_timings: Dict[str, float] = field(default_factory=dict)
     #: Pipeline stages served from the worker's artifact cache.
@@ -393,10 +321,15 @@ class SweepCell:
 
     @property
     def key(self) -> Tuple[str, str, int, int, str, int, str, str, str, str]:
+        # Slots 7, 9 and 10 held the retired sim_kernel / bind_engine /
+        # elab_engine knobs and stay as their only former values: the
+        # benchmark's committed output digests key sweep cells by
+        # "|".join(map(str, key)), so dropping them waits for a change
+        # that re-records those digests.
         return (
             self.benchmark, self.config, self.width, self.vector_seed,
-            self.idle_selects, self.delay_jitter, self.sim_kernel,
-            self.map_effort, self.bind_engine, self.elab_engine,
+            self.idle_selects, self.delay_jitter, "event",
+            self.map_effort, "fast", "fast",
         )
 
 
@@ -404,7 +337,7 @@ def expand_grid(spec: SweepSpec) -> List[SweepJob]:
     """Expand the spec into jobs, benchmark-major.
 
     Benchmark-major order keeps jobs that share an elaboration-memo key
-    adjacent, and simulation-only axes (idle/jitter/kernel/seed)
+    adjacent, and simulation-only axes (idle/jitter/seed)
     innermost so consecutive jobs share the longest cached pipeline
     prefix. In estimate mode the simulation-only axes are collapsed to
     their first value — they cannot move any estimate metric, so
@@ -413,37 +346,26 @@ def expand_grid(spec: SweepSpec) -> List[SweepJob]:
     spec.validate()
     idle_modes: Sequence[str] = spec.idle_modes
     jitters: Sequence[int] = spec.jitters
-    kernels: Sequence[str] = spec.kernels()
     seeds: Sequence[int] = spec.vector_seeds
     if spec.flow == "estimate":
         idle_modes = idle_modes[:1]
         jitters = jitters[:1]
-        kernels = kernels[:1]
         seeds = seeds[:1]
     jobs: List[SweepJob] = []
     for benchmark in spec.benchmarks:
         for config in spec.binder_configs():
             for width in spec.widths:
-                # The bind-engine axis is outermost (bind is the
-                # pipeline root: engine cells share no cached
-                # prefix), then the elab-engine axis (those cells
-                # still share the bound prefix), then the
-                # mapper-effort axis outside the simulation-only
-                # axes: cells that share (benchmark, binder, width,
-                # engines, effort) still share the mapped prefix.
-                for engine in spec.engines():
-                    for elab in spec.elab():
-                        for effort in spec.efforts():
-                            for idle in idle_modes:
-                                for jitter in jitters:
-                                    for kernel in kernels:
-                                        for seed in seeds:
-                                            jobs.append(SweepJob(
-                                                len(jobs), benchmark,
-                                                config, width, seed,
-                                                idle, jitter, kernel,
-                                                effort, engine, elab,
-                                            ))
+                # The mapper-effort axis sits outside the
+                # simulation-only axes: cells that share (benchmark,
+                # binder, width, effort) share the mapped prefix.
+                for effort in spec.efforts():
+                    for idle in idle_modes:
+                        for jitter in jitters:
+                            for seed in seeds:
+                                jobs.append(SweepJob(
+                                    len(jobs), benchmark, config, width,
+                                    seed, idle, jitter, effort,
+                                ))
     if spec.designs:
         # Design cells: estimate flow only (validate() enforces it), so
         # the simulation axes are already collapsed; the mapper-effort
@@ -453,8 +375,7 @@ def expand_grid(spec: SweepSpec) -> List[SweepJob]:
             for effort in spec.efforts():
                 jobs.append(SweepJob(
                     len(jobs), f"design:{name}", INGEST_CONFIG, 0,
-                    seeds[0], idle_modes[0], jitters[0], kernels[0],
-                    effort, spec.engines()[0], spec.elab()[0],
+                    seeds[0], idle_modes[0], jitters[0], effort,
                     design=name,
                 ))
     return jobs

@@ -6,19 +6,18 @@ declared subset of :class:`~repro.flow.run.FlowConfig`:
 ====================  ===========================  ========================
 stage                 inputs                       config fields read
 ====================  ===========================  ========================
-``bind``              schedule/constraints/        ``bind_engine, alpha``
-                      registers/ports/binder       (+ SA-table settings,
-                                                   hlpower only)
+``bind``              schedule/constraints/        ``alpha`` (+ SA-table
+                      registers/ports/binder       settings; hlpower and
+                                                   mcts only)
 ``datapath``          ``bind``                     ``width``
-``elaborate``         ``datapath``                 ``elab_engine``
+``elaborate``         ``datapath``                 (none)
 ``techmap``           ``elaborate``                ``k, control_activity,
                                                    map_effort``
 ``timing``            ``techmap``                  ``device``
 ``vectors``           #primary inputs              ``width, n_vectors,
                                                    vector_seed``
 ``simulate``          ``techmap, vectors``         ``idle_selects,
-                                                   delay_jitter,
-                                                   sim_kernel``
+                                                   delay_jitter``
 ``power``             ``simulate, techmap``        ``sim_clock_ns, device``
 ====================  ===========================  ========================
 
@@ -26,7 +25,7 @@ Each :class:`Stage` fingerprints its inputs — upstream fingerprints
 chained with the config subset — and stores its artifact in a
 content-addressed :class:`~repro.flow.cache.ArtifactCache`. Two runs
 that differ only in late-stage knobs (vector seed, jitter, idle
-policy, sim kernel) therefore share the bound-and-mapped prefix, which
+policy) therefore share the bound-and-mapped prefix, which
 is exactly the dominant sweep shape; the sweep engine
 (:mod:`repro.flow.batch`) keeps one cache per worker process.
 
@@ -64,8 +63,6 @@ from repro.binding import (
     MCTSConfig,
     PortAssignment,
     RegisterBinding,
-    bind_hlpower,
-    bind_lopass,
     bind_mcts,
 )
 from repro.binding.compile import (
@@ -111,46 +108,34 @@ def run_binder(
     ports: PortAssignment,
     alpha: float = 0.5,
     sa_table=None,
-    engine: str = "fast",
     bind_memo: Optional[BindMemo] = None,
     mcts_budget: int = 256,
     mcts_seed: int = 1,
 ) -> BindingSolution:
     """Dispatch one binder by name or callable (shared with repro.hls).
 
-    ``engine`` selects the bind implementation: "fast" (the vectorized
-    engines of :mod:`repro.binding.compile`, decision-identical) or
-    "reference" (the seed binders verbatim, the differential-testing
-    oracle). ``bind_memo`` is the fast HLPower engine's cross-round /
-    cross-cell weight-block memo; the reference engine ignores it.
-    ``mcts_budget``/``mcts_seed`` only reach the ``"mcts"`` binder (its
-    heuristic incumbents honor ``engine`` and share ``bind_memo``).
+    Named binders run the vectorized engines of
+    :mod:`repro.binding.compile`, decision-identical to the seed
+    binders. ``bind_memo`` is the HLPower engine's cross-round /
+    cross-cell weight-block memo. ``mcts_budget``/``mcts_seed`` only
+    reach the ``"mcts"`` binder (its heuristic incumbents share
+    ``bind_memo``).
     """
     if callable(binder):
         return binder(schedule, constraints, registers, ports)
-    if engine not in ("fast", "reference"):
-        raise ConfigError(
-            f"unknown bind engine {engine!r}; choose from "
-            f"('fast', 'reference')"
-        )
     if binder == "hlpower":
-        hl_cfg = HLPowerConfig(alpha=alpha, sa_table=sa_table)
-        if engine == "fast":
-            return bind_hlpower_fast(
-                schedule, constraints, registers, ports, hl_cfg,
-                memo=bind_memo,
-            )
-        return bind_hlpower(schedule, constraints, registers, ports, hl_cfg)
+        return bind_hlpower_fast(
+            schedule, constraints, registers, ports,
+            HLPowerConfig(alpha=alpha, sa_table=sa_table), memo=bind_memo,
+        )
     if binder == "lopass":
-        if engine == "fast":
-            return bind_lopass_fast(schedule, constraints, registers, ports)
-        return bind_lopass(schedule, constraints, registers, ports)
+        return bind_lopass_fast(schedule, constraints, registers, ports)
     if binder == "mcts":
         return bind_mcts(
             schedule, constraints, registers, ports,
             MCTSConfig(
                 budget=mcts_budget, seed=mcts_seed, alpha=alpha,
-                sa_table=sa_table, engine=engine, bind_memo=bind_memo,
+                sa_table=sa_table, bind_memo=bind_memo,
             ),
         )
     raise ConfigError(
@@ -274,13 +259,13 @@ class Stage:
     on_hit: Optional[Callable[["Pipeline", Any], None]] = None
     #: Publish to the cache's on-disk layer. Off for the simulate and
     #: power stages: their artifacts are unique per (seed, jitter,
-    #: idle, kernel) cell — the dominant sweep shape would only fill
+    #: idle) cell — the dominant sweep shape would only fill
     #: the directory with large write-only pickles.
     persist_to_disk: bool = True
 
 
 def _bind_memo(p: "Pipeline") -> Optional[BindMemo]:
-    """The fast HLPower engine's weight-block memo, shared via the cache.
+    """The HLPower engine's weight-block memo, shared via the cache.
 
     Keyed by the bind stage's *inputs* (schedule/constraints/registers/
     ports plus the SA-table settings) but not by ``alpha`` or the
@@ -289,7 +274,7 @@ def _bind_memo(p: "Pipeline") -> Optional[BindMemo]:
     sets coincide. Memory-only, exactly like the tech mapper's
     ConeMemo (the memo mutates in place as cells add rounds).
     """
-    if p.cfg.bind_engine != "fast" or callable(p.binder):
+    if callable(p.binder):
         return None
     table_config = (
         p.cfg.sa_table.config
@@ -310,7 +295,7 @@ def _run_bind(p: "Pipeline") -> BindingSolution:
     return run_binder(
         p.binder, p.schedule, p.constraints, p.registers, p.ports,
         alpha=p.cfg.alpha, sa_table=p.cfg.sa_table,
-        engine=p.cfg.bind_engine, bind_memo=_bind_memo(p),
+        bind_memo=_bind_memo(p),
         mcts_budget=p.cfg.mcts_budget, mcts_seed=p.cfg.mcts_seed,
     )
 
@@ -320,7 +305,7 @@ def _run_datapath(p: "Pipeline") -> Datapath:
 
 
 def _run_elaborate(p: "Pipeline") -> ElaboratedDesign:
-    return elaborate_design(p.artifact("datapath"), p.cfg.elab_engine)
+    return elaborate_design(p.artifact("datapath"))
 
 
 def _cone_memo(p: "Pipeline") -> Optional[ConeMemo]:
@@ -334,8 +319,6 @@ def _cone_memo(p: "Pipeline") -> Optional[ConeMemo]:
     in place as cells add entries, which an on-disk pickle would
     snapshot pointlessly.
     """
-    if p.cfg.map_effort == "reference":
-        return None  # the seed mapper takes no memo
     elaborate_fp = p.stage_fingerprint("elaborate")
     if elaborate_fp is None:
         return None  # uncacheable run (custom binder)
@@ -388,7 +371,7 @@ def _golden_outputs_memo(p: "Pipeline", mapped: MappedDesign):
 
     Keyed by the techmap and vectors fingerprints: the expected outputs
     depend on nothing else, so every simulation knob cell of a sweep
-    (idle x jitter x kernel over the same design and stimulus) verifies
+    (idle x jitter over the same design and stimulus) verifies
     against one computation instead of re-deriving it per cell.
     Memory-only, like the artifacts it checks.
     """
@@ -425,7 +408,6 @@ def _run_simulate(p: "Pipeline") -> SimulatedDesign:
         p.artifact("vectors"),
         idle_selects=p.cfg.idle_selects,
         delay_jitter=p.cfg.delay_jitter,
-        kernel=p.cfg.sim_kernel,
     )
     artifact = SimulatedDesign(result=simulation, checked=False)
     _check_simulation(p, artifact)
@@ -448,12 +430,7 @@ STAGES: Dict[str, Stage] = {
     stage.name: stage
     for stage in (
         Stage(
-            # ``bind_engine`` is in the fingerprint even though fast
-            # and reference produce byte-identical solutions — the
-            # same convention as ``sim_kernel``/``map_effort``, so a
-            # differential sweep's reference cells never silently
-            # reuse fast-engine artifacts (or vice versa).
-            "bind", deps=(), config_fields=("bind_engine",), run=_run_bind,
+            "bind", deps=(), config_fields=(), run=_run_bind,
             extra=lambda p: binder_token(p.binder, p.cfg),
             # Memory-only: binding has a side effect the artifact does
             # not carry — HLPower populates the run's persistent SA
@@ -464,11 +441,8 @@ STAGES: Dict[str, Stage] = {
         ),
         Stage("datapath", deps=("bind",), config_fields=("width",),
               run=_run_datapath),
-        # ``elab_engine`` follows the ``bind_engine`` convention: in
-        # the fingerprint despite byte-identical outputs, so
-        # differential sweeps keep the engines' artifacts apart.
-        Stage("elaborate", deps=("datapath",),
-              config_fields=("elab_engine",), run=_run_elaborate),
+        Stage("elaborate", deps=("datapath",), config_fields=(),
+              run=_run_elaborate),
         Stage("techmap", deps=("elaborate",),
               config_fields=("k", "control_activity", "map_effort"),
               run=_run_techmap),
@@ -482,7 +456,7 @@ STAGES: Dict[str, Stage] = {
         ),
         Stage(
             "simulate", deps=("techmap", "vectors"),
-            config_fields=("idle_selects", "delay_jitter", "sim_kernel"),
+            config_fields=("idle_selects", "delay_jitter"),
             run=_run_simulate, on_hit=_check_simulation,
             persist_to_disk=False,
         ),
@@ -636,7 +610,7 @@ def batch_simulate_pipelines(
     fingerprint. A pipeline whose ``artifact("simulate")`` is asked for
     afterwards gets a cache hit instead of a solo kernel run.
 
-    Only event-kernel pipelines with a cacheable simulate stage
+    Only full-flow pipelines with a cacheable simulate stage
     participate; ones whose artifact is already cached, or that share a
     simulate fingerprint with an earlier pipeline in the list, are
     skipped. Each batched result passes the same golden-output
@@ -651,7 +625,7 @@ def batch_simulate_pipelines(
     groups: Dict[str, List[Tuple[int, str, Pipeline]]] = {}
     seen: set = set()
     for index, pipe in enumerate(pipes):
-        if pipe.cfg.flow != "full" or pipe.cfg.sim_kernel != "event":
+        if pipe.cfg.flow != "full":
             continue
         sim_fp = pipe.stage_fingerprint("simulate")
         if sim_fp is None or sim_fp in seen or sim_fp in pipe.cache:

@@ -63,7 +63,7 @@ def format_table(
 def format_sweep_summary(sweep: "SweepResult") -> str:
     """Aggregate table + execution stats for one sweep.
 
-    One row per (benchmark, config, width, idle, jitter, kernel)
+    One row per (benchmark, config, width, effort, idle, jitter)
     group. Full-flow sweeps show seed-averaged power (with stdev when
     several seeds ran), toggle rate, the seed-invariant area/clock
     numbers, and the power change versus the sweep's baseline binder;
@@ -76,10 +76,6 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
     rows = []
     multi_width = len(spec.widths) > 1
     extra_axes = []
-    if len(spec.engines()) > 1:
-        extra_axes.append(("engine", "bind_engine"))
-    if len(spec.elab()) > 1:
-        extra_axes.append(("elab", "elab_engine"))
     if len(spec.efforts()) > 1:
         extra_axes.append(("effort", "map_effort"))
     if not estimate:
@@ -87,8 +83,6 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
             extra_axes.append(("idle", "idle_selects"))
         if len(spec.jitters) > 1:
             extra_axes.append(("jit", "delay_jitter"))
-        if len(spec.kernels()) > 1:
-            extra_axes.append(("kernel", "sim_kernel"))
     for agg in sweep.aggregates():
         row = [agg["benchmark"], agg["config"]]
         if multi_width:
@@ -127,8 +121,6 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
         (len(spec.benchmarks), "benchmarks"),
         (len(spec.binder_configs()), "configs"),
         (len(spec.widths), "widths"),
-        (len(spec.engines()), "engines"),
-        (len(spec.elab()), "elabs"),
         (len(spec.efforts()), "efforts"),
     ]
     if not estimate:
@@ -137,7 +129,6 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
         axes += [
             (len(spec.idle_modes), "idle"),
             (len(spec.jitters), "jitters"),
-            (len(spec.kernels()), "kernels"),
             (len(spec.vector_seeds), "seeds"),
         ]
     grid = " x ".join(

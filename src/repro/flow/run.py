@@ -27,7 +27,6 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.binding import (
-    BIND_ENGINES,
     BindingSolution,
     PortAssignment,
     RegisterBinding,
@@ -38,7 +37,6 @@ from repro.binding import (
 from repro.cdfg.schedule import Schedule
 from repro.flow.cache import ArtifactCache
 from repro.flow.pipeline import ESTIMATE_STAGES, Binder, Pipeline
-from repro.fpga.compile import ELAB_ENGINES
 from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.power import PowerReport
@@ -57,7 +55,7 @@ FLOW_MODES = ("full", "estimate")
 class FlowConfig:
     """Knobs of the measurement flow (defaults match the benches).
 
-    Validated eagerly on construction: unknown ``sim_kernel`` /
+    Validated eagerly on construction: unknown ``map_effort`` /
     ``idle_selects`` / ``flow`` values and non-positive ``width`` /
     ``k`` / ``n_vectors`` raise :class:`~repro.errors.ConfigError` (a
     ``ValueError``) here instead of failing deep inside the flow.
@@ -86,25 +84,10 @@ class FlowConfig:
     #: delay, the paper's model; >0 models routed-delay spread and is
     #: exercised by an ablation bench).
     delay_jitter: int = 0
-    #: Simulation kernel: "event" (the compiled event-driven kernel)
-    #: or "reference" (the original timed-waveform loop, kept for
-    #: differential testing). Both yield byte-identical results.
-    sim_kernel: str = "event"
     #: Technology-mapper effort: "fast" (the compiled memoized mapper,
-    #: byte-identical to the seed mapper), "exhaustive" (evaluate every
-    #: surviving cut per node — better covers, slower), or "reference"
-    #: (the seed mapper verbatim, the differential-testing oracle).
+    #: byte-identical to the seed mapper) or "exhaustive" (evaluate
+    #: every surviving cut per node — better covers, slower).
     map_effort: str = "fast"
-    #: Binding engine: "fast" (the vectorized engines of
-    #: :mod:`repro.binding.compile`, decision-identical to the seed
-    #: binders) or "reference" (the seed binders verbatim, the
-    #: differential-testing oracle).
-    bind_engine: str = "fast"
-    #: Elaboration engine: "fast" (the template-stamped elaborator of
-    #: :mod:`repro.fpga.compile`, byte-identical netlists) or
-    #: "reference" (the seed elaborator verbatim, the
-    #: differential-testing oracle).
-    elab_engine: str = "fast"
     #: Which flow the drivers execute: "full" (the paper's measurement
     #: chain, through simulation and power) or "estimate" (stop after
     #: tech-map/timing and report the Equation-(3) estimates only).
@@ -125,25 +108,10 @@ class FlowConfig:
                     f"FlowConfig.{name} must be a positive integer, "
                     f"got {value!r}"
                 )
-        if self.sim_kernel not in ("event", "reference"):
-            raise ConfigError(
-                f"unknown simulation kernel {self.sim_kernel!r}; choose "
-                f"from ('event', 'reference')"
-            )
         if self.map_effort not in MAP_EFFORTS:
             raise ConfigError(
                 f"unknown mapper effort {self.map_effort!r}; choose from "
                 f"{MAP_EFFORTS}"
-            )
-        if self.bind_engine not in BIND_ENGINES:
-            raise ConfigError(
-                f"unknown bind engine {self.bind_engine!r}; choose from "
-                f"{BIND_ENGINES}"
-            )
-        if self.elab_engine not in ELAB_ENGINES:
-            raise ConfigError(
-                f"unknown elab engine {self.elab_engine!r}; choose from "
-                f"{ELAB_ENGINES}"
             )
         if self.idle_selects not in ("zero", "hold"):
             raise ConfigError(

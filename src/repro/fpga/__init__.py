@@ -17,7 +17,6 @@ of that measurement harness (see DESIGN.md, substitution table):
 from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
 from repro.fpga.elaborate import ElaboratedDesign, elaborate_datapath
 from repro.fpga.compile import (
-    ELAB_ENGINES,
     elaborate_datapath_fast,
     elaborate_design,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DeviceModel",
     "ElaboratedDesign",
     "elaborate_datapath",
-    "ELAB_ENGINES",
     "elaborate_datapath_fast",
     "elaborate_design",
     "VectorSet",

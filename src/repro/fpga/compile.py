@@ -1,4 +1,4 @@
-"""Compiled datapath elaboration (``elab_engine="fast"``).
+"""Compiled datapath elaboration — the flow's only elaborator.
 
 :func:`~repro.fpga.elaborate.elaborate_datapath` rebuilds a structural
 library netlist for every component instance — every register bank,
@@ -15,19 +15,19 @@ instances out with a rename dict and direct gates-dict writes. The
 instantiation order, net-name choreography (pad/select/mode naming,
 pre-declared register nets, instance prefixes) and the final cleanup
 mirror the reference exactly, so the produced netlist is byte-identical
-(gate insertion order included); ``tests/fpga/test_elab_engines.py``
-pins that equivalence across the paper benchmarks and corpus samples.
+(gate insertion order included).
 
-The reference path stays untouched behind ``elab_engine="reference"``;
-:data:`ELAB_ENGINES` names the two paths the flow accepts, the same
-contract as ``bind_engine`` and ``map_effort``.
+The seed elaborator (:func:`~repro.fpga.elaborate.elaborate_datapath`)
+stays untouched as the differential-testing oracle: the elaboration
+differential suite under ``tests/fpga/`` calls it directly and pins
+the equivalence across the paper benchmarks and corpus samples.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import ConfigError, NetlistError, RTLError
+from repro.errors import NetlistError, RTLError
 from repro.netlist.compile import clean_fast, make_gate
 from repro.netlist.gates import GateType, Latch, Netlist, TruthTable
 from repro.netlist.library import (
@@ -37,11 +37,8 @@ from repro.netlist.library import (
     build_register,
     select_width,
 )
-from repro.fpga.elaborate import ElaboratedDesign, elaborate_datapath
+from repro.fpga.elaborate import ElaboratedDesign
 from repro.rtl.datapath import Datapath, FUSpec, MuxSpec, SourceRef
-
-#: The elaborate-stage engines the flow accepts ("fast" is the default).
-ELAB_ENGINES: Tuple[str, ...] = ("fast", "reference")
 
 #: One frozen gate: (output, inputs, table, gate_type).
 _GateRecord = Tuple[str, Tuple[str, ...], TruthTable, GateType]
@@ -327,19 +324,11 @@ def elaborate_datapath_fast(datapath: Datapath) -> ElaboratedDesign:
     )
 
 
-def elaborate_design(
-    datapath: Datapath, engine: str = "fast"
-) -> ElaboratedDesign:
-    """Elaborate ``datapath`` with the selected engine.
+def elaborate_design(datapath: Datapath) -> ElaboratedDesign:
+    """Elaborate ``datapath`` by stamping compiled cell templates.
 
-    ``"fast"`` stamps compiled cell templates; ``"reference"`` runs the
-    seed :func:`~repro.fpga.elaborate.elaborate_datapath` verbatim.
-    Both produce byte-identical designs.
+    The flow's elaborate stage calls this name; the result is
+    byte-identical to the seed
+    :func:`~repro.fpga.elaborate.elaborate_datapath`.
     """
-    if engine == "fast":
-        return elaborate_datapath_fast(datapath)
-    if engine == "reference":
-        return elaborate_datapath(datapath)
-    raise ConfigError(
-        f"unknown elab engine {engine!r}; choose from {ELAB_ENGINES}"
-    )
+    return elaborate_datapath_fast(datapath)

@@ -19,23 +19,21 @@ Model:
 * at the end of the step all flip-flops clock simultaneously (their
   output toggles are the register power contribution).
 
-Two interchangeable kernels implement that model:
+The flow runs an event-driven kernel over a *compiled netlist*:
+elaboration-time lowering assigns every net a dense integer id,
+per-gate evaluators/delays/fanout arrays are built once per netlist
+(see :func:`compile_netlist`, cached on the netlist object), and
+settling walks a time-wheel event queue. Lane state in this kernel is
+one packed arbitrary-precision integer per net (bit ``i`` is lane
+``i``): at the few-hundred-lane word counts the flow uses, CPython's
+big-int bitwise ops run an order of magnitude faster than dispatching
+numpy ufuncs on 4-word arrays, and they are exact — numpy appears only
+at the pack/unpack boundaries.
 
-* ``kernel="event"`` (default) — an event-driven kernel over a
-  *compiled netlist*: elaboration-time lowering assigns every net a
-  dense integer id, per-gate evaluators/delays/fanout arrays are built
-  once per netlist (see :func:`compile_netlist`, cached on the netlist
-  object), and settling walks a time-wheel event queue. Lane state in
-  this kernel is one packed arbitrary-precision integer per net (bit
-  ``i`` is lane ``i``): at the few-hundred-lane word counts the flow
-  uses, CPython's big-int bitwise ops run an order of magnitude faster
-  than dispatching numpy ufuncs on 4-word arrays, and they are exact —
-  numpy appears only at the pack/unpack boundaries;
-* ``kernel="reference"`` — the original timed-waveform implementation,
-  kept verbatim as the differential-testing oracle.
-
-Both kernels produce byte-identical :class:`SimulationResult` records
-(the differential suite pins this across every built-in benchmark,
+The original timed-waveform implementation stays verbatim as
+:func:`_simulate_reference`, the differential-testing oracle: the
+event kernel's :class:`SimulationResult` records are byte-identical to
+it (the differential suite pins this across every built-in benchmark,
 both idle conventions and jittered delays).
 
 Functional correctness is checked against the CDFG's arithmetic
@@ -368,7 +366,6 @@ def simulate_design(
     collect_per_net: bool = False,
     idle_selects: str = "zero",
     delay_jitter: int = 0,
-    kernel: str = "event",
 ) -> SimulationResult:
     """Replay the control table over the netlist for all lanes.
 
@@ -382,22 +379,7 @@ def simulate_design(
     filtering off; the jitter models that routing spread (0 restores
     the pure unit-delay model — the estimator-vs-measurement gap is an
     ablation bench).
-
-    ``kernel`` selects the implementation: ``"event"`` (default) is the
-    compiled event-driven kernel; ``"reference"`` is the original
-    timed-waveform loop kept as the differential-testing oracle. Both
-    produce byte-identical results.
     """
-    if kernel == "reference":
-        return _simulate_reference(
-            design, vectors, collect_per_net, idle_selects, delay_jitter
-        )
-    if kernel != "event":
-        raise SimulationError(
-            f"unknown simulation kernel {kernel!r}; choose 'event' or "
-            f"'reference'"
-        )
-
     netlist = design.netlist
     lanes = vectors.lanes
     words = n_words(lanes)
@@ -608,14 +590,13 @@ def simulate_batch(
     design: ElaboratedDesign,
     configs: List[BatchConfig],
     collect_per_net: bool = False,
-    kernel: str = "event",
 ) -> List[SimulationResult]:
     """Simulate every configuration in one batched kernel pass.
 
     Returns one :class:`SimulationResult` per configuration, in order,
     byte-identical to what :func:`simulate_design` produces for that
-    configuration alone (the differential suite pins this against the
-    ``"reference"`` kernel).
+    configuration alone (the differential suite pins this against
+    :func:`_simulate_reference`).
 
     Layout: configuration ``c`` occupies lanes ``[offset_c, offset_c +
     lanes_c)`` of every net's packed big int. Bitwise ops never move
@@ -627,23 +608,7 @@ def simulate_batch(
     each landing only on its own lanes. Idle conventions differ only in
     the per-step control words, composed per-config with the same
     masks.
-
-    ``kernel="reference"`` runs the oracle once per configuration —
-    the batched path's differential baseline.
     """
-    if kernel == "reference":
-        return [
-            _simulate_reference(
-                design, config.vectors, collect_per_net,
-                config.idle_selects, config.delay_jitter,
-            )
-            for config in configs
-        ]
-    if kernel != "event":
-        raise SimulationError(
-            f"unknown simulation kernel {kernel!r}; choose 'event' or "
-            f"'reference'"
-        )
     if not configs:
         return []
 
@@ -1067,7 +1032,9 @@ def _simulate_reference(
     idle_selects: str = "zero",
     delay_jitter: int = 0,
 ) -> SimulationResult:
-    """The original timed-waveform simulator (see :func:`simulate_design`)."""
+    """The original timed-waveform simulator, kept verbatim as the
+    differential-testing oracle of :func:`simulate_design` and
+    :func:`simulate_batch` (same arguments, byte-identical results)."""
     netlist = design.netlist
     lanes = vectors.lanes
     words = n_words(lanes)

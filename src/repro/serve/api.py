@@ -38,19 +38,16 @@ _FLOW_FIELDS: Dict[str, Any] = {
     "k": 4,
     "scheduler": "list",
     "map_effort": "fast",
-    "bind_engine": "fast",
     "n_vectors": 256,
     "vector_seed": 7,
     "idle_selects": "zero",
     "delay_jitter": 0,
-    "sim_kernel": "event",
     "check_function": True,
     "mcts_budget": 256,
     "mcts_seed": 1,
 }
 _ESTIMATE_ONLY_EXCLUDED = (
     "n_vectors", "vector_seed", "idle_selects", "delay_jitter",
-    "sim_kernel",
 )
 #: Request fields consumed by the queue, not the spec.
 _CONTROL_FIELDS = ("priority",)
@@ -63,12 +60,10 @@ _TYPES: Dict[str, Tuple[type, ...]] = {
     "k": (int,),
     "scheduler": (str,),
     "map_effort": (str,),
-    "bind_engine": (str,),
     "n_vectors": (int,),
     "vector_seed": (int,),
     "idle_selects": (str,),
     "delay_jitter": (int,),
-    "sim_kernel": (str,),
     "check_function": (bool,),
     "mcts_budget": (int,),
     "mcts_seed": (int,),
@@ -138,9 +133,7 @@ def single_cell_spec(body: Mapping[str, Any], flow: str) -> SweepSpec:
             k=fields["k"],
             scheduler=fields["scheduler"],
             check_function=fields["check_function"],
-            sim_kernel=fields.get("sim_kernel", defaults["sim_kernel"]),
             map_effort=fields["map_effort"],
-            bind_engine=fields["bind_engine"],
             baseline="none",
             idle_modes=(fields.get("idle_selects",
                                    defaults["idle_selects"]),),
@@ -293,9 +286,7 @@ def cell_payload(cell: SweepCell) -> Dict[str, Any]:
         "vector_seed": cell.vector_seed,
         "idle_selects": cell.idle_selects,
         "delay_jitter": cell.delay_jitter,
-        "sim_kernel": cell.sim_kernel,
         "map_effort": cell.map_effort,
-        "bind_engine": cell.bind_engine,
         "metrics": cell.metrics,
         "runtime_s": cell.runtime_s,
         "cache_hits": list(cell.cache_hits),

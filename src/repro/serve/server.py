@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.binding import SATable
+from repro.binding.sa_table import SHIPPED_TABLE_PATH
 from repro.errors import ConfigError, ReproError
 from repro.flow.executor import DEFAULT_CACHE_ENTRIES, FlowExecutor
 from repro.flow.grid import SweepSpec, expand_grid
@@ -81,6 +82,9 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     #: File-backed SA table, saved once at shutdown.
     sa_table: Optional[str] = None
+    #: SA table read at start-up but never written, used when
+    #: ``sa_table`` is unset (``repro serve`` passes the shipped table).
+    sa_table_source: Optional[str] = None
     #: Requests queued beyond this respond 503 immediately.
     queue_limit: int = 10000
 
@@ -111,14 +115,15 @@ class FlowServer:
         executor: Optional[FlowExecutor] = None,
     ) -> None:
         self.config = config or ServeConfig()
-        self._table = (
-            SATable(path=self.config.sa_table)
-            if self.config.sa_table else None
-        )
+        self._table: Optional[SATable] = None
+        if self.config.sa_table:
+            self._table = SATable(path=self.config.sa_table)
+        elif self.config.sa_table_source:
+            self._table = SATable().load(self.config.sa_table_source)
         self._owns_executor = executor is None
         self.executor = executor or FlowExecutor(
             jobs=self.config.jobs,
-            sa_table=self._table if self._table is not None else None,
+            sa_table=self._table,
             cache_entries=self.config.cache_entries,
             cache_dir=self.config.cache_dir,
         )
@@ -560,6 +565,7 @@ def main(args: Any) -> int:
         cache_entries=args.cache_entries,
         cache_dir=args.cache_dir,
         sa_table=args.sa_table,
+        sa_table_source=SHIPPED_TABLE_PATH,
     )
     try:
         return asyncio.run(serve_forever(config))

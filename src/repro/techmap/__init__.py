@@ -10,9 +10,9 @@ accomplished using a low-power FPGA technology mapper [6]".
 Two implementations share the algorithm (see docs/techmap.md): the
 compiled fast path (:mod:`repro.techmap.compile` — interned net ids,
 bitmask cuts, NPN-keyed cone memoization, batched numpy evaluation)
-and the seed mapper, kept verbatim behind ``effort="reference"`` as
-the differential-testing oracle. ``effort="exhaustive"`` lifts the
-per-node evaluation budget.
+and the seed mapper, kept verbatim as
+:func:`repro.techmap.mapper._map_reference`, the differential-testing
+oracle. ``effort="exhaustive"`` lifts the per-node evaluation budget.
 """
 
 from repro.techmap.compile import (

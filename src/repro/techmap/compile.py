@@ -1,7 +1,7 @@
 """Compiled fast path of the glitch-aware LUT mapper.
 
-The seed mapper (:func:`repro.techmap.mapper.map_netlist` with
-``effort="reference"``) spends almost all of its time in two places:
+The seed mapper (:func:`repro.techmap.mapper._map_reference`) spends
+almost all of its time in two places:
 
 * **cut bookkeeping** — ``FrozenSet[str]`` unions, subset tests and
   hashing during Cong-Wu-Ding cross-merging, repeated per node;

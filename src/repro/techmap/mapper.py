@@ -20,19 +20,20 @@ in Section 4 of the paper:
    of the selected cuts' activities is the netlist ``SA`` of
    Equation (3).
 
-Three effort levels share this algorithm (see :data:`MAP_EFFORTS` and
-docs/techmap.md):
+Two effort levels share this algorithm (see :data:`MAP_EFFORTS` and
+docs/techmap.md), both run by the compiled mapper
+(:mod:`repro.techmap.compile`: interned net ids, bitmask cut
+enumeration, NPN-keyed memoization of cone evaluations, and batched
+numpy SA evaluation):
 
-* ``"fast"`` (default) — the compiled mapper
-  (:mod:`repro.techmap.compile`): interned net ids, bitmask cut
-  enumeration, NPN-keyed memoization of cone evaluations, and batched
-  numpy SA evaluation. Bit-identical results to ``"reference"``,
+* ``"fast"`` (default) — bit-identical results to the seed mapper,
   several times faster.
-* ``"exhaustive"`` — the compiled mapper with the per-node SA
-  evaluation budget lifted: every surviving cut is evaluated instead
-  of the first :data:`DEFAULT_SA_EVAL_LIMIT`.
-* ``"reference"`` — the original mapper, kept verbatim as the
-  differential-testing oracle.
+* ``"exhaustive"`` — the per-node SA evaluation budget lifted: every
+  surviving cut is evaluated instead of the first
+  :data:`DEFAULT_SA_EVAL_LIMIT`.
+
+The seed mapper stays verbatim as :func:`_map_reference`, the
+differential-testing oracle of ``"fast"``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from repro.techmap.cuts import (
 DEFAULT_SA_EVAL_LIMIT = 5
 
 #: Valid mapper effort levels.
-MAP_EFFORTS = ("fast", "exhaustive", "reference")
+MAP_EFFORTS = ("fast", "exhaustive")
 
 
 @dataclass
@@ -124,8 +125,8 @@ def map_netlist(
     paper improves on; the resulting LUT network shape is comparable,
     which makes the pair a clean ablation.
 
-    ``effort`` selects the implementation (see module docstring):
-    ``"fast"`` and ``"reference"`` produce bit-identical results;
+    ``effort`` selects the effort level (see module docstring):
+    ``"fast"`` is bit-identical to :func:`_map_reference`;
     ``"exhaustive"`` evaluates every surviving cut per node.
     ``cone_memo`` optionally carries memoized cone evaluations across
     calls (the flow's techmap stage shares one per elaborated netlist
@@ -135,11 +136,6 @@ def map_netlist(
     if effort not in MAP_EFFORTS:
         raise MappingError(
             f"unknown mapper effort {effort!r}; choose from {MAP_EFFORTS}"
-        )
-    if effort == "reference":
-        return _map_reference(
-            netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
-            input_activities, default_probability, default_activity,
         )
     return _map_fast(
         netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
@@ -151,7 +147,8 @@ def map_netlist(
 
 # ---------------------------------------------------------------------------
 # The reference mapper — the seed implementation, kept verbatim as the
-# differential-testing oracle for the compiled fast path.
+# differential-testing oracle for the compiled fast path. Tests and
+# benches call it directly; the flow never does.
 # ---------------------------------------------------------------------------
 
 

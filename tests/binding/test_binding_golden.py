@@ -9,8 +9,9 @@ reproduce them exactly (the differential suite pins fast == reference,
 this suite pins the values themselves).
 
 A second concern is tie-break stability: repeated runs of the same
-binder on the same inputs must make identical decisions. Both engines
-are deterministic by construction (dict insertion order, scipy's
+binder on the same inputs must make identical decisions. Both the
+vectorized engines and the seed binders (their oracles) are
+deterministic by construction (dict insertion order, scipy's
 deterministic assignment, networkx's Bland-rule pivots); the repeat
 tests turn any future regression into a hard failure instead of a
 flaky bench.

@@ -1,9 +1,10 @@
 """Differential pinning: the vectorized bind engines vs the seed binders.
 
-``bind_engine="fast"`` must be a pure speedup — identical
-BindingSolutions (same units, same operations per unit, same order)
-and byte-identical downstream FlowResults versus the seed binders
-kept behind ``bind_engine="reference"``. The full benchmark x binder
+The flow's vectorized binders (``bind_*_fast``) must be a pure
+speedup — identical BindingSolutions (same units, same operations per
+unit, same order) and byte-identical downstream FlowResults versus the
+seed binders (``bind_hlpower``/``bind_lopass``), kept verbatim as the
+oracles and called directly here. The full benchmark x binder
 cross-product (including perturbed resource constraints) is
 slow-marked; a smoke subset stays in tier-1 so every push checks the
 contract.
@@ -36,6 +37,7 @@ from repro.flow.run import FlowConfig, run_flow
 from repro.rtl.metrics import mux_report
 from repro.scheduling import list_schedule
 from repro.flow.run import prepare_flow_inputs
+from tests.conftest import oracle_flow_metrics
 
 #: Small benchmarks that keep the smoke subset inside tier-1 budget.
 _SMOKE_BENCHMARKS = ("pr", "wang", "honda")
@@ -129,23 +131,15 @@ class TestSmoke:
         assert memo.stats()["entries"] >= entries
 
     def test_flow_results_identical(self, sa_table):
-        """Downstream measurements are byte-identical across engines."""
-        spec = benchmark_spec("pr")
+        """Downstream measurements match the seed oracles chained."""
         schedule, limits, registers, ports = elaborated("pr")
-        results = {}
-        for engine in ("fast", "reference"):
-            config = FlowConfig(
-                n_vectors=32, sa_table=sa_table, bind_engine=engine
-            )
-            for binder in ("lopass", "hlpower"):
-                result = run_flow(
-                    schedule, limits, binder, config, registers, ports
-                )
-                results[(engine, binder)] = result.metrics()
+        config = FlowConfig(n_vectors=32, sa_table=sa_table)
         for binder in ("lopass", "hlpower"):
-            assert results[("fast", binder)] == results[
-                ("reference", binder)
-            ]
+            flow = run_flow(schedule, limits, binder, config, registers,
+                            ports)
+            assert oracle_flow_metrics(
+                schedule, limits, binder, config, registers, ports
+            ) == flow.metrics()
 
 
 @pytest.mark.slow

@@ -13,10 +13,7 @@ objective (total FU mux inputs):
   (exactly the kind of bug a gap-closed average would hide).
 
 Tier-1 runs a 3-instance smoke; the full 62-instance oracle-feasible
-slice rides the ``slow`` marker (the nightly CI job runs it). A third
-check pins engine-independence: the "reference" incumbents are
-decision-identical to the "fast" ones, so the search must return the
-same solution either way.
+slice rides the ``slow`` marker (the nightly CI job runs it).
 """
 
 import pytest
@@ -105,22 +102,3 @@ def test_default_budget_closes_gap_somewhere():
         if lengths["mcts"] < min(lengths["hlpower"], lengths["lopass"]):
             improved += 1
     assert improved > 0
-
-
-@pytest.mark.parametrize("instance", oracle_slice()[:2],
-                         ids=lambda i: i.name)
-def test_engine_independent(instance):
-    # The fast incumbents are decision-identical to the reference
-    # binders, so the search sees the same starting point and the same
-    # RNG stream — the solutions must match unit for unit.
-    schedule, limits, registers, ports = elaborated(instance)
-    fast = bind_mcts(schedule, limits, registers, ports,
-                     MCTSConfig(engine="fast"))
-    reference = bind_mcts(schedule, limits, registers, ports,
-                          MCTSConfig(engine="reference"))
-    assert [
-        (unit.fu_id, unit.fu_class, unit.ops) for unit in fast.fus.units
-    ] == [
-        (unit.fu_id, unit.fu_class, unit.ops)
-        for unit in reference.fus.units
-    ]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.binding import SATable
 from repro.binding.sa_table import SATableConfig
+from repro.cdfg import benchmark_spec, load_benchmark
 from repro.errors import ConfigError
 from repro.flow import (
     BinderConfig,
@@ -15,6 +16,9 @@ from repro.flow import (
     expand_grid,
     run_sweep,
 )
+from repro.flow.run import FlowConfig
+from repro.scheduling import list_schedule
+from tests.conftest import oracle_flow_metrics
 
 
 def small_spec(**overrides):
@@ -132,24 +136,31 @@ class TestExpandGrid:
         with pytest.raises(ConfigError):
             expand_grid(SweepSpec(benchmarks=["pr"], widths=()))
 
-    def test_unknown_sim_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            expand_grid(SweepSpec(benchmarks=["pr"], sim_kernel="quantum"))
+    @pytest.mark.parametrize("field", [
+        "sim_kernel", "sim_kernels", "bind_engine", "bind_engines",
+        "elab_engine", "elab_engines",
+    ])
+    def test_retired_engine_fields_rejected(self, field):
+        # One engine per stage: a stored or served spec naming a
+        # retired engine knob fails loudly instead of being ignored.
+        data = small_spec().to_dict()
+        data[field] = "fast"
+        with pytest.raises(TypeError, match=field):
+            SweepSpec.from_dict(data)
 
 
 class TestSimKernel:
     def test_reference_kernel_metrics_identical(self):
-        """The sweep-level kernel flag must not move any metric."""
+        """The seed oracles (reference kernel included) reproduce a
+        sweep cell's metrics byte for byte."""
         spec = small_spec(binders=("lopass",), vector_seeds=(7,))
-        event = run_sweep(spec, jobs=1)
-        reference = run_sweep(
-            small_spec(
-                binders=("lopass",), vector_seeds=(7,),
-                sim_kernel="reference",
-            ),
-            jobs=1,
-        )
-        assert event.cells[0].metrics == reference.cells[0].metrics
+        [cell] = run_sweep(spec, jobs=1).cells
+        constraints = benchmark_spec("pr").constraints
+        schedule = list_schedule(load_benchmark("pr"), constraints)
+        cfg = FlowConfig(width=4, n_vectors=16, vector_seed=7)
+        assert oracle_flow_metrics(
+            schedule, constraints, "lopass", cfg
+        ) == cell.metrics
 
 
 class TestParallelDeterminism:
@@ -323,12 +334,12 @@ class TestSimOnlyAxes:
         spec = small_spec(
             binders=("lopass",), vector_seeds=(7,),
             idle_modes=("zero", "hold"), jitters=(0, 1),
-            sim_kernels=("event", "reference"),
         )
         jobs = expand_grid(spec)
-        assert len(jobs) == 2 * 2 * 2
-        kernels = {job.sim_kernel for job in jobs}
-        assert kernels == {"event", "reference"}
+        assert len(jobs) == 2 * 2
+        assert {(job.idle_selects, job.delay_jitter) for job in jobs} == {
+            ("zero", 0), ("zero", 1), ("hold", 0), ("hold", 1)
+        }
 
     def test_invalid_axis_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -336,7 +347,7 @@ class TestSimOnlyAxes:
         with pytest.raises(ConfigError):
             expand_grid(small_spec(jitters=(-1,)))
         with pytest.raises(ConfigError):
-            expand_grid(small_spec(sim_kernels=("quantum",)))
+            expand_grid(small_spec(map_efforts=("fast", "reference")))
         with pytest.raises(ConfigError):
             expand_grid(small_spec(flow="partial"))
 
@@ -472,14 +483,6 @@ class TestBatchedSimulate:
             c.sim_batch for c in sweep.cells
         ]
 
-    def test_reference_kernel_cells_never_batched(self):
-        sweep = run_sweep(
-            self._knob_spec(jitters=(0,), sim_kernels=("reference",)),
-            jobs=1,
-        )
-        assert sweep.sim_batches == 0
-        assert all(cell.sim_batch == 0 for cell in sweep.cells)
-
     def test_summary_reports_batching(self):
         from repro.flow import format_sweep_summary
 
@@ -531,6 +534,19 @@ class TestEstimateFlow:
         assert restored.spec.flow == "estimate"
         assert restored.aggregates() == sweep.aggregates()
 
+    def test_corpus_instance_through_sweep(self):
+        """A corpus name is a first-class benchmark in the sweep engine."""
+        spec = small_spec(
+            benchmarks=["micro-n8-m30-d70-s0"],
+            binders=("lopass", "hlpower"), vector_seeds=(7,),
+            flow="estimate",
+        )
+        sweep = run_sweep(spec, jobs=1)
+        assert len(sweep.cells) == 2
+        for cell in sweep.cells:
+            assert cell.metrics["mux_length"] > 0
+            assert cell.metrics["fu_mux_length"] >= 0
+
 
 class TestForceScheduler:
     def test_force_schedule_binds_its_own_lower_bound(self):
@@ -547,53 +563,3 @@ class TestForceScheduler:
         )
         sweep = run_sweep(spec, jobs=1)
         assert sweep.cell("dir", "lopass").metrics["area_luts"] > 0
-
-
-class TestBindEngineAxis:
-    """The bind-engine axis: grid shape, validation, and equivalence."""
-
-    def test_grid_size_includes_engine_axis(self):
-        spec = small_spec(
-            binders=("lopass",), vector_seeds=(7,),
-            bind_engines=("fast", "reference"),
-        )
-        jobs = expand_grid(spec)
-        assert len(jobs) == 2
-        assert {job.bind_engine for job in jobs} == {"fast", "reference"}
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            expand_grid(small_spec(bind_engine="turbo"))
-        with pytest.raises(ConfigError):
-            expand_grid(small_spec(bind_engines=("fast", "turbo")))
-
-    def test_spec_round_trips_engine_axis(self):
-        spec = small_spec(bind_engines=("fast", "reference"))
-        clone = SweepSpec.from_dict(spec.to_dict())
-        assert clone.engines() == ["fast", "reference"]
-        assert clone.bind_engine == spec.bind_engine
-
-    def test_engine_cells_byte_identical(self):
-        """fast and reference cells agree on every estimate metric."""
-        spec = small_spec(
-            binders=("lopass", "hlpower"), vector_seeds=(7,),
-            bind_engines=("fast", "reference"), flow="estimate",
-        )
-        sweep = run_sweep(spec, jobs=1)
-        for config in ("lopass", "hlpower"):
-            fast = sweep.cell("pr", config, bind_engine="fast")
-            reference = sweep.cell("pr", config, bind_engine="reference")
-            assert fast.metrics == reference.metrics
-
-    def test_corpus_instance_through_sweep(self):
-        """A corpus name is a first-class benchmark in the sweep engine."""
-        spec = small_spec(
-            benchmarks=["micro-n8-m30-d70-s0"],
-            binders=("lopass", "hlpower"), vector_seeds=(7,),
-            flow="estimate",
-        )
-        sweep = run_sweep(spec, jobs=1)
-        assert len(sweep.cells) == 2
-        for cell in sweep.cells:
-            assert cell.metrics["mux_length"] > 0
-            assert cell.metrics["fu_mux_length"] >= 0

@@ -3,8 +3,9 @@
 The load-bearing property is the determinism contract: a pipeline run
 served from the artifact cache must produce byte-identical
 ``FlowResult.metrics()`` to a cold run — across binders, idle
-policies, delay jitter and both simulation kernels — because the
-cache only ever substitutes content-addressed recomputations.
+policies and delay jitter — because the cache only ever substitutes
+content-addressed recomputations. The same metrics must also come out
+of the seed oracles chained without cache or fast engines.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from repro.flow import (
     run_estimate,
     run_flow,
 )
+from tests.conftest import oracle_flow_metrics
 
 CONSTRAINTS = {"add": 2, "mult": 1}
 
@@ -40,19 +42,18 @@ def config(**overrides):
 
 class TestCachedVsCold:
     @pytest.mark.parametrize(
-        "binder,idle,jitter,kernel",
+        "binder,idle,jitter",
         [
-            ("lopass", "zero", 0, "event"),
-            ("hlpower", "zero", 0, "event"),
-            ("hlpower", "hold", 1, "event"),
-            ("lopass", "zero", 1, "reference"),
+            ("lopass", "zero", 0),
+            ("hlpower", "zero", 0),
+            ("hlpower", "hold", 1),
+            ("lopass", "zero", 1),
         ],
     )
     def test_warm_run_metrics_byte_identical(
-        self, figure1_schedule, binder, idle, jitter, kernel
+        self, figure1_schedule, binder, idle, jitter
     ):
-        cfg = config(idle_selects=idle, delay_jitter=jitter,
-                     sim_kernel=kernel)
+        cfg = config(idle_selects=idle, delay_jitter=jitter)
         cache = ArtifactCache()
         cold = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg,
                         cache=cache)
@@ -64,24 +65,39 @@ class TestCachedVsCold:
         assert warm.metrics() == cold.metrics()  # exact, not approx
         assert independent.metrics() == cold.metrics()
 
+    @pytest.mark.parametrize(
+        "binder,idle,jitter", [("lopass", "zero", 1), ("hlpower", "hold", 0)]
+    )
+    def test_oracle_chain_metrics_byte_identical(
+        self, figure1_schedule, binder, idle, jitter
+    ):
+        """The seed oracles, chained, reproduce the flow's metrics."""
+        cfg = config(idle_selects=idle, delay_jitter=jitter)
+        flow = run_flow(figure1_schedule, CONSTRAINTS, binder, cfg)
+        assert oracle_flow_metrics(
+            figure1_schedule, CONSTRAINTS, binder, cfg
+        ) == flow.metrics()
+
     @pytest.mark.slow
     def test_full_knob_cross_product(self, figure1_schedule):
-        """Exhaustive cached-vs-cold sweep over every simulation knob."""
+        """Exhaustive cached-vs-cold-vs-oracle sweep over every
+        simulation knob."""
         for binder in ("lopass", "hlpower"):
             cache = ArtifactCache()
             for idle in ("zero", "hold"):
                 for jitter in (0, 1):
-                    for kernel in ("event", "reference"):
-                        cfg = config(idle_selects=idle, delay_jitter=jitter,
-                                     sim_kernel=kernel)
-                        shared = run_flow(figure1_schedule, CONSTRAINTS,
-                                          binder, cfg, cache=cache)
-                        cold = run_flow(figure1_schedule, CONSTRAINTS,
-                                        binder, cfg)
-                        assert shared.metrics() == cold.metrics()
-                        # Simulation knobs never invalidate the prefix.
-                        if (idle, jitter, kernel) != ("zero", 0, "event"):
-                            assert set(PREFIX) <= set(shared.cache_hits)
+                    cfg = config(idle_selects=idle, delay_jitter=jitter)
+                    shared = run_flow(figure1_schedule, CONSTRAINTS,
+                                      binder, cfg, cache=cache)
+                    cold = run_flow(figure1_schedule, CONSTRAINTS,
+                                    binder, cfg)
+                    assert shared.metrics() == cold.metrics()
+                    assert oracle_flow_metrics(
+                        figure1_schedule, CONSTRAINTS, binder, cfg
+                    ) == cold.metrics()
+                    # Simulation knobs never invalidate the prefix.
+                    if (idle, jitter) != ("zero", 0):
+                        assert set(PREFIX) <= set(shared.cache_hits)
 
     def test_eviction_pressure_keeps_results_identical(
         self, figure1_schedule

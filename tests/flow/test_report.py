@@ -30,7 +30,7 @@ def estimate_cell(config: str, sa: float) -> SweepCell:
     )
 
 
-def full_cell(seed: int, elab: str, power: float) -> SweepCell:
+def full_cell(seed: int, effort: str, power: float) -> SweepCell:
     return SweepCell(
         benchmark="pr", config="lopass", binder="lopass", alpha=0.5,
         width=8, vector_seed=seed,
@@ -38,7 +38,7 @@ def full_cell(seed: int, elab: str, power: float) -> SweepCell:
                  "area_luts": 100, "largest_mux": 6,
                  "clock_period_ns": 12.0},
         runtime_s=1.5, schedule_cache_hit=True, sa_new_entries=0,
-        elab_engine=elab,
+        map_effort=effort,
     )
 
 
@@ -92,32 +92,32 @@ class TestSweepSummaryBytes:
             "stage wall: bind 0.50s, elaborate 1.00s, techmap 2.00s"
         )
 
-    def test_full_flow_with_elab_axis_pinned(self):
+    def test_full_flow_with_effort_axis_pinned(self):
         spec = SweepSpec(
             benchmarks=["pr"], binders=("lopass",), widths=(8,),
             vector_seeds=(7, 8), baseline="none",
-            elab_engine="fast", elab_engines=("fast", "reference"),
+            map_effort="fast", map_efforts=("fast", "exhaustive"),
         )
         sweep = SweepResult(
             spec=spec,
             cells=[full_cell(7, "fast", 2.0), full_cell(8, "fast", 3.0),
-                   full_cell(7, "reference", 2.0),
-                   full_cell(8, "reference", 3.0)],
+                   full_cell(7, "exhaustive", 2.0),
+                   full_cell(8, "exhaustive", 3.0)],
             jobs=2, wall_s=10.0,
             schedule_cache_hits=3, schedule_cache_misses=1,
             sa_precalc_entries=0, sa_new_entries=0,
             sim_batches=1, sim_batched_cells=4, sim_batch_wall_s=0.5,
         )
         assert format_sweep_summary(sweep) == (
-            "Sweep: 4 cells (1 benchmarks x 1 configs x 2 elabs x "
+            "Sweep: 4 cells (1 benchmarks x 1 configs x 2 efforts x "
             "2 seeds), jobs=2, wall 10.0s\n"
-            "bench  config       elab   power mW  tog MHz  clk ns  LUTs"
+            "bench  config      effort   power mW  tog MHz  clk ns  LUTs"
             "  lrg mux  dPow\n"
-            "-----  ------  ---------  ---------  -------  ------  ----"
+            "-----  ------  ----------  ---------  -------  ------  ----"
             "  -------  ----\n"
-            "pr     lopass       fast  2.50±0.71     4.00    12.0   100"
+            "pr     lopass        fast  2.50±0.71     4.00    12.0   100"
             "        6   n/a\n"
-            "pr     lopass  reference  2.50±0.71     4.00    12.0   100"
+            "pr     lopass  exhaustive  2.50±0.71     4.00    12.0   100"
             "        6   n/a\n"
             "elaboration cache: 3 hits / 1 misses; "
             "pipeline stages: 0 cached / 0 computed; "

@@ -75,7 +75,7 @@ class TestFlowConfigValidation:
             FlowConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("sim_kernel", "quantum"),
+        ("map_effort", "reference"),
         ("idle_selects", "float"),
         ("flow", "partial"),
     ])

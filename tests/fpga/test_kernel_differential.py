@@ -1,17 +1,19 @@
 """Differential test: event-driven kernel vs the reference simulator.
 
 The event kernel (compiled netlist + time-wheel settling) and the seed
-timed-waveform loop implement the same delay model, so for every design
-their :class:`SimulationResult` records must be *byte-identical* — all
-four toggle counters, the per-net toggle map, and the primary-output
-values — not merely close. This is pinned across every built-in
-benchmark, both idle-select conventions, and jittered delays.
+timed-waveform loop, kept verbatim as
+:func:`repro.fpga.simulate._simulate_reference` and called directly
+here, implement the same delay model, so for every design their
+:class:`SimulationResult` records must be *byte-identical* — all four
+toggle counters, the per-net toggle map, and the primary-output values
+— not merely close. This is pinned across every built-in benchmark,
+both idle-select conventions, and jittered delays.
 
 The batched kernel (:func:`simulate_batch`) shares the same contract
 per configuration: every per-config record of a batched run must equal
-a solo ``kernel="reference"`` run of that configuration (a fast chem
-smoke here, the full benchmark cross-product slow-marked), and a batch
-of one must equal the unbatched event kernel (hypothesis property).
+a solo reference run of that configuration (a fast chem smoke here,
+the full benchmark cross-product slow-marked), and a batch of one must
+equal the unbatched event kernel (hypothesis property).
 """
 
 import pytest
@@ -28,7 +30,7 @@ from repro.fpga import (
     simulate_batch,
     simulate_design,
 )
-from repro.errors import SimulationError
+from repro.fpga.simulate import _simulate_reference
 from repro.rtl import build_datapath
 from repro.techmap import map_netlist
 
@@ -87,20 +89,13 @@ def test_kernels_byte_identical(mapped_design, idle_selects, delay_jitter):
         design, vectors, collect_per_net=True,
         idle_selects=idle_selects, delay_jitter=delay_jitter,
     )
-    reference = simulate_design(
+    reference = _simulate_reference(
         design, vectors, collect_per_net=True,
         idle_selects=idle_selects, delay_jitter=delay_jitter,
-        kernel="reference",
     )
     # Dataclass equality covers every counter, the per-net map and the
     # per-lane outputs.
     assert event == reference
-
-
-def test_unknown_kernel_rejected(mapped_design):
-    design, vectors = mapped_design
-    with pytest.raises(SimulationError):
-        simulate_design(design, vectors, kernel="quantum")
 
 
 def test_compiled_netlist_is_cached(mapped_design):
@@ -132,10 +127,9 @@ def test_compiled_netlist_invalidated_on_mutation(mapped_design):
 # ---------------------------------------------------------------------------
 
 def _solo_reference(design, config, collect_per_net=True):
-    return simulate_design(
+    return _simulate_reference(
         design, config.vectors, collect_per_net=collect_per_net,
         idle_selects=config.idle_selects, delay_jitter=config.delay_jitter,
-        kernel="reference",
     )
 
 
@@ -182,12 +176,6 @@ def test_batch_matches_reference_all_benchmarks(
     results = simulate_batch(design, configs, collect_per_net=True)
     for config, result in zip(configs, results):
         assert result == _solo_reference(design, config)
-
-
-def test_batch_unknown_kernel_rejected():
-    design, vectors = build_mapped("pr")
-    with pytest.raises(SimulationError):
-        simulate_batch(design, [BatchConfig(vectors)], kernel="quantum")
 
 
 def test_batch_empty():

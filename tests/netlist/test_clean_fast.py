@@ -204,7 +204,7 @@ def cleaned_gate_count(bench_name: str) -> int:
         "lopass", schedule, spec.constraints, registers, ports
     )
     datapath = build_datapath(solution, 8)
-    return elaborate_design(datapath, "fast").netlist.num_gates()
+    return elaborate_design(datapath).netlist.num_gates()
 
 
 class TestGoldenCleanedCounts:

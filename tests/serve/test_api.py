@@ -28,7 +28,7 @@ class TestSingleCellSpec:
             {
                 "benchmark": "chem", "binder": "lopass", "width": 4,
                 "vector_seed": 11, "n_vectors": 32, "delay_jitter": 2,
-                "idle_selects": "hold", "sim_kernel": "reference",
+                "idle_selects": "hold",
             },
             "full",
         )
@@ -36,7 +36,6 @@ class TestSingleCellSpec:
         assert job.vector_seed == 11
         assert job.delay_jitter == 2
         assert job.idle_selects == "hold"
-        assert job.sim_kernel == "reference"
         assert spec.n_vectors == 32
 
     def test_estimate_rejects_simulation_fields(self):

@@ -150,13 +150,20 @@ class TestSingleCellEndpoints:
             badjson = await http_request(
                 server.port, "POST", "/estimate"
             )
-            return missing, unknown, badjson
+            retired = await http_request(
+                server.port, "POST", "/estimate",
+                {"benchmark": "pr", "bind_engine": "fast"},
+            )
+            return missing, unknown, badjson, retired
 
-        missing, unknown, badjson = run_scenario(scenario)
+        missing, unknown, badjson, retired = run_scenario(scenario)
         assert missing[0] == 400
         assert unknown[0] == 400
         assert badjson[0] == 200 or badjson[0] == 400  # empty body = {}
         assert b"benchmark" in missing[2]
+        # A retired engine knob is an unknown field, named in the 400.
+        assert retired[0] == 400
+        assert b"bind_engine" in retired[2]
 
     def test_unroutable_requests(self):
         async def scenario(server):
@@ -284,12 +291,19 @@ class TestSweepStreaming:
 
     def test_bad_sweep_spec_is_400(self):
         async def scenario(server):
-            return await http_request(
+            empty = await http_request(
                 server.port, "POST", "/sweep", {"benchmarks": []}
             )
+            retired = await http_request(
+                server.port, "POST", "/sweep",
+                {"spec": {"benchmarks": ["pr"], "sim_kernel": "event"}},
+            )
+            return empty, retired
 
-        status, _, _ = run_scenario(scenario)
-        assert status == 400
+        empty, retired = run_scenario(scenario)
+        assert empty[0] == 400
+        assert retired[0] == 400
+        assert b"sim_kernel" in retired[2]
 
 
 class TestMetricsEndpoint:

@@ -25,6 +25,10 @@ from repro.techmap import (
     map_netlist,
 )
 from repro.techmap.cuts import cone_nodes
+from repro.techmap.mapper import _map_reference
+
+#: The seed mapper (the oracle) and the fast one.
+MAPPERS = (_map_reference, map_netlist)
 
 
 @st.composite
@@ -161,16 +165,16 @@ class TestEdgeCases:
         assert cuts["y"] == [frozenset(("y",))]
         # A cap-1 enumeration leaves no implementable cut; the mapper
         # must say so (and name the knob) instead of crashing deeper.
-        for effort in ("reference", "fast"):
+        for mapper in MAPPERS:
             with pytest.raises(MappingError, match="cut_cap"):
-                map_netlist(netlist, cut_cap=1, effort=effort)
+                mapper(netlist, cut_cap=1)
 
     def test_constant_only_netlist_maps(self):
         netlist = Netlist()
         one = netlist.add_const(True, "one")
         netlist.set_output(one)
-        for effort in ("reference", "fast"):
-            result = map_netlist(netlist, effort=effort)
+        for mapper in MAPPERS:
+            result = mapper(netlist)
             assert result.netlist.gates["one"].table.is_constant() is True
             assert result.total_sa == 0.0
 
@@ -186,8 +190,8 @@ class TestEdgeCases:
         cuts = enumerate_cuts(netlist, k=4)
         assert frozenset(("a", "q")) in cuts["y"]
         assert cuts["q"] == [frozenset(("q",))]
-        for effort in ("reference", "fast"):
-            result = map_netlist(netlist, effort=effort)
+        for mapper in MAPPERS:
+            result = mapper(netlist)
             # The latch survives and its data cone is covered.
             assert result.netlist.num_latches() == 1
             assert "d" in result.netlist.gates
@@ -197,8 +201,8 @@ class TestEdgeCases:
         a = netlist.add_input("a")
         y = netlist.add_gate(TruthTable(2, 0b1000), (a, a), "y")  # a AND a
         netlist.set_output(y)
-        ref = map_netlist(netlist, effort="reference")
-        fast = map_netlist(netlist, effort="fast")
+        ref = _map_reference(netlist)
+        fast = map_netlist(netlist)
         assert ref.selected_cuts == fast.selected_cuts
         assert ref.total_sa == fast.total_sa
 
@@ -212,12 +216,12 @@ class TestEdgeCases:
         design, surfaced by this suite and pinned here).
         """
         try:
-            ref = map_netlist(netlist, k=k, effort="reference")
+            ref = _map_reference(netlist, k=k)
         except MappingError:
             with pytest.raises(MappingError):
-                map_netlist(netlist, k=k, effort="fast")
+                map_netlist(netlist, k=k)
             return
-        fast = map_netlist(netlist, k=k, effort="fast")
+        fast = map_netlist(netlist, k=k)
         assert ref.selected_cuts == fast.selected_cuts
         assert ref.total_sa == fast.total_sa
         assert ref.lut_sa == fast.lut_sa
@@ -231,7 +235,7 @@ class TestEdgeCases:
             (len(g.inputs) for g in netlist.gates.values()), default=0
         )
         k = max(2, widest)
-        ref = map_netlist(netlist, k=k, effort="reference")
-        fast = map_netlist(netlist, k=k, effort="fast")
+        ref = _map_reference(netlist, k=k)
+        fast = map_netlist(netlist, k=k)
         assert ref.selected_cuts == fast.selected_cuts
         assert ref.total_sa == fast.total_sa

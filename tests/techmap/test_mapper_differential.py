@@ -1,10 +1,12 @@
 """Differential pinning: the fast mapper vs the seed mapper.
 
 ``effort="fast"`` must be a pure speedup — byte-identical covers, SA
-accounting and downstream flow measurements versus the seed mapper
-kept behind ``effort="reference"``. The full benchmark x K x cut-cap
-cross-product is slow-marked; a small smoke subset stays in tier-1 so
-every push checks the contract.
+accounting and downstream flow measurements versus the seed mapper,
+kept verbatim as :func:`repro.techmap.mapper._map_reference` and
+called directly here. Downstream, the whole flow must match the seed
+oracles chained end to end (:func:`tests.conftest.oracle_flow_metrics`).
+The full benchmark x K x cut-cap cross-product is slow-marked; a small
+smoke subset stays in tier-1 so every push checks the contract.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from repro.flow.run import FlowConfig, build_pipeline, run_flow
 from repro.scheduling import list_schedule
 from repro.techmap import map_netlist
 from repro.techmap.compile import ConeMemo
+from repro.techmap.mapper import _map_reference
+from tests.conftest import oracle_flow_metrics
 
 _DESIGNS = {}
 
@@ -62,15 +66,27 @@ def assert_identical(reference, fast):
 
 def run_pair(benchmark: str, width: int, k: int, cut_cap: int):
     netlist, activities = elaborated(benchmark, width)
-    reference = map_netlist(
+    reference = _map_reference(
         netlist, k=k, cut_cap=cut_cap, input_activities=activities,
-        effort="reference",
     )
     fast = map_netlist(
         netlist, k=k, cut_cap=cut_cap, input_activities=activities,
         effort="fast",
     )
     assert_identical(reference, fast)
+
+
+def assert_flow_matches_oracles(benchmark: str):
+    """``run_flow`` metrics equal the seed oracles chained end to end
+    (the simulated outputs are checked against CDFG semantics on both
+    sides)."""
+    spec = benchmark_spec(benchmark)
+    schedule = list_schedule(load_benchmark(benchmark), spec.constraints)
+    config = FlowConfig(width=4, n_vectors=64)
+    flow = run_flow(schedule, spec.constraints, "lopass", config)
+    assert oracle_flow_metrics(
+        schedule, spec.constraints, "lopass", config
+    ) == flow.metrics()
 
 
 SMOKE = [("wang", 4), ("pr", 4)]
@@ -101,9 +117,7 @@ class TestSmoke:
             cone_memo=memo,
         )
         assert_identical(first, warm)
-        reference = map_netlist(
-            netlist, input_activities=activities, effort="reference",
-        )
+        reference = _map_reference(netlist, input_activities=activities)
         assert_identical(reference, warm)
 
     def test_wide_cone_refusal_matches_reference(self):
@@ -118,15 +132,14 @@ class TestSmoke:
         y = netlist.add_simple(GateType.AND, inputs, "y")
         netlist.set_output(y)
         with pytest.raises(EstimationError):
-            map_netlist(netlist, k=7, effort="reference")
+            _map_reference(netlist, k=7)
         with pytest.raises(EstimationError):
             map_netlist(netlist, k=7, effort="fast")
 
     def test_glitch_blind_identical(self):
         netlist, activities = elaborated("pr", 4)
-        reference = map_netlist(
+        reference = _map_reference(
             netlist, input_activities=activities, glitch_aware=False,
-            effort="reference",
         )
         fast = map_netlist(
             netlist, input_activities=activities, glitch_aware=False,
@@ -136,18 +149,7 @@ class TestSmoke:
 
     def test_flow_results_byte_identical(self):
         """Downstream FlowResults agree metric for metric."""
-        spec = benchmark_spec("wang")
-        schedule = list_schedule(load_benchmark("wang"), spec.constraints)
-        results = {}
-        for effort in ("fast", "reference"):
-            config = FlowConfig(width=4, n_vectors=64, map_effort=effort)
-            results[effort] = run_flow(
-                schedule, spec.constraints, "lopass", config
-            )
-        fast, reference = results["fast"], results["reference"]
-        assert fast.metrics() == reference.metrics()
-        assert fast.simulation.outputs == reference.simulation.outputs
-        assert fast.mapping.lut_sa == reference.mapping.lut_sa
+        assert_flow_matches_oracles("wang")
 
 
 @pytest.mark.slow
@@ -167,18 +169,4 @@ class TestFullFlowDifferential:
 
     @pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
     def test_flow_metrics_identical(self, bench_name):
-        spec = benchmark_spec(bench_name)
-        schedule = list_schedule(
-            load_benchmark(bench_name), spec.constraints
-        )
-        results = {}
-        for effort in ("fast", "reference"):
-            config = FlowConfig(width=4, n_vectors=64, map_effort=effort)
-            results[effort] = run_flow(
-                schedule, spec.constraints, "lopass", config
-            )
-        assert results["fast"].metrics() == results["reference"].metrics()
-        assert (
-            results["fast"].simulation.outputs
-            == results["reference"].simulation.outputs
-        )
+        assert_flow_matches_oracles(bench_name)

@@ -1,20 +1,22 @@
 """Cross-subcommand consistency of the shared CLI flags.
 
-``--sa-table``, ``--jobs``, ``--map-effort``, ``--bind-engine`` and
-``--elab-engine`` appear on several subcommands; they are declared once in shared
-helpers (see :mod:`repro.cli`), and these tests pin that a subcommand
-cannot silently drift to different defaults or accept values its
-siblings reject.
+``--sa-table``, ``--jobs``, ``--map-effort`` and the MCTS flags appear
+on several subcommands; they are declared once in shared helpers (see
+:mod:`repro.cli`), and these tests pin that a subcommand cannot
+silently drift to different defaults or accept values its siblings
+reject. The retired engine flags must stay rejected everywhere.
 """
 
 import argparse
+import os
+import re
 
 import pytest
 
-from repro.binding import BIND_ENGINES
-from repro.cli import SIM_KERNELS, build_parser
+from repro.binding import SATable
+from repro.binding.sa_table import SHIPPED_TABLE_PATH
+from repro.cli import build_parser, main
 from repro.flow import SweepSpec
-from repro.fpga import ELAB_ENGINES
 from repro.techmap import MAP_EFFORTS
 
 #: Subcommands carrying each shared flag.
@@ -23,8 +25,6 @@ SHARED_FLAGS = {
                    "serve"),
     "--jobs": ("bench", "suite", "sweep", "estimate", "corpus", "serve"),
     "--map-effort": ("bench", "suite", "sweep", "estimate", "corpus"),
-    "--bind-engine": ("bench", "suite", "sweep", "estimate", "corpus"),
-    "--elab-engine": ("bench", "suite", "sweep", "estimate", "corpus"),
     "--mcts-budget": ("bench", "suite", "sweep", "estimate", "corpus",
                       "synth"),
     "--mcts-seed": ("bench", "suite", "sweep", "estimate", "corpus",
@@ -64,11 +64,7 @@ def test_flag_present_with_identical_default(commands, flag):
     assert len(set(defaults.values())) == 1, defaults
 
 
-@pytest.mark.parametrize(
-    "flag, choices",
-    [("--map-effort", MAP_EFFORTS), ("--bind-engine", BIND_ENGINES),
-     ("--elab-engine", ELAB_ENGINES)],
-)
+@pytest.mark.parametrize("flag, choices", [("--map-effort", MAP_EFFORTS)])
 def test_choice_flags_share_vocabulary(commands, flag, choices):
     for name in SHARED_FLAGS[flag]:
         action = _flag_action(commands[name], flag)
@@ -84,21 +80,43 @@ def test_choice_flags_share_vocabulary(commands, flag, choices):
             assert tuple(action.choices) == tuple(choices)
 
 
-def test_sim_kernel_axis_on_sweep(commands):
-    action = _flag_action(commands["sweep"], "--sim-kernel")
-    assert action.default == "event"
-    assert action.type(",".join(SIM_KERNELS)) == list(SIM_KERNELS)
-    with pytest.raises(argparse.ArgumentTypeError):
-        action.type("quantum")
+#: Every retired engine flag (11 of them) and the subcommands that took it.
+RETIRED_FLAGS = [
+    (command, flag, value)
+    for flag, value, commands in (
+        ("--bind-engine", "fast",
+         ("bench", "suite", "sweep", "estimate", "corpus")),
+        ("--elab-engine", "fast",
+         ("bench", "suite", "sweep", "estimate", "corpus")),
+        ("--sim-kernel", "event", ("sweep",)),
+    )
+    for command in commands
+]
+
+
+@pytest.mark.parametrize("command, flag, value", RETIRED_FLAGS)
+def test_retired_engine_flags_rejected(command, flag, value, capsys):
+    argv = [command] + (["chem"] if command == "bench" else [])
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv + [flag, value])
+    assert exit_info.value.code == 2  # argparse usage error
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep", "estimate"])
+def test_reference_map_effort_rejected(command, capsys):
+    argv = [command] + (["chem"] if command == "bench" else [])
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv + ["--map-effort", "reference"])
+    assert exit_info.value.code == 2
+    assert "reference" in capsys.readouterr().err
 
 
 def test_axis_defaults_parse_to_single_value(commands):
     # argparse runs string defaults through `type`, so the default of
     # an axis flag must itself be a valid axis.
-    for flag in ("--sim-kernel", "--map-effort", "--bind-engine",
-                 "--elab-engine"):
-        action = _flag_action(commands["sweep"], flag)
-        assert action.type(action.default) == [action.default]
+    action = _flag_action(commands["sweep"], "--map-effort")
+    assert action.type(action.default) == [action.default]
 
 
 def test_sweep_sim_batch_flag(commands):
@@ -130,7 +148,35 @@ def test_parsed_namespaces_agree():
     assert sweep.jobs == estimate.jobs == corpus.jobs == bench.jobs == 1
     # Axis flags resolve to one-element lists of the scalar default.
     assert sweep.map_effort == [estimate.map_effort] == [bench.map_effort]
-    assert sweep.bind_engine == [estimate.bind_engine] == [corpus.bind_engine]
-    assert sweep.elab_engine == [estimate.elab_engine] == [corpus.elab_engine]
-    assert sweep.sim_kernel == ["event"]
     assert sweep.sim_batch == SweepSpec.sim_batch
+
+
+#: The repository root: the shipped SA table path is relative to it.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: A cheap sweep whose ``--precalc-mux 3`` computes SA entries the
+#: shipped table lacks (add/mult 1x3).
+_PRECALC_SWEEP = ["sweep", "--benchmarks", "pr", "--binders", "lopass",
+                  "--widths", "4", "--flow", "estimate", "--precalc-mux", "3"]
+
+
+def _precalculated(stdout: str) -> int:
+    return int(re.search(r"SA table: (\d+) precalculated", stdout).group(1))
+
+
+def test_default_sa_table_is_read_only(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    with open(SHIPPED_TABLE_PATH, "rb") as handle:
+        shipped = handle.read()
+    assert main(_PRECALC_SWEEP) == 0
+    assert _precalculated(capsys.readouterr().out) > 0
+    with open(SHIPPED_TABLE_PATH, "rb") as handle:
+        assert handle.read() == shipped
+
+
+def test_explicit_sa_table_is_written_back(tmp_path, capsys):
+    path = tmp_path / "sa.txt"
+    assert main(_PRECALC_SWEEP + ["--sa-table", str(path)]) == 0
+    added = _precalculated(capsys.readouterr().out)
+    assert added > 0
+    assert len(SATable().load(str(path))) == added
