@@ -1,12 +1,15 @@
 """Simulator kernel benchmark — the first point on the perf trajectory.
 
-Times :func:`repro.fpga.simulate_design` on the largest paper benchmark
-("chem": 171 adds / 176 mults, Table 1) against the seed reference
-kernel (:func:`repro.fpga.simulate._simulate_reference`), checks they
-agree byte-for-byte, and writes the numbers to ``BENCH_sim.json`` at
-the repo root so later PRs can track the trend. A ``batched`` section
-times :func:`repro.fpga.simulate_batch` over a mixed config set
-(stimulus x idle policy x jitter) against the same configs run solo.
+Times :func:`repro.fpga.simulate_design` (the tick-vectorized kernel,
+run as a batch of one) on the largest paper benchmark ("chem": 171
+adds / 176 mults, Table 1) against the seed reference kernel
+(:func:`repro.fpga.simulate._simulate_reference`), checks they agree
+byte-for-byte, and writes the numbers to ``BENCH_sim.json`` at the
+repo root so later PRs can track the trend (``event_s`` is the
+kernel's time). A ``batched`` section times
+:func:`repro.fpga.simulate_batch` over a mixed config set (stimulus x
+idle policy x jitter) in one pass against the same configs run one at
+a time.
 
 This is a standalone script (not collected by pytest — the reference
 kernel alone costs tens of seconds):
@@ -84,7 +87,7 @@ def time_kernel(design, vectors, simulate, repeats: int):
 
 
 def batched_section(design, vectors) -> dict:
-    """Batched kernel vs the same configs run solo, byte-checked."""
+    """One batched pass vs the same configs run solo, byte-checked."""
     n_pads = len(design.datapath.cdfg.primary_inputs)
     alt = random_vectors(n_pads, WIDTH, VECTORS, seed=8)
     configs = [
@@ -115,7 +118,7 @@ def batched_section(design, vectors) -> dict:
         batched = simulate_batch(design, configs)
         batch_s = min(batch_s, time.perf_counter() - started)
     if batched != solo:
-        raise SystemExit("batched kernel disagrees with solo runs")
+        raise SystemExit("batched pass disagrees with solo runs")
     print(f"  batched ({len(configs)} configs): {batch_s:8.3f} s "
           f"vs solo total {solo_s:8.3f} s "
           f"({solo_s / batch_s:.2f}x)")
@@ -135,11 +138,11 @@ def main() -> int:
     print(f"  mapped netlist: {netlist.num_gates()} LUTs, "
           f"{netlist.num_latches()} FFs")
 
-    # Warm the compile cache so the event timing is the steady-state
+    # Warm the compile cache so the kernel timing is the steady-state
     # per-call cost (the compiled netlist is reused across calls).
     simulate_design(design, vectors)
     event_s, event = time_kernel(design, vectors, simulate_design, REPEATS)
-    print(f"  event kernel:     {event_s:8.3f} s")
+    print(f"  kernel:           {event_s:8.3f} s")
     reference_s, reference = time_kernel(design, vectors,
                                          _simulate_reference, 1)
     print(f"  reference kernel: {reference_s:8.3f} s")

@@ -55,15 +55,9 @@ from repro.binding.sa_table import SATable
 from repro.binding.weights import DEFAULT_BETA
 from repro.cdfg.schedule import Schedule
 
-_POPCOUNT = getattr(np, "bitwise_count", None)
-
-
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Per-element popcount of a uint64 array, summed over the last axis."""
-    if _POPCOUNT is not None:
-        return _POPCOUNT(words).sum(axis=-1, dtype=np.int64)
-    bits = np.unpackbits(words.view(np.uint8), axis=-1)
-    return bits.sum(axis=-1, dtype=np.int64)
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def _pack_bitsets(

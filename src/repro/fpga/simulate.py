@@ -7,7 +7,7 @@ signal transition — functional or glitch — is counted.
 Model:
 
 * every input vector occupies one bit lane; all lanes evaluate
-  simultaneously through numpy bitwise ops on packed ``uint64`` words;
+  simultaneously through bitwise ops on packed ``uint64`` words;
 * each control step, the changed sources (clocked flip-flops, control
   signals, pads at load time) kick off a timed settling of the
   combinational network: a gate re-evaluates at every discrete time at
@@ -19,22 +19,24 @@ Model:
 * at the end of the step all flip-flops clock simultaneously (their
   output toggles are the register power contribution).
 
-The flow runs an event-driven kernel over a *compiled netlist*:
-elaboration-time lowering assigns every net a dense integer id,
-per-gate evaluators/delays/fanout arrays are built once per netlist
-(see :func:`compile_netlist`, cached on the netlist object), and
-settling walks a time-wheel event queue. Lane state in this kernel is
-one packed arbitrary-precision integer per net (bit ``i`` is lane
-``i``): at the few-hundred-lane word counts the flow uses, CPython's
-big-int bitwise ops run an order of magnitude faster than dispatching
-numpy ufuncs on 4-word arrays, and they are exact — numpy appears only
-at the pack/unpack boundaries.
+The flow runs one event-driven kernel over a *compiled netlist*
+(:func:`compile_netlist`, cached on the netlist object): every net has
+a dense integer id, and the fanin matrix, evaluator classes, fanout
+CSR and power-on state are numpy arrays built once per netlist. Lane
+state is one ``(n_nets, n_words)`` ``uint64`` array. Settling walks a
+time wheel one tick at a time, and a tick is processed in bulk: the
+gates triggered at that tick read ``state`` (which only the wheel
+changes), so they are independent and evaluate as one
+``(n_gates, n_words)`` array per truth table. :func:`simulate_batch`
+runs many (stimulus x idle policy x jitter) configurations of one
+design in a single pass, one lane block each; :func:`simulate_design`
+is a batch of one.
 
 The original timed-waveform implementation stays verbatim as
 :func:`_simulate_reference`, the differential-testing oracle: the
-event kernel's :class:`SimulationResult` records are byte-identical to
-it (the differential suite pins this across every built-in benchmark,
-both idle conventions and jittered delays).
+kernel's :class:`SimulationResult` records are byte-identical to it
+(the differential suite pins this across every built-in benchmark,
+both idle conventions, jittered delays and mixed batches).
 
 Functional correctness is checked against the CDFG's arithmetic
 semantics (modular add/sub/mult) via :func:`golden_outputs`.
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -167,15 +168,17 @@ _INT_EVALUATOR_CACHE: Dict[Tuple[int, int], Callable] = {}
 
 
 def _compile_table_int(table: TruthTable) -> Callable:
-    """Compile a truth table into a packed big-int evaluator.
+    """Compile a truth table into a flat bitwise expression.
 
-    Same Shannon expansion as :func:`_compile_table`, but over Python
-    integers (bit ``i`` = lane ``i``) and code-generated into one flat
-    expression — a single function call per gate evaluation, with no
-    interpreter-level tree walking. Every intermediate stays within the
-    ``ones`` lane mask by construction (``~x`` only ever appears under
-    an ``&`` with an in-mask operand), so no tail masking is needed.
-    Cached process-wide per distinct function.
+    Same Shannon expansion as :func:`_compile_table`, code-generated
+    into one flat expression over ``& | ^ ~`` only, so it runs
+    unchanged on packed Python integers and on ``uint64`` arrays — the
+    kernel calls it once per truth table and tick on
+    ``(n_gates, n_words)`` fanin arrays. Every intermediate stays within
+    the ``ones`` lane mask by construction (``~x`` only ever appears
+    under an ``&`` with an in-mask operand), so no tail masking is
+    needed. A constant table returns ``ones`` or ``0``, which broadcast
+    on assignment. Cached process-wide per distinct function.
     """
     key = (table.n_inputs, table.bits)
     cached = _INT_EVALUATOR_CACHE.get(key)
@@ -230,22 +233,15 @@ def _compile_table_int(table: TruthTable) -> Callable:
     return evaluator
 
 
-def _words_to_int(words: np.ndarray) -> int:
-    """Packed ``uint64`` word array -> one packed big int (lane i = bit i)."""
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
-
-
-def _int_to_words(value: int, words: int) -> np.ndarray:
-    """Inverse of :func:`_words_to_int` (``words`` output words)."""
-    raw = np.frombuffer(value.to_bytes(words * 8, "little"), dtype="<u8")
-    return raw.astype(np.uint64)
+#: A ``uint64`` word with every lane set.
+_ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
-# Compiled netlist: the integer-indexed form both the event kernel and the
-# per-step driving loop operate on. Built once per (netlist, jitter) and
-# cached on the netlist object itself, so repeated simulations of the same
-# design (differential tests, sweeps, benches) skip elaboration entirely.
+# Compiled netlist: the integer-indexed array form the kernel operates on.
+# Built once per (netlist, jitter) and cached on the netlist object itself,
+# so repeated simulations of the same design (differential tests, sweeps,
+# benches) skip the lowering entirely.
 # ---------------------------------------------------------------------------
 
 
@@ -254,8 +250,10 @@ class CompiledNetlist:
     """Dense-id lowering of a :class:`Netlist` for simulation.
 
     Net ids are assigned sources-first (primary inputs, then latch
-    outputs), then gate outputs in topological order, so evaluating
-    gates in position order is a valid settling order.
+    outputs), then gate outputs in topological order. Gate *positions*
+    are class-major: gates are sorted by evaluator class (one class per
+    distinct truth table), then topologically, so any sorted array of
+    positions is already grouped by class.
     """
 
     jitter: int
@@ -264,24 +262,36 @@ class CompiledNetlist:
     net_id: Dict[str, int]
     #: Dense id -> net name (inverse of :attr:`net_id`).
     net_names: List[str]
-    #: Per gate position (topological order): output net id.
-    gate_outputs: List[int]
-    #: Per gate position: fanin net ids, in port order.
-    gate_fanins: List[Tuple[int, ...]]
-    #: Per gate position: packed big-int evaluator.
-    gate_evals: List[Callable]
+    #: Per gate position: output net id.
+    gate_out: np.ndarray
+    #: ``(n_gates, max arity)`` fanin net ids in port order; a row is
+    #: zero-padded past its gate's arity.
+    gate_fanins: np.ndarray
     #: Per gate position: propagation delay in ticks.
-    gate_delays: List[int]
-    #: Per net id: positions of the gates reading that net.
-    fanout_gates: List[List[int]]
-    #: Per latch (declaration order): (output net id, data net id).
-    latch_pairs: List[Tuple[int, int]]
+    gate_delays: np.ndarray
+    #: Per evaluator class: the flat evaluator and its arity.
+    class_evals: List[Callable]
+    class_arity: List[int]
+    #: ``n_classes + 1`` bounds: class ``c`` holds positions
+    #: ``class_start[c] .. class_start[c + 1] - 1``.
+    class_start: np.ndarray
+    #: Fanout CSR: the positions of the gates reading net ``n`` are
+    #: ``fanout_gates[fanout_ptr[n]:fanout_ptr[n + 1]]`` (one entry per
+    #: reading port, so a duplicated fanin appears twice).
+    fanout_ptr: np.ndarray
+    fanout_gates: np.ndarray
+    #: Per latch (declaration order): output net id and data net id.
+    latch_q: np.ndarray
+    latch_d: np.ndarray
+    #: Per net: its value after the power-on settle of the all-zero
+    #: sources (every lane alike), evaluated level by level.
+    power_on: np.ndarray
     #: Cheap staleness guard for the per-netlist cache.
     signature: Tuple[int, int, int]
 
     @property
     def n_gates(self) -> int:
-        return len(self.gate_outputs)
+        return len(self.gate_out)
 
 
 def _netlist_signature(netlist: Netlist) -> Tuple[int, int, int]:
@@ -316,48 +326,104 @@ def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
             f"input/latch/gate"
         )
 
-    gate_outputs: List[int] = []
-    gate_fanins: List[Tuple[int, ...]] = []
-    gate_evals: List[Callable] = []
-    gate_delays: List[int] = []
-    fanout_gates: List[List[int]] = [[] for _ in net_names]
-    for position, name in enumerate(topo):
+    class_of: Dict[Tuple[int, int], int] = {}
+    class_evals: List[Callable] = []
+    class_arity: List[int] = []
+    net_level = [0] * len(net_names)
+    rows = []  # (class, topological index, name, fanin ids, level)
+    for index, name in enumerate(topo):
         gate = netlist.gates[name]
         try:
-            fanins = tuple(net_id[fanin] for fanin in gate.inputs)
+            fanins = [net_id[fanin] for fanin in gate.inputs]
         except KeyError as exc:
             raise SimulationError(
                 f"{netlist.name}: gate {name!r} reads undriven net {exc}"
             ) from None
-        gate_outputs.append(net_id[name])
-        gate_fanins.append(fanins)
-        gate_evals.append(_compile_table_int(gate.table))
-        gate_delays.append(_gate_delay(name, jitter))
-        for fanin in fanins:
-            fanout_gates[fanin].append(position)
+        key = (gate.table.n_inputs, gate.table.bits)
+        if key not in class_of:
+            class_of[key] = len(class_evals)
+            class_evals.append(_compile_table_int(gate.table))
+            class_arity.append(len(fanins))
+        level = 1 + max((net_level[i] for i in fanins), default=0)
+        net_level[net_id[name]] = level
+        rows.append((class_of[key], index, name, fanins, level))
+    rows.sort(key=lambda row: row[:2])
 
-    latch_pairs = [
-        (net_id[latch.output], net_id[latch.data])
-        for latch in netlist.latches.values()
-    ]
-    return CompiledNetlist(
+    n_gates = len(rows)
+    gate_fanins = np.zeros(
+        (n_gates, max(class_arity, default=0)), dtype=np.intp
+    )
+    for position, (_, _, _, fanins, _) in enumerate(rows):
+        gate_fanins[position, :len(fanins)] = fanins
+    gate_out = np.array([net_id[row[2]] for row in rows], dtype=np.intp)
+    classes = np.array([row[0] for row in rows], dtype=np.intp)
+    readers = np.array(
+        [net for row in rows for net in row[3]], dtype=np.intp
+    )
+    order = np.argsort(readers, kind="stable")
+    latches = list(netlist.latches.values())
+    compiled = CompiledNetlist(
         jitter=jitter,
         n_nets=len(net_names),
         net_id=net_id,
         net_names=net_names,
-        gate_outputs=gate_outputs,
+        gate_out=gate_out,
         gate_fanins=gate_fanins,
-        gate_evals=gate_evals,
-        gate_delays=gate_delays,
-        fanout_gates=fanout_gates,
-        latch_pairs=latch_pairs,
+        gate_delays=np.array(
+            [_gate_delay(row[2], jitter) for row in rows], dtype=np.int64
+        ),
+        class_evals=class_evals,
+        class_arity=class_arity,
+        class_start=np.searchsorted(
+            classes, np.arange(len(class_evals) + 1)
+        ),
+        fanout_ptr=np.searchsorted(
+            readers[order], np.arange(len(net_names) + 1)
+        ),
+        fanout_gates=np.repeat(
+            np.arange(n_gates), [len(row[3]) for row in rows]
+        )[order],
+        latch_q=np.array(
+            [net_id[latch.output] for latch in latches], dtype=np.intp
+        ),
+        latch_d=np.array(
+            [net_id[latch.data] for latch in latches], dtype=np.intp
+        ),
+        power_on=np.zeros(len(net_names), dtype=bool),
         signature=_netlist_signature(netlist),
     )
 
+    # Power-on settle of the all-zero sources: every lane is alike, so
+    # one word per net suffices; each topological level only reads
+    # earlier ones, so a level evaluates as one batch.
+    levels = np.array([row[4] for row in rows], dtype=np.int64)
+    state = np.zeros((len(net_names), 1), dtype=np.uint64)
+    ones = np.full(1, _ALL_LANES)
+    for level in range(1, int(levels.max(initial=0)) + 1):
+        gates = np.flatnonzero(levels == level)
+        state[gate_out[gates]] = _evaluate(compiled, gates, state, ones)
+    compiled.power_on = state[:, 0] != 0
+    return compiled
+
 
 # ---------------------------------------------------------------------------
-# Event-driven kernel.
+# The kernel: many (vectors x jitter x idle) configurations of one design in
+# one event-driven pass, each owning a word-aligned block of lanes.
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class BatchConfig:
+    """One configuration of a batched simulation run.
+
+    The netlist, datapath and control table come from the shared
+    design; a configuration only varies the simulation knobs — the
+    stimulus, the idle-step control convention and the delay spread.
+    """
+
+    vectors: VectorSet
+    idle_selects: str = "zero"
+    delay_jitter: int = 0
 
 
 def simulate_design(
@@ -379,211 +445,81 @@ def simulate_design(
     filtering off; the jitter models that routing spread (0 restores
     the pure unit-delay model — the estimator-vs-measurement gap is an
     ablation bench).
+
+    A batch of one: see :func:`simulate_batch`.
     """
-    netlist = design.netlist
-    lanes = vectors.lanes
-    words = n_words(lanes)
-    ones = (1 << lanes) - 1
-    compiled = compile_netlist(netlist, delay_jitter)
-    net_id = compiled.net_id
-
-    controller = build_controller(design.datapath)
-    control_values = controller.resolved(idle_selects)
-
-    # One packed big int per net (bit i = lane i), indexed by dense id.
-    state: List[int] = [0] * compiled.n_nets
-
-    # Settle the all-zero state without counting (power-on, as in the
-    # paper's simulator warm-up before vectors apply).
-    gate_outputs = compiled.gate_outputs
-    gate_fanins = compiled.gate_fanins
-    gate_evals = compiled.gate_evals
-    for position in range(compiled.n_gates):
-        values = [state[i] for i in gate_fanins[position]]
-        state[gate_outputs[position]] = gate_evals[position](values, ones)
-
-    counters = {"comb": 0, "reg": 0, "pad": 0, "control": 0}
-    net_toggles: Optional[List[int]] = (
-        [0] * compiled.n_nets if collect_per_net else None
+    [result] = simulate_batch(
+        design, [BatchConfig(vectors, idle_selects, delay_jitter)],
+        collect_per_net=collect_per_net,
     )
-
-    def drive(index: int, new_value: int, category: str,
-              changed: List[int]) -> None:
-        delta = state[index] ^ new_value
-        if delta:
-            toggles = delta.bit_count()
-            counters[category] += toggles
-            if net_toggles is not None:
-                net_toggles[index] += toggles
-            state[index] = new_value
-            changed.append(index)
-
-    n_steps = len(design.datapath.control)
-    for step in range(n_steps):
-        changed: List[int] = []
-
-        # Pads present their vector at the load step.
-        if step == 0:
-            for position, nets in design.pad_nets.items():
-                for bit, net in enumerate(nets):
-                    drive(
-                        net_id[net],
-                        _words_to_int(vectors.pad_words(position, bit)),
-                        "pad", changed,
-                    )
-
-        # Control signals take this step's value.
-        for name, nets in design.control_nets.items():
-            value = control_values.get(name)
-            if value is None:
-                continue
-            step_value = value[step]
-            for bit, net in enumerate(nets):
-                bit_set = bool((step_value >> bit) & 1)
-                drive(net_id[net], ones if bit_set else 0,
-                      "control", changed)
-
-        _settle_events(compiled, state, changed, ones, counters,
-                       net_toggles)
-
-        # Clock edge: all flip-flops load their data nets. Data values
-        # are read out first — flops clock simultaneously.
-        updates = [
-            (q_index, state[data_index])
-            for q_index, data_index in compiled.latch_pairs
-        ]
-        changed = []
-        for q_index, new_q in updates:
-            drive(q_index, new_q, "reg", changed)
-        # Settle after the clock edge (counted — the paper's simulator
-        # sees these transitions too, including after the final edge).
-        _settle_events(compiled, state, changed, ones, counters,
-                       net_toggles)
-
-    outputs: Dict[int, List[int]] = {}
-    for position, nets in design.output_nets.items():
-        rows = [_int_to_words(state[net_id[net]], words) for net in nets]
-        outputs[position] = [
-            int(value) for value in unpack_lane_values(rows, lanes)
-        ]
-
-    per_net: Dict[str, int] = {}
-    if net_toggles is not None:
-        names = compiled.net_names
-        for index, toggles in enumerate(net_toggles):
-            if toggles:
-                per_net[names[index]] = toggles
-
-    return SimulationResult(
-        lanes=lanes,
-        steps=n_steps,
-        comb_toggles=counters["comb"],
-        register_toggles=counters["reg"],
-        pad_toggles=counters["pad"],
-        control_toggles=counters["control"],
-        per_net=per_net,
-        outputs=outputs,
-    )
+    return result
 
 
-def _settle_events(
-    compiled: CompiledNetlist,
-    state: List[int],
-    changed: List[int],
-    ones: int,
-    counters: Dict[str, int],
-    net_toggles: Optional[List[int]],
-) -> None:
-    """Event-driven settling after source changes at time 0.
+def _check_stimulus(design: ElaboratedDesign, vectors: VectorSet) -> None:
+    """Every pad bus of ``design`` must have a bus at least as wide."""
+    for position, nets in design.pad_nets.items():
+        bus = vectors.pads.get(position)
+        if bus is None or len(bus) < len(nets):
+            have = (
+                f"{len(bus)} bits" if bus is not None
+                else f"no bus (it has {len(vectors.pads)})"
+            )
+            raise SimulationError(
+                f"pad {position}: the design takes {len(nets)} bits, "
+                f"the vector set has {have}"
+            )
 
-    ``changed`` lists net ids whose ``state`` entries already hold the
-    new time-0 value. The wheel walks time forward one tick at a time:
-    at each tick the pending transitions for that tick are applied to
-    ``state``, then every gate with a fanin among them re-evaluates.
-    A gate whose evaluation differs from its previous evaluation
-    schedules its output transition ``delay`` ticks later and counts
-    ``popcount(change)`` toggles — the same accounting as the reference
-    waveform loop, just discovered in time order instead of per-gate.
+
+def _block_mask(words: int, start: int, lanes: int) -> np.ndarray:
+    """Lane mask of the block of ``lanes`` lanes starting at word ``start``."""
+    mask = np.zeros(words, dtype=np.uint64)
+    end = start + n_words(lanes)
+    mask[start:end] = _ALL_LANES
+    if lanes % 64:
+        mask[end - 1] = np.uint64((1 << (lanes % 64)) - 1)
+    return mask
+
+
+def _delay_plan(
+    delays: np.ndarray, group_words: List[Tuple[int, int]]
+) -> Tuple[List[Tuple[int, Optional[List[Tuple[int, int]]]]],
+           Optional[np.ndarray]]:
+    """Wheel entries and per-gate membership for the delay groups.
+
+    ``delays`` is ``(n_groups, n_gates)``; group ``g`` owns the words
+    ``group_words[g]`` (a ``[start, end)`` range, groups laid out in
+    order). Per gate, groups whose delay coincides merge into one entry
+    ``(delay, word runs)``; runs of ``None`` cover every group. Returns
+    the distinct entries and an ``(n_gates, n_entries)`` membership
+    matrix (``None`` when there is one entry, which every gate then
+    has).
     """
-    if not changed:
-        return
-    fanout_gates = compiled.fanout_gates
-    gate_outputs = compiled.gate_outputs
-    gate_fanins = compiled.gate_fanins
-    gate_evals = compiled.gate_evals
-    gate_delays = compiled.gate_delays
-
-    # Gate position -> last evaluated output value (the projected final
-    # value; transitions in flight are compared against this, not
-    # against the not-yet-updated state entry).
-    pending: Dict[int, int] = {}
-    # Tick -> transitions [(net id, new value)] to apply at that tick.
-    wheel: Dict[int, List[Tuple[int, int]]] = {}
-    comb = counters["comb"]
-    time = 0
-    in_flight = 0
-    changed_now = changed
-    while True:
-        triggered = set()
-        for index in changed_now:
-            triggered.update(fanout_gates[index])
-        for position in sorted(triggered):
-            values = [state[i] for i in gate_fanins[position]]
-            new_value = gate_evals[position](values, ones)
-            out = gate_outputs[position]
-            previous = pending.get(position)
-            if previous is None:
-                previous = state[out]
-            delta = previous ^ new_value
-            if delta:
-                toggles = delta.bit_count()
-                comb += toggles
-                if net_toggles is not None:
-                    net_toggles[out] += toggles
-                wheel.setdefault(time + gate_delays[position], []).append(
-                    (out, new_value)
-                )
-                pending[position] = new_value
-                in_flight += 1
-        if not in_flight:
-            break
-        # Next tick with scheduled transitions; all delays are >= 1 and
-        # in-flight transitions sit strictly ahead of `time`, so this
-        # walk terminates within the maximum delay.
-        time += 1
-        while time not in wheel:
-            time += 1
-        events = wheel.pop(time)
-        in_flight -= len(events)
-        changed_now = []
-        for index, value in events:
-            state[index] = value
-            changed_now.append(index)
-    counters["comb"] = comb
-
-
-# ---------------------------------------------------------------------------
-# Batched kernel: many (vectors x jitter x idle) configurations of the
-# same netlist in one event-driven pass. Each configuration owns a
-# contiguous block of bit lanes inside one wider packed big int, so the
-# per-gate evaluators run once per event for every configuration at
-# once; only the toggle accounting and the pack/unpack boundaries are
-# per-configuration.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BatchConfig:
-    """One configuration of a batched simulation run.
-
-    The netlist, datapath and control table come from the shared
-    design; a configuration only varies the simulation knobs — the
-    stimulus, the idle-step control convention and the delay spread.
-    """
-
-    vectors: VectorSet
-    idle_selects: str = "zero"
-    delay_jitter: int = 0
+    plans, inverse = np.unique(delays, axis=1, return_inverse=True)
+    entry_of: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    members: List[Tuple[int, int]] = []
+    for plan in range(plans.shape[1]):
+        column = plans[:, plan]
+        for delay in np.unique(column):
+            groups = tuple(np.flatnonzero(column == delay).tolist())
+            entry = entry_of.setdefault((int(delay), groups), len(entry_of))
+            members.append((plan, entry))
+    entries = []
+    for delay, groups in entry_of:
+        runs = None
+        if len(groups) < len(group_words):
+            runs = []
+            for group in groups:
+                start, end = group_words[group]
+                if runs and runs[-1][1] == start:
+                    start = runs.pop()[0]
+                runs.append((start, end))
+        entries.append((delay, runs))
+    if len(entries) == 1:
+        return entries, None
+    member = np.zeros((plans.shape[1], len(entries)), dtype=bool)
+    for plan, entry in members:
+        member[plan, entry] = True
+    return entries, member[inverse.reshape(-1)]
 
 
 def simulate_batch(
@@ -591,412 +527,288 @@ def simulate_batch(
     configs: List[BatchConfig],
     collect_per_net: bool = False,
 ) -> List[SimulationResult]:
-    """Simulate every configuration in one batched kernel pass.
+    """Simulate every configuration in one kernel pass.
 
     Returns one :class:`SimulationResult` per configuration, in order,
-    byte-identical to what :func:`simulate_design` produces for that
-    configuration alone (the differential suite pins this against
-    :func:`_simulate_reference`).
+    byte-identical to a solo run of that configuration (the
+    differential suite pins this against :func:`_simulate_reference`).
 
-    Layout: configuration ``c`` occupies lanes ``[offset_c, offset_c +
-    lanes_c)`` of every net's packed big int. Bitwise ops never move
-    bits across lanes, so the compiled per-gate evaluators are reused
-    unchanged over the wider words. Configurations sharing a
-    ``delay_jitter`` form a *delay group* with one per-gate delay
-    vector; the time-wheel carries ``(net, value, group_mask)``
-    transitions so groups with different delays coexist on one wheel,
-    each landing only on its own lanes. Idle conventions differ only in
-    the per-step control words, composed per-config with the same
-    masks.
+    Layout: configuration ``c`` owns a block of ``n_words(lanes_c)``
+    words of every net's state row. Bitwise ops never move bits across
+    lanes, so one evaluation serves every configuration; the lanes past
+    a block's last vector are pinned at their power-on value and never
+    toggle. Configurations sharing a ``delay_jitter`` form a *delay
+    group* with one per-gate delay vector, and their blocks are laid
+    out next to each other; per gate, groups whose delay coincides
+    share one wheel entry (see :func:`_delay_plan`), and a transition
+    lands only on its entry's words. Idle conventions differ only in
+    the per-step control words, composed per mode with the block lane
+    masks. Toggles accumulate per net and word; the per-configuration
+    sums and the four categories (pad, control, latch and gate-output
+    nets) are taken once at the end.
     """
     if not configs:
         return []
-
-    netlist = design.netlist
-    n_configs = len(configs)
-
-    # Lane layout: contiguous blocks, one per configuration, each
-    # starting on a byte boundary so toggle counting can slice the
-    # delta's byte string per configuration (see
-    # :func:`_settle_events_batch`). The padding lanes between blocks
-    # are inert: nothing ever drives them away from their power-on
-    # value, so they contribute zero to every delta.
-    offsets: List[int] = []
-    block_ones: List[int] = []
-    byte_ranges: List[Tuple[int, int]] = []
-    total_lanes = 0
     for config in configs:
-        lanes = config.vectors.lanes
-        offsets.append(total_lanes)
-        block_ones.append(((1 << lanes) - 1) << total_lanes)
-        byte_ranges.append(
-            (total_lanes // 8, (total_lanes + lanes + 7) // 8)
-        )
-        total_lanes += (lanes + 7) & ~7
-    ones = (1 << total_lanes) - 1
-    n_bytes = total_lanes // 8
-    blocks = list(zip(range(n_configs), block_ones))
-    real_ones = 0
-    for block in block_ones:
-        real_ones |= block
-    gap_mask = ones ^ real_ones
+        _check_stimulus(design, config.vectors)
 
-    # Delay groups: one compiled netlist per distinct jitter. The
-    # lowering is identical across jitters except for the delay vector,
-    # so any of them serves as the structural base.
     compiled_by_jitter = {
-        jitter: compile_netlist(netlist, jitter)
-        for jitter in {config.delay_jitter for config in configs}
+        config.delay_jitter: compile_netlist(
+            design.netlist, config.delay_jitter
+        )
+        for config in configs
     }
     compiled = compiled_by_jitter[configs[0].delay_jitter]
     net_id = compiled.net_id
-    group_delays: List[List[int]] = []
-    group_masks: List[int] = []
-    group_of_jitter: Dict[int, int] = {}
-    for index, config in enumerate(configs):
-        group = group_of_jitter.get(config.delay_jitter)
-        if group is None:
-            group = len(group_delays)
-            group_of_jitter[config.delay_jitter] = group
-            group_delays.append(
-                compiled_by_jitter[config.delay_jitter].gate_delays
-            )
-            group_masks.append(0)
-        group_masks[group] |= block_ones[index]
 
-    # Per-gate delay plan: groups whose delay for this gate coincides
-    # share one wheel transition (their masks merge). With jittered
-    # delays drawn from small ranges, a large fraction of gates end up
-    # with a single merged entry covering every lane — those schedule
-    # one event with no mask test at all.
-    delay_plans: List[List[Tuple[int, int]]] = []
-    for position in range(compiled.n_gates):
-        merged: Dict[int, int] = {}
-        for group, delays in enumerate(group_delays):
-            tick = delays[position]
-            merged[tick] = merged.get(tick, 0) | group_masks[group]
-        delay_plans.append(sorted(merged.items()))
-    # One tuple per gate keeps the settle loop to a single list index;
-    # a plan of one merged entry is pre-split out of the tuple so the
-    # common case needs no len() test. Fanin values are gathered with
-    # ``operator.itemgetter`` (one C call) instead of a per-gate list
-    # comprehension.
-    gate_data = [
-        (evaluate, _fanin_getter(fanins), out, plan,
-         plan[0] if len(plan) == 1 else None)
-        for evaluate, fanins, out, plan in zip(
-            compiled.gate_evals, compiled.gate_fanins,
-            compiled.gate_outputs, delay_plans,
-        )
-    ]
-    # Settle-call scratch: epoch-stamped pending words (cheaper than a
-    # dict in the hot loop) and the configs' byte-segment layout for
-    # the vectorized toggle counting.
-    pend_value = [0] * compiled.n_gates
-    pend_epoch = [-1] * compiled.n_gates
-    epoch_box = [0]
-    seg_bounds = [start for start, _ in byte_ranges] + [n_bytes]
-    seg_widths = {b - a for a, b in zip(seg_bounds, seg_bounds[1:])}
-    seg_width = seg_widths.pop() if len(seg_widths) == 1 else 0
-    seg_starts = np.array(seg_bounds[:-1], dtype=np.intp)
-
-    # Idle conventions: per-step control words composed per mode.
-    controller = build_controller(design.datapath)
-    mode_values: Dict[str, Dict[str, List[int]]] = {}
-    mode_masks: Dict[str, int] = {}
-    for index, config in enumerate(configs):
-        mode = config.idle_selects
-        if mode not in mode_values:
-            mode_values[mode] = controller.resolved(mode)
-            mode_masks[mode] = 0
-        mode_masks[mode] |= block_ones[index]
-    modes = list(mode_values)
-
-    # One packed big int per net; power-on settle, uncounted (every
-    # configuration starts from the same all-zero state).
-    state: List[int] = [0] * compiled.n_nets
-    gate_outputs = compiled.gate_outputs
-    gate_fanins = compiled.gate_fanins
-    gate_evals = compiled.gate_evals
-    for position in range(compiled.n_gates):
-        values = [state[i] for i in gate_fanins[position]]
-        state[gate_outputs[position]] = gate_evals[position](values, ones)
-
-    counters = [
-        {"comb": 0, "reg": 0, "pad": 0, "control": 0}
-        for _ in range(n_configs)
-    ]
-    net_toggles: Optional[List[np.ndarray]] = (
-        [np.zeros(compiled.n_nets, dtype=np.int64)
-         for _ in range(n_configs)]
-        if collect_per_net else None
+    # Lane blocks, grouped by delay jitter so each group's words form
+    # one contiguous range.
+    starts = [0] * len(configs)
+    group_words: List[Tuple[int, int]] = []
+    total_words = 0
+    for jitter in compiled_by_jitter:
+        begin = total_words
+        for ci, config in enumerate(configs):
+            if config.delay_jitter == jitter:
+                starts[ci] = total_words
+                total_words += n_words(config.vectors.lanes)
+        group_words.append((begin, total_words))
+    entries, member = _delay_plan(
+        np.stack([c.gate_delays for c in compiled_by_jitter.values()]),
+        group_words,
     )
 
-    def drive(index: int, new_value: int, category: str,
-              changed: List[int]) -> None:
-        if gap_mask:
-            # Keep padding lanes pinned at their power-on value so
-            # they never show up in any delta.
-            new_value = (new_value & real_ones) | (state[index] & gap_mask)
-        delta = state[index] ^ new_value
-        if delta:
-            for ci, block in blocks:
-                part = delta & block
-                if part:
-                    toggles = part.bit_count()
-                    counters[ci][category] += toggles
-                    if net_toggles is not None:
-                        net_toggles[ci][index] += toggles
-            state[index] = new_value
-            changed.append(index)
+    block_masks = [
+        _block_mask(total_words, start, config.vectors.lanes)
+        for start, config in zip(starts, configs)
+    ]
+    real = np.bitwise_or.reduce(block_masks)
+    padded = bool((real != _ALL_LANES).any())
+    ones = np.full(total_words, _ALL_LANES)
 
+    state = np.zeros((compiled.n_nets, total_words), dtype=np.uint64)
+    state[compiled.power_on] = _ALL_LANES
+    # Per gate: its last evaluated output (the projected final value).
+    # Between settles every transition has landed, so it equals the
+    # output net's state row.
+    pending = state[compiled.gate_out]
+    # Per net and word: toggles so far.
+    toggles = np.zeros((compiled.n_nets, total_words), dtype=np.int64)
+
+    def drive(nets: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """Set source rows; returns the ids that changed."""
+        old = state[nets]
+        if padded:
+            new = (new & real) | (old & ~real)
+        delta = old ^ new
+        hit = delta.any(axis=1)
+        nets = nets[hit]
+        toggles[nets] += np.bitwise_count(delta[hit])
+        state[nets] = new[hit]
+        return nets
+
+    def settle(changed: np.ndarray) -> None:
+        _settle(compiled, state, pending, toggles, changed, ones, entries,
+                member)
+
+    # Pads present every configuration's vector at the load step.
+    pad_nets = [
+        (position, bit, net_id[net])
+        for position, nets in design.pad_nets.items()
+        for bit, net in enumerate(nets)
+    ]
+    pad_ids = np.array([net for _, _, net in pad_nets], dtype=np.intp)
+    pad_rows = np.zeros((len(pad_nets), total_words), dtype=np.uint64)
+    for start, config in zip(starts, configs):
+        if pad_nets:
+            pad_rows[:, start:start + n_words(config.vectors.lanes)] = [
+                config.vectors.pad_words(position, bit)
+                for position, bit, _ in pad_nets
+            ]
+
+    # Control signals, composed per idle mode: a mode that does not
+    # drive a signal (resolved() has no entry) keeps its lanes as they
+    # are; the modes that do set theirs to the step's bit.
+    controller = build_controller(design.datapath)
+    mode_masks: Dict[str, np.ndarray] = {}
+    for config, mask in zip(configs, block_masks):
+        mode = config.idle_selects
+        mode_masks[mode] = mode_masks.get(mode, 0) | mask
+    control_nets = [
+        (name, bit, net_id[net])
+        for name, nets in design.control_nets.items()
+        for bit, net in enumerate(nets)
+    ]
+    control_ids = np.array([net for _, _, net in control_nets], dtype=np.intp)
     n_steps = len(design.datapath.control)
+    control_keep = np.tile(ones, (len(control_nets), 1))
+    control_bits = []
+    for mode, mask in mode_masks.items():
+        values = controller.resolved(mode)
+        bits = np.zeros((n_steps, len(control_nets)), dtype=bool)
+        for column, (name, bit, _) in enumerate(control_nets):
+            value = values.get(name)
+            if value is not None:
+                control_keep[column] &= ~mask
+                bits[:, column] = [(word >> bit) & 1 for word in value]
+        control_bits.append((bits, mask))
+
     for step in range(n_steps):
-        changed: List[int] = []
+        changed = [drive(pad_ids, pad_rows)] if step == 0 else []
+        control_rows = state[control_ids] & control_keep
+        for bits, mask in control_bits:
+            control_rows[bits[step]] |= mask
+        changed.append(drive(control_ids, control_rows))
+        settle(np.concatenate(changed))
 
-        # Pads present their vector at the load step: every
-        # configuration's packed words, shifted into its lane block.
-        if step == 0:
-            for position, nets in design.pad_nets.items():
-                for bit, net in enumerate(nets):
-                    value = 0
-                    for ci, config in enumerate(configs):
-                        value |= _words_to_int(
-                            config.vectors.pad_words(position, bit)
-                        ) << offsets[ci]
-                    drive(net_id[net], value, "pad", changed)
+        # Clock edge: all flip-flops load their data nets at once, then
+        # the network settles again (counted — the paper's simulator
+        # sees these transitions too, including after the final edge).
+        settle(drive(compiled.latch_q, state[compiled.latch_d]))
 
-        # Control signals take this step's value, composed per idle
-        # mode. A mode that does not drive a signal (resolved() returns
-        # no entry) keeps that mode's lanes at their current value —
-        # exactly the solo kernel's "skip" semantics.
-        for name, nets in design.control_nets.items():
-            per_mode = [
-                (mode_masks[mode], mode_values[mode].get(name))
-                for mode in modes
-            ]
-            if all(value is None for _, value in per_mode):
-                continue
-            for bit, net in enumerate(nets):
-                index = net_id[net]
-                new_value = state[index]
-                for mask, value in per_mode:
-                    if value is None:
-                        continue
-                    if (value[step] >> bit) & 1:
-                        new_value |= mask
-                    else:
-                        new_value &= ~mask
-                drive(index, new_value, "control", changed)
-
-        _settle_events_batch(
-            compiled, gate_data, state, changed, ones,
-            n_bytes, seg_starts, seg_width, counters, net_toggles,
-            pend_value, pend_epoch, epoch_box,
-        )
-
-        # Clock edge: all flip-flops load their data nets (read out
-        # first — flops clock simultaneously, in every configuration).
-        updates = [
-            (q_index, state[data_index])
-            for q_index, data_index in compiled.latch_pairs
-        ]
-        changed = []
-        for q_index, new_q in updates:
-            drive(q_index, new_q, "reg", changed)
-        _settle_events_batch(
-            compiled, gate_data, state, changed, ones,
-            n_bytes, seg_starts, seg_width, counters, net_toggles,
-            pend_value, pend_epoch, epoch_box,
-        )
-
-    results: List[SimulationResult] = []
+    block_starts = sorted(starts)
+    per_block = np.add.reduceat(toggles, block_starts, axis=1)
+    categories = [
+        per_block[ids].sum(axis=0)
+        for ids in (compiled.gate_out, compiled.latch_q, pad_ids, control_ids)
+    ]
     names = compiled.net_names
-    for ci, config in enumerate(configs):
+    results: List[SimulationResult] = []
+    for start, config in zip(starts, configs):
+        block = block_starts.index(start)
         lanes = config.vectors.lanes
-        words = n_words(lanes)
-        offset = offsets[ci]
-        lane_mask = (1 << lanes) - 1
-        outputs: Dict[int, List[int]] = {}
-        for position, nets in design.output_nets.items():
-            rows = [
-                _int_to_words((state[net_id[net]] >> offset) & lane_mask,
-                              words)
-                for net in nets
+        end = start + n_words(lanes)
+        outputs = {
+            position: [
+                int(value) for value in unpack_lane_values(
+                    [state[net_id[net], start:end] for net in nets], lanes
+                )
             ]
-            outputs[position] = [
-                int(value) for value in unpack_lane_values(rows, lanes)
-            ]
+            for position, nets in design.output_nets.items()
+        }
         per_net: Dict[str, int] = {}
-        if net_toggles is not None:
-            for index in np.nonzero(net_toggles[ci])[0]:
-                per_net[names[index]] = int(net_toggles[ci][index])
+        if collect_per_net:
+            column = per_block[:, block]
+            for index in np.flatnonzero(column):
+                per_net[names[index]] = int(column[index])
+        comb, reg, pad, control = (int(total[block]) for total in categories)
         results.append(SimulationResult(
             lanes=lanes,
             steps=n_steps,
-            comb_toggles=counters[ci]["comb"],
-            register_toggles=counters[ci]["reg"],
-            pad_toggles=counters[ci]["pad"],
-            control_toggles=counters[ci]["control"],
+            comb_toggles=comb,
+            register_toggles=reg,
+            pad_toggles=pad,
+            control_toggles=control,
             per_net=per_net,
             outputs=outputs,
         ))
     return results
 
 
-#: Per-byte popcounts, for the vectorized delta counting below
-#: (int16: segment sums in `np.add.reduceat` stay within dtype).
-_POPCOUNT_TABLE = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.int16
-)
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    def _popcount_bytes(matrix: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(matrix).astype(np.int16)
-else:
-    def _popcount_bytes(matrix: np.ndarray) -> np.ndarray:
-        return _POPCOUNT_TABLE[matrix]
-
-
-def _fanin_getter(fanins: List[int]) -> Callable:
-    """One C-level call that gathers a gate's fanin values."""
-    if len(fanins) > 1:
-        return itemgetter(*fanins)
-    if fanins:
-        index = fanins[0]
-        return lambda state: (state[index],)
-    return lambda state: ()
-
-
-def _settle_events_batch(
+def _evaluate(
     compiled: CompiledNetlist,
-    gate_data: List[Tuple],
-    state: List[int],
-    changed: List[int],
-    ones: int,
-    n_bytes: int,
-    seg_starts: np.ndarray,
-    seg_width: int,
-    counters: List[Dict[str, int]],
-    net_toggles: Optional[List[np.ndarray]],
-    pend_value: List[int],
-    pend_epoch: List[int],
-    epoch_box: List[int],
+    gates: np.ndarray,
+    state: np.ndarray,
+    ones: np.ndarray,
+) -> np.ndarray:
+    """Outputs of the (sorted, distinct) gate positions ``gates`` over
+    ``state``: one evaluator call per class present."""
+    new = np.empty((len(gates), state.shape[1]), dtype=np.uint64)
+    values = state[compiled.gate_fanins[gates].T]
+    bounds = np.searchsorted(gates, compiled.class_start).tolist()
+    for cls, arity in enumerate(compiled.class_arity):
+        lo, hi = bounds[cls], bounds[cls + 1]
+        if lo < hi:
+            new[lo:hi] = compiled.class_evals[cls](values[:arity, lo:hi], ones)
+    return new
+
+
+def _settle(
+    compiled: CompiledNetlist,
+    state: np.ndarray,
+    pending: np.ndarray,
+    toggles: np.ndarray,
+    changed: np.ndarray,
+    ones: np.ndarray,
+    entries: List[Tuple[int, Optional[List[Tuple[int, int]]]]],
+    member: Optional[np.ndarray],
 ) -> None:
-    """Batched event-driven settling (see :func:`_settle_events`).
+    """Event-driven settling after source changes at time 0.
 
-    Identical walk to the solo kernel, with two twists. A changed gate
-    schedules one wheel transition per entry of its delay plan — delay
-    groups whose delay for this gate coincides were merged into one
-    entry up front — carrying the entry's lane mask: transitions land
-    as ``state = (state & ~mask) | (value & mask)``, so groups with
-    different delays never clobber each other's lanes. The pending
-    word (epoch-stamped scratch arrays, one epoch per settle call)
-    still holds the full projection — lanes an entry did not schedule
-    are, by construction, equal to their previous value, so the
-    full-word update is exact.
+    ``changed`` holds net ids whose ``state`` rows already hold the new
+    time-0 value. The wheel walks time forward one tick at a time; a
+    tick applies its pending transitions to ``state``, then every gate
+    with a fanin among them re-evaluates against its *pending* value
+    (its last evaluation, not the not-yet-updated net). A difference
+    adds ``popcount(change)`` per word to ``toggles`` and schedules the
+    output transition, per delay-plan entry whose words changed,
+    ``delay`` ticks later. All delays are >= 1, so a tick's evaluations
+    only read transitions scheduled strictly earlier: they are
+    independent, and the whole tick runs as array operations.
 
-    And toggle counting is deferred: each nonzero evaluation delta is
-    captured as its little-endian byte string, and one vectorized pass
-    at the end popcounts every (delta, configuration) pair — per-byte
-    popcounts summed per configuration at the (byte-aligned)
-    lane-block boundaries (a reshape for uniform blocks, reduceat for
-    ragged ones). That replaces ``n_configs`` big-int masks per event
-    with one ``to_bytes`` per event plus a few numpy reductions per
-    settle — a configuration whose lanes did not change still
-    contributes nothing, even when a sibling's did.
+    The wheel maps a tick to chunks ``(out ids, values, word runs)``,
+    one per evaluation tick and plan entry, so out ids are distinct
+    within a chunk. Two chunks landing on one net at one tick come from
+    different entries of its gate's plan, whose words are disjoint.
     """
-    if not changed:
-        return
+    fanout_ptr = compiled.fanout_ptr
     fanout_gates = compiled.fanout_gates
-    epoch_box[0] += 1
-    epoch = epoch_box[0]
-
-    delta_nets: List[int] = []
-    delta_rows: List[bytes] = []
-    nets_append = delta_nets.append
-    rows_append = delta_rows.append
-    # Tick -> transitions [(net id, new value, lane mask)].
-    wheel: Dict[int, List[Tuple[int, int, int]]] = {}
-    wheel_setdefault = wheel.setdefault
+    wheel: Dict[int, List[Tuple[np.ndarray, np.ndarray, Optional[list]]]] = {}
     time = 0
-    in_flight = 0
-    changed_now = changed
     while True:
-        triggered = set()
-        for index in changed_now:
-            triggered.update(fanout_gates[index])
-        for position in sorted(triggered):
-            evaluate, gather, out, plan, single = gate_data[position]
-            new_value = evaluate(gather(state), ones)
-            if pend_epoch[position] == epoch:
-                previous = pend_value[position]
-            else:
-                previous = state[out]
-            delta = previous ^ new_value
-            if delta:
-                nets_append(out)
-                rows_append(delta.to_bytes(n_bytes, "little"))
-                if single is not None:
-                    # Merged entry: its mask covers every lane, and the
-                    # delta is nonzero, so it always schedules.
-                    tick, mask = single
-                    wheel_setdefault(time + tick, []).append(
-                        (out, new_value, mask)
+        # Triggered gates: CSR gather of the changed nets' fanouts.
+        begin = fanout_ptr[changed]
+        sizes = fanout_ptr[changed + 1] - begin
+        size = int(sizes.sum())
+        if size:
+            ends = np.cumsum(sizes)
+            gather = np.arange(size) + np.repeat(begin - ends + sizes, sizes)
+            triggered = np.zeros(compiled.n_gates, dtype=bool)
+            triggered[fanout_gates[gather]] = True
+            gates = np.flatnonzero(triggered)
+            new = _evaluate(compiled, gates, state, ones)
+            counts = np.bitwise_count(pending[gates] ^ new)
+            pending[gates] = new
+            outs = compiled.gate_out[gates]
+            toggles[outs] += counts
+            hit = counts.any(axis=1)
+            if not hit.all():
+                outs, new, counts = outs[hit], new[hit], counts[hit]
+                gates = gates[hit]
+            if member is None:
+                if len(outs):
+                    wheel.setdefault(time + entries[0][0], []).append(
+                        (outs, new, None)
                     )
-                    in_flight += 1
-                else:
-                    for tick, mask in plan:
-                        if delta & mask:
-                            wheel_setdefault(time + tick, []).append(
-                                (out, new_value, mask)
-                            )
-                            in_flight += 1
-                pend_value[position] = new_value
-                pend_epoch[position] = epoch
-        if not in_flight:
-            break
-        time += 1
-        while time not in wheel:
-            time += 1
-        events = wheel.pop(time)
-        in_flight -= len(events)
-        changed_now = []
-        for index, value, mask in events:
-            state[index] = (state[index] & ~mask) | (value & mask)
-            changed_now.append(index)
-
-    if not delta_rows:
-        return
-    matrix = np.frombuffer(
-        b"".join(delta_rows), dtype=np.uint8
-    ).reshape(len(delta_rows), n_bytes)
-    # (n_deltas, n_configs) toggle counts in two C calls: per-byte
-    # popcount, then a segmented sum at the block starts (a block's
-    # trailing padding bytes fold into its own segment and are always
-    # zero in every delta). Uniform lane blocks — the usual case — sum
-    # via a cheap reshape; ragged blocks fall back to reduceat.
-    counts = _popcount_bytes(matrix)
-    if seg_width:
-        per_config = counts.reshape(
-            len(delta_rows), -1, seg_width
-        ).sum(axis=2, dtype=np.int64)
-    else:
-        per_config = np.add.reduceat(counts, seg_starts, axis=1)
-    totals = per_config.sum(axis=0, dtype=np.int64)
-    outs = np.asarray(delta_nets, dtype=np.intp)
-    n_nets = compiled.n_nets
-    for ci in range(len(seg_starts)):
-        total = int(totals[ci])
-        if not total:
-            continue
-        counters[ci]["comb"] += total
-        if net_toggles is not None:
-            # bincount's float64 weights are exact here (counts are
-            # far below 2**53).
-            net_toggles[ci] += np.bincount(
-                outs, weights=per_config[:, ci], minlength=n_nets
-            ).astype(np.int64)
+            else:
+                plans = member[gates]
+                for entry, (delay, runs) in enumerate(entries):
+                    take = plans[:, entry]
+                    if runs is not None:
+                        take &= np.any(
+                            [counts[:, a:b].any(axis=1) for a, b in runs],
+                            axis=0,
+                        )
+                    if take.any():
+                        wheel.setdefault(time + delay, []).append(
+                            (outs[take], new[take], runs)
+                        )
+        if not wheel:
+            return
+        time = min(wheel)
+        chunks = wheel.pop(time)
+        for outs, values, runs in chunks:
+            if runs is None:
+                # Every group's words; the lanes past a block's last
+                # vector hold power-on values in both rows.
+                state[outs] = values
+            else:
+                for a, b in runs:
+                    state[outs, a:b] = values[:, a:b]
+        changed = (
+            chunks[0][0] if len(chunks) == 1
+            else np.concatenate([outs for outs, _, _ in chunks])
+        )
 
 
 # ---------------------------------------------------------------------------
