@@ -47,6 +47,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.techmap.compile import ConeMemo
+
 _MISSING = object()
 
 #: A ``.tmp`` file older than this is an orphan from a writer that died
@@ -222,6 +224,11 @@ class ArtifactCache:
         self.disk_max_bytes = disk_max_bytes
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._pinned: set = set()
+        #: The tech mapper's cone-evaluation memo, shared by every flow
+        #: run on this cache. Its entries are exact-match evaluations,
+        #: valid for any netlist, so it lives beside the LRU (bounded
+        #: by its own entry cap) instead of as one artifact per netlist.
+        self.cone_memo = ConeMemo()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -301,9 +308,11 @@ class ArtifactCache:
             self._disk_write(key, value)
 
     def clear(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
+        """Drop the in-memory layer, cone memo included (disk entries
+        survive)."""
         self._entries.clear()
         self._pinned.clear()
+        self.cone_memo.reset()
 
     def stats(self) -> Dict[str, int]:
         """Flat dict view of the headline counters (see also

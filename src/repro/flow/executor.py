@@ -56,6 +56,10 @@ from repro.scheduling import force_directed_schedule, list_schedule
 #: Default in-memory artifact-cache capacity per worker process.
 DEFAULT_CACHE_ENTRIES = 64
 
+#: The :meth:`~repro.techmap.compile.ConeMemo.stats` counters that
+#: :class:`ExecutorStats` accumulates.
+_CONE_MEMO_COUNTERS = ("hits", "misses", "resets")
+
 
 @dataclass
 class _WorkerPayload:
@@ -307,6 +311,11 @@ def _prefetch_batches(
     return annotations, stats
 
 
+def _cone_memo_counts(cache: Optional[ArtifactCache]) -> Dict[str, int]:
+    stats = cache.cone_memo.stats() if cache is not None else {}
+    return {name: stats.get(name, 0) for name in _CONE_MEMO_COUNTERS}
+
+
 def _run_chunk(
     state: Dict[str, Any],
     chunk: Sequence[SweepJob],
@@ -318,11 +327,13 @@ def _run_chunk(
 
     Alongside the batching stats the returned dict carries a
     ``"cache"`` :class:`CacheStats` delta covering exactly this chunk's
-    artifact-cache traffic — computed here so pool children can ship it
+    artifact-cache traffic, and a ``"cone_memo"`` delta of the cache's
+    cone-memo counters — computed here so pool children can ship them
     back without the parent ever seeing their cache objects.
     """
     cache: Optional[ArtifactCache] = state["cache"]
     before = cache.stats_typed() if cache is not None else None
+    memo_before = _cone_memo_counts(cache)
     annotations, stats = _prefetch_batches(state, chunk, spec)
     out = []
     for job in chunk:
@@ -337,6 +348,11 @@ def _run_chunk(
         cache.stats_typed().since(before) if cache is not None
         else CacheStats()
     )
+    memo_after = _cone_memo_counts(cache)
+    stats["cone_memo"] = {
+        name: memo_after[name] - memo_before[name]
+        for name in _CONE_MEMO_COUNTERS
+    }
     return out, stats
 
 
@@ -350,6 +366,11 @@ def _execute_chunk_remote(
         [(cell, new_entries) for cell, _, new_entries in executed],
         stats,
     )
+
+
+def _add_counts(total: Dict[str, int], delta: Dict[str, int]) -> None:
+    for name, count in delta.items():
+        total[name] += count
 
 
 @dataclass
@@ -369,6 +390,10 @@ class ExecutorStats:
     #: Artifact-cache traffic accumulated over every submission (pool
     #: children included — their per-chunk deltas merge in here).
     cache: CacheStats = field(default_factory=CacheStats)
+    #: Tech-mapper cone-memo counters, merged the same way.
+    cone_memo: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_CONE_MEMO_COUNTERS, 0)
+    )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -383,6 +408,7 @@ class ExecutorStats:
             "sim_batch_wall_s": self.sim_batch_wall_s,
             "wall_s": self.wall_s,
             "cache": self.cache.to_dict(),
+            "cone_memo": dict(self.cone_memo),
         }
 
 
@@ -525,6 +551,7 @@ class FlowExecutor:
                 "batches": 0, "batched_cells": 0, "batch_wall_s": 0.0,
             }
             cache_delta = CacheStats()
+            memo_delta = dict.fromkeys(_CONE_MEMO_COUNTERS, 0)
             n_chunks = 0
 
             if self.jobs == 1 or len(job_list) <= 1:
@@ -537,6 +564,7 @@ class FlowExecutor:
                 for key in batch_stats:
                     batch_stats[key] += stats[key]
                 cache_delta.merge(stats["cache"])
+                _add_counts(memo_delta, stats["cone_memo"])
                 for cell, result, new_entries in executed:
                     sa_new_total += len(new_entries)
                     cells.append(cell)
@@ -562,6 +590,7 @@ class FlowExecutor:
                     for key in batch_stats:
                         batch_stats[key] += stats[key]
                     cache_delta.merge(stats["cache"])
+                    _add_counts(memo_delta, stats["cone_memo"])
                     for cell, new_entries in executed:
                         sa_new_total += table.merge(new_entries)
                         cells.append(cell)
@@ -580,6 +609,7 @@ class FlowExecutor:
             self.stats.sim_batch_wall_s += batch_stats["batch_wall_s"]
             self.stats.wall_s += time.perf_counter() - started
             self.stats.cache.merge(cache_delta)
+            _add_counts(self.stats.cone_memo, memo_delta)
             return Submission(
                 cells=cells,
                 results=results,

@@ -271,8 +271,8 @@ def _bind_memo(p: "Pipeline") -> Optional[BindMemo]:
     ports plus the SA-table settings) but not by ``alpha`` or the
     binder: blocks are the alpha-independent part of Equation (4), so
     every hlpower cell of an alpha grid reuses the rounds whose node
-    sets coincide. Memory-only, exactly like the tech mapper's
-    ConeMemo (the memo mutates in place as cells add rounds).
+    sets coincide. Memory-only: the memo mutates in place as cells add
+    rounds, which an on-disk pickle would snapshot pointlessly.
     """
     if callable(p.binder):
         return None
@@ -308,26 +308,16 @@ def _run_elaborate(p: "Pipeline") -> ElaboratedDesign:
     return elaborate_design(p.artifact("datapath"))
 
 
-def _cone_memo(p: "Pipeline") -> Optional[ConeMemo]:
-    """The per-netlist cone-evaluation memo, shared via the cache.
+def cone_memo(cache: Optional[ArtifactCache]) -> ConeMemo:
+    """The tech mapper's cone-evaluation memo for a run on ``cache``.
 
-    Keyed by the elaborate stage's fingerprint alone: memo entries are
-    exact-match evaluations, so they stay valid across every ``k`` /
-    ``map_effort`` / ``control_activity`` cell mapping the same
-    netlist — which is precisely the sweep shape that re-runs the
-    techmap stage. Memory-only (like bind/simulate): the memo mutates
-    in place as cells add entries, which an on-disk pickle would
-    snapshot pointlessly.
+    One memo per cache (:attr:`ArtifactCache.cone_memo`): its entries
+    are exact-match evaluations, pure functions of their keys, so every
+    netlist mapped through the cache — both binders, every benchmark,
+    every sweep cell and daemon request, custom binders included —
+    shares them. A run without a cache gets a fresh memo.
     """
-    elaborate_fp = p.stage_fingerprint("elaborate")
-    if elaborate_fp is None:
-        return None  # uncacheable run (custom binder)
-    key = fingerprint(CACHE_SALT, "cone-memo", elaborate_fp)
-    hit, memo = p.cache.lookup(key)
-    if not hit:
-        memo = ConeMemo()
-        p.cache.store(key, memo, persist=False)
-    return memo
+    return cache.cone_memo if cache is not None else ConeMemo()
 
 
 def _run_techmap(p: "Pipeline") -> MappedDesign:
@@ -339,7 +329,7 @@ def _run_techmap(p: "Pipeline") -> MappedDesign:
     }
     mapping = map_netlist(
         design.netlist, k=p.cfg.k, input_activities=input_activities,
-        effort=p.cfg.map_effort, cone_memo=_cone_memo(p),
+        effort=p.cfg.map_effort, cone_memo=cone_memo(p.cache),
     )
     mapped = ElaboratedDesign(
         datapath=design.datapath,

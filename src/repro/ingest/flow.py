@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.flow.cache import ArtifactCache, fingerprint
-from repro.flow.pipeline import CACHE_SALT
+from repro.flow.pipeline import CACHE_SALT, cone_memo
 from repro.flow.run import FlowConfig
 from repro.fpga.timing import TimingReport, timing_report
 from repro.ingest.bitblast import IngestedDesign, elaborate_design
 from repro.ingest.module import ExternalDesign
-from repro.techmap import ConeMemo
 from repro.techmap.mapper import MapResult, map_netlist
 
 #: Stage names reuse the pipeline vocabulary so report ordering
@@ -82,21 +81,6 @@ def design_fingerprint(design: ExternalDesign) -> str:
                        design.canonical)
 
 
-def _cone_memo(cache: Optional[ArtifactCache],
-               elaborate_fp: str) -> ConeMemo:
-    """The mapper memo, shared through the cache exactly like
-    :func:`repro.flow.pipeline._cone_memo` (same key scheme, memory
-    only)."""
-    if cache is None:
-        return ConeMemo()
-    key = fingerprint(CACHE_SALT, "cone-memo", elaborate_fp)
-    hit, memo = cache.lookup(key)
-    if not hit:
-        memo = ConeMemo()
-        cache.store(key, memo, persist=False)
-    return memo
-
-
 def run_design_estimate(
     design: ExternalDesign,
     cfg: Optional[FlowConfig] = None,
@@ -144,7 +128,7 @@ def run_design_estimate(
             k=cfg.k,
             input_activities=input_activities,
             effort=cfg.map_effort,
-            cone_memo=_cone_memo(cache, elaborate_fp),
+            cone_memo=cone_memo(cache),
         )
 
     mapping: MapResult = artifact("techmap", techmap_fp, run_techmap)

@@ -20,13 +20,16 @@ This module removes both without changing a single output bit:
   mirrors the reference enumeration order decision for decision, so
   the candidate lists are element-wise identical);
 * collapsed cone functions are memoized per netlist by
-  ``(root id, cut mask)`` and across netlists the cone *evaluations*
-  are memoized in a :class:`ConeMemo` keyed by NPN-canonical truth
-  table (:func:`npn_key`), with the concrete ``(bits, leaf statistics)``
-  as the inner key;
-* cache misses are evaluated in numpy batches: all candidate cuts of a
-  node with the same arity share one ``(B, T, 2**n, 2**n)`` joint-law
-  product (:func:`batch_evaluate`).
+  ``(root id, cut mask)`` and the cone *evaluations* are memoized in a
+  :class:`ConeMemo` keyed by the concrete ``(bits, leaf statistics)``
+  and grouped by NPN-canonical truth table (:func:`npn_key`); the flow
+  keeps one memo per artifact cache, shared by every netlist mapped
+  through it;
+* cache misses are evaluated in numpy batches: every distinct miss of
+  one structural level and arity is one job of :func:`batch_evaluate`,
+  which builds one ``2**n x 2**n`` joint matrix per (distinct leaf
+  statistics, trigger time) as a Kronecker broadcast over the leaves
+  and reduces all jobs' "output differs" pairs in a few calls.
 
 Bit-exactness contract
 ----------------------
@@ -46,12 +49,19 @@ dictates three implementation rules:
    earliest trigger is 0 (the unit-delay evaluation is invariant under
    a uniform time shift), which is what makes bit slice ``i`` of a
    ripple structure hit the entry written by bit slice ``i - 1``;
-3. batched evaluation vectorizes the joint-law construction and the
-   matrix products (element-wise, so IEEE-deterministic), but performs
-   each final masked reduction as a contiguous 1-D ``.sum()`` per
-   (cut, trigger time) — numpy's pairwise summation blocks differently
-   for 2-D axis reductions, and only the 1-D reduction reproduces the
-   reference float exactly.
+3. batched evaluation keeps every floating-point operation of the
+   reference and its order: each joint-matrix element is the product
+   ``((J_0 * J_1) * J_2) * ...`` in input order (the Kronecker
+   broadcast multiplies the running product by one leaf law at a
+   time, exactly like ``mixed_joint_matrix``), and each (job, trigger
+   time) activity is the pairwise sum of the same elements in the same
+   order. The kernel gathers those elements into the rows of one
+   C-contiguous 2-D array and reduces its last axis: numpy then runs
+   the 1-D pairwise summation per row, which is what ``.sum()`` does
+   on the reference's 1-D array. A reduction over a non-contiguous
+   (e.g. freshly fancy-indexed, strided) array may block the sum
+   differently; ``tests/techmap/test_batch_evaluate.py`` pins the
+   contiguous case so a numpy change shows there first.
 """
 
 from __future__ import annotations
@@ -461,25 +471,34 @@ class HashedKey:
         self._hash = hash(state)
 
 
+#: Entry cap of one :class:`ConeMemo`. Storing a new entry into a
+#: full memo first empties it (see :meth:`ConeMemo.reset`). A resident
+#: daemon under perfbench's ``serve-mix`` request mix ends at ~55k
+#: entries, so it never resets; one entry costs ~1.7 KB (chem, width 8),
+#: so a full memo holds ~225 MB.
+CONE_MEMO_MAX_ENTRIES = 131072
+
+
 class ConeMemo:
     """Memoized cone SA evaluations, grouped by NPN class.
 
     Entries are memoized under their NPN-canonical truth-table key
     (:func:`npn_key`): ``classes`` maps each class to its per-entry
     count, and every stored entry carries the exact
-    ``(table bits, glitch_aware, per-leaf statistics)`` inner key (see
-    the module docstring for why reuse must be exact; lookups go
-    through the flat ``entries`` dict so the hot path pays one cached
-    hash instead of two hops). Glitch-aware values are
+    ``(table bits, arity, glitch_aware, per-leaf statistics)`` inner
+    key (see the module docstring for why reuse must be exact; lookups
+    go through the flat ``entries`` dict so the hot path pays one
+    cached hash instead of two hops). Glitch-aware values are
     ``(out_prob, ((out_time, activity), ...), total)`` with times
     normalized so the earliest leaf trigger is 0 — callers shift them
     back; glitch-blind values are ``(out_prob, activity, None)``.
 
-    Instances are plain picklable containers; the techmap stage
-    registers one per elaborated netlist in the flow's
-    :class:`~repro.flow.cache.ArtifactCache`, so every sweep cell that
-    shares the netlist prefix (different ``k``, cut cap, effort or
-    control activity) reuses the evaluations.
+    Every value is a pure function of its key, whatever netlist it
+    came from, so one memo serves any number of netlists: the flow
+    keeps one per :class:`~repro.flow.cache.ArtifactCache`, shared by
+    every binder, benchmark, sweep cell and daemon request on that
+    cache. It holds at most :data:`CONE_MEMO_MAX_ENTRIES` entries;
+    a reset only costs re-evaluations, never a different result.
     """
 
     def __init__(self) -> None:
@@ -488,6 +507,7 @@ class ConeMemo:
         self.prob_cache: Dict[Tuple, float] = {}
         self.hits = 0
         self.misses = 0
+        self.resets = 0
 
     def lookup(self, exact_key: "HashedKey") -> Optional[Tuple]:
         value = self.entries.get(exact_key)
@@ -501,8 +521,17 @@ class ConeMemo:
         self, class_key: Tuple, exact_key: "HashedKey", value: Tuple
     ) -> None:
         if exact_key not in self.entries:
+            if len(self.entries) >= CONE_MEMO_MAX_ENTRIES:
+                self.reset()
             self.classes[class_key] = self.classes.get(class_key, 0) + 1
         self.entries[exact_key] = value
+
+    def reset(self) -> None:
+        """Drop every entry (output probabilities included)."""
+        self.entries.clear()
+        self.classes.clear()
+        self.prob_cache.clear()
+        self.resets += 1
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -510,6 +539,7 @@ class ConeMemo:
             "entries": len(self.entries),
             "hits": self.hits,
             "misses": self.misses,
+            "resets": self.resets,
         }
 
 
@@ -517,24 +547,18 @@ class ConeMemo:
 # Batched SA evaluation.
 # ---------------------------------------------------------------------------
 
-#: Cached per-table evaluation scaffolding: output column (float),
-#: flat indices of the "output differs" pairs, minterm bit patterns.
-_TABLE_EVAL: Dict[Tuple[int, int], Tuple] = {}
+#: Cached per-table evaluation scaffolding: flat indices of the
+#: "output differs" pairs of the ``2**n x 2**n`` joint matrix.
+_TABLE_EVAL: Dict[Tuple[int, int], np.ndarray] = {}
 
 
-def _table_eval(table: TruthTable) -> Tuple:
+def _differs_index(table: TruthTable) -> np.ndarray:
     key = (table.n_inputs, table.bits)
     cached = _TABLE_EVAL.get(key)
     if cached is None:
         column = np.array(table.output_column(), dtype=np.float64)
         differs = column[:, None] != column[None, :]
-        flat_idx = np.flatnonzero(differs.ravel())
-        size = 1 << table.n_inputs
-        combos = np.arange(size)
-        bits = [
-            (combos >> i) & 1 for i in range(table.n_inputs)
-        ]
-        cached = (column, flat_idx, bits)
+        cached = np.flatnonzero(differs.ravel())
         _TABLE_EVAL[key] = cached
     return cached
 
@@ -553,12 +577,10 @@ def batch_evaluate(
 
     Bit-exactness: the per-element joint products run in the same
     input order as the reference, and every final reduction is a
-    contiguous 1-D ``.sum()`` over exactly the elements the reference
-    sums (see module docstring).
+    last-axis pairwise sum of a C-contiguous array over exactly the
+    elements the reference sums (see module docstring).
     """
     n = jobs[0][0].n_inputs
-    size = 1 << n
-    n_jobs = len(jobs)
     # Jobs with identical leaf statistics share one joint-matrix row
     # (e.g. the sum and carry cones of one adder slice): dedup them
     # before any numpy work. Trigger times are a function of the
@@ -573,12 +595,19 @@ def batch_evaluate(
             row_of[leaf_stats] = row
             row_stats.append(leaf_stats)
         job_row.append(row)
-    trigger_sets: List[List[int]] = []
-    for leaf_stats in row_stats:
-        times = sorted({t for _, steps in leaf_stats for t, _ in steps})
-        trigger_sets.append(times)
-    t_max = max((len(times) for times in trigger_sets), default=0)
-    if t_max == 0:
+    n_rows = len(row_stats)
+
+    # Every (row, leaf, step) flattened once, in row-major leaf order.
+    step_counts = [
+        len(steps) for leaf_stats in row_stats for _, steps in leaf_stats
+    ]
+    step_times = [
+        t
+        for leaf_stats in row_stats
+        for _, steps in leaf_stats
+        for t, _ in steps
+    ]
+    if not step_times:
         return [() for _ in jobs]
     if n > MAX_EXACT_INPUTS:
         # Mirror the reference path: mixed_joint_matrix refuses cones
@@ -587,92 +616,102 @@ def batch_evaluate(
         raise EstimationError(
             f"exact pair computation limited to {MAX_EXACT_INPUTS} inputs"
         )
-    t_min = min(len(times) for times in trigger_sets)
-    if t_min != t_max:
-        # Mixed trigger counts would pad every short row up to t_max;
-        # partition the jobs by their row's trigger count and evaluate
-        # each uniform-T subset padding-free. Per-job results are
-        # unaffected — only dead padded slots disappear.
-        by_t: Dict[int, List[int]] = {}
-        for j in range(n_jobs):
-            by_t.setdefault(len(trigger_sets[job_row[j]]), []).append(j)
-        results_mixed: List[Tuple[Tuple[int, float], ...]] = [()] * n_jobs
-        for indices in by_t.values():
-            for j, result in zip(
-                indices, batch_evaluate([jobs[j] for j in indices])
-            ):
-                results_mixed[j] = result
-        return results_mixed
-    n_rows = len(row_stats)
+    step_acts = [
+        activity
+        for leaf_stats in row_stats
+        for _, steps in leaf_stats
+        for _, activity in steps
+    ]
+    times = np.array(step_times, dtype=np.int64)
+    slot = np.repeat(np.arange(n_rows * n), step_counts)
+    # One evaluation *unit* per (row, trigger time), numbered row-major
+    # and ascending in time, so a row's units are contiguous and in the
+    # reference's order. Times are small non-negative ints (normalized
+    # unit-delay depths): an occupancy map over (row, time) numbers
+    # them without a sort.
+    span = int(times.max()) + 1
+    step_key = (slot // n) * span + times
+    occupied = np.zeros(n_rows * span, dtype=bool)
+    occupied[step_key] = True
+    keys = np.flatnonzero(occupied)
+    step_unit = (np.cumsum(occupied) - 1)[step_key]
+    unit_row = keys // span
+    n_units = len(keys)
+    n_triggers = np.bincount(unit_row, minlength=n_rows)
+    first_unit = np.cumsum(n_triggers) - n_triggers
+    unit_time = (keys % span + 1).tolist()
 
-    # Per (row, leaf, time): the 2x2 joint law, built vectorized from
-    # (probability, clamped step activity). Padded time slots hold the
-    # held law; their products are computed and discarded.
+    # Per (leaf, unit): the step activity; leaves without a step at
+    # the unit's time hold 0, for which the pair law below equals the
+    # held law. Units run along the last axis so every element-wise
+    # pass below is one long contiguous loop.
+    s_t = np.zeros((n, n_units), dtype=np.float64)
+    s_t[slot % n, step_unit] = step_acts
     probs = np.array(
         [[prob for prob, _ in leaf_stats] for leaf_stats in row_stats],
         dtype=np.float64,
-    )
-    s_t = np.zeros((n_rows, n, t_max), dtype=np.float64)
-    fill_j: List[int] = []
-    fill_l: List[int] = []
-    fill_p: List[int] = []
-    fill_v: List[float] = []
-    for row, leaf_stats in enumerate(row_stats):
-        index = {t: pos for pos, t in enumerate(trigger_sets[row])}
-        for leaf_pos, (_, steps) in enumerate(leaf_stats):
-            for t, activity in steps:
-                fill_j.append(row)
-                fill_l.append(leaf_pos)
-                fill_p.append(index[t])
-                fill_v.append(activity)
-    if fill_j:
-        s_t[fill_j, fill_l, fill_p] = fill_v
+    ).T[:, unit_row]
     # clamp_activity, vectorized with the reference's exact expression:
     # min(max(s, 0), 2 * min(p, 1 - p)); only applied where s > 0 (the
     # reference uses the held law otherwise, which equals the pair law
     # at s == 0).
     bound = 2.0 * np.minimum(probs, 1.0 - probs)
-    clamped = np.minimum(np.maximum(s_t, 0.0), bound[:, :, None])
-    half = clamped / 2.0
-    p3 = probs[:, :, None]
-    joints = np.empty((n_rows, n, t_max, 2, 2), dtype=np.float64)
+    half = np.minimum(np.maximum(s_t, 0.0), bound) / 2.0
     # pair_distribution(p, s): [[1-p-h, h], [h, p-h]] with the same
-    # left-to-right arithmetic ((1.0 - p) - h).
-    joints[..., 0, 0] = (1.0 - p3) - half
-    joints[..., 0, 1] = half
-    joints[..., 1, 0] = half
-    joints[..., 1, 1] = p3 - half
-    # Where s == 0 the pair law reduces exactly to held_distribution:
-    # h == 0, so [[1-p, 0], [0, p]] — nothing special to do.
+    # left-to-right arithmetic ((1.0 - p) - h); shape (leaf, 2, 2, unit).
+    laws = np.empty((n, 2, 2, n_units), dtype=np.float64)
+    laws[:, 0, 0] = (1.0 - probs) - half
+    laws[:, 0, 1] = half
+    laws[:, 1, 0] = half
+    laws[:, 1, 1] = probs - half
 
-    # Left-associated per-element product in input order, exactly as
-    # the reference's ``ones *= J_0 ... *= J_{n-1}`` (``1.0 * x == x``,
-    # so the first factor seeds the accumulator directly).
-    _, _, bits = _table_eval(jobs[0][0])
-    matrices = joints[:, 0][
-        :, :, bits[0][:, None], bits[0][None, :]
-    ]
+    # The Kronecker product over leaves, element-wise and left-associated
+    # in input order exactly as the reference's ``ones *= J_0 ... *=
+    # J_{n-1}`` (``1.0 * x == x``): leaf i becomes bit i of the
+    # combination index.
+    matrices = laws[0]
+    width = 2
     for leaf_pos in range(1, n):
-        gathered = joints[:, leaf_pos][
-            :, :, bits[leaf_pos][:, None], bits[leaf_pos][None, :]
-        ]
-        np.multiply(matrices, gathered, out=matrices)
+        matrices = (
+            matrices.reshape(1, width, 1, width, n_units)
+            * laws[leaf_pos][:, None, :, None, :]
+        ).reshape(2 * width, 2 * width, n_units)
+        width *= 2
+    flat = matrices.reshape(-1)
 
-    flat = matrices.reshape(n_rows, t_max, size * size)
-    # One extraction per distinct table; every final reduction is a
-    # contiguous 1-D pairwise sum (see module docstring).
+    # Jobs grouped by how many output pairs differ: each group's
+    # (job, trigger time) rows are gathered into one C-contiguous
+    # array and reduced in one call.
     groups: Dict[int, List[int]] = {}
+    differs: List[np.ndarray] = []
     for j, (table, _) in enumerate(jobs):
-        groups.setdefault(table.bits, []).append(j)
-    results: List[Tuple[Tuple[int, float], ...]] = [()] * n_jobs
-    add_reduce = np.add.reduce  # identical reduction to ndarray.sum()
+        index = _differs_index(table)
+        differs.append(index)
+        groups.setdefault(len(index), []).append(j)
+    results: List[Tuple[Tuple[int, float], ...]] = [()] * len(jobs)
     for indices in groups.values():
-        _, flat_idx, _ = _table_eval(jobs[indices[0]][0])
-        picked = flat[[job_row[j] for j in indices]][:, :, flat_idx]
-        for slot, j in enumerate(indices):
-            rows = picked[slot]
+        rows = np.array([job_row[j] for j in indices])
+        counts = n_triggers[rows]
+        ends = np.cumsum(counts)
+        if not ends[-1]:
+            continue
+        starts = first_unit[rows]
+        units = np.repeat(starts - (ends - counts), counts)
+        units += np.arange(int(ends[-1]))
+        columns = np.repeat(
+            np.array([differs[j] for j in indices]), counts, axis=0
+        )
+        columns *= n_units
+        columns += units[:, None]
+        # A last-axis reduce of a C-contiguous array runs the same
+        # pairwise summation per row as a 1-D ``.sum()`` (``take``
+        # already returns one; the guard keeps that a contract).
+        picked = np.ascontiguousarray(flat.take(columns))
+        sums = np.add.reduce(picked, axis=-1).tolist()
+        start = 0
+        for j, end, unit in zip(indices, ends.tolist(), starts.tolist()):
             results[j] = tuple(
-                (t + 1, float(add_reduce(rows[pos])))
-                for pos, t in enumerate(trigger_sets[job_row[j]])
+                zip(unit_time[unit:unit + end - start], sums[start:end])
             )
+            start = end
     return results

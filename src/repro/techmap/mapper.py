@@ -129,9 +129,9 @@ def map_netlist(
     ``"fast"`` is bit-identical to :func:`_map_reference`;
     ``"exhaustive"`` evaluates every surviving cut per node.
     ``cone_memo`` optionally carries memoized cone evaluations across
-    calls (the flow's techmap stage shares one per elaborated netlist
-    via the artifact cache); it is only consulted for exact matches,
-    so results never depend on its state.
+    calls, of this netlist or any other (the flow shares one per
+    artifact cache); it is only consulted for exact matches, so
+    results never depend on its state.
     """
     if effort not in MAP_EFFORTS:
         raise MappingError(

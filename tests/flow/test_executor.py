@@ -107,6 +107,20 @@ class TestStats:
         assert total.hits == cold.cache.hits + warm.cache.hits
         assert total.misses == cold.cache.misses + warm.cache.misses
 
+    def test_cone_memo_counters_accumulate(self):
+        """The cache's one cone memo serves both binders' netlists; its
+        hit/miss/reset deltas land in the executor stats."""
+        spec = small_spec(vector_seeds=(7,))
+        with FlowExecutor() as executor:
+            executor.run_jobs(spec, expand_grid(spec))
+            memo = executor._state["cache"].cone_memo
+            counts = dict(executor.stats.cone_memo)
+            data = executor.stats.to_dict()
+        assert counts == {"hits": memo.hits, "misses": memo.misses,
+                          "resets": memo.resets}
+        assert counts["hits"] > 0 and counts["misses"] > 0
+        assert data["cone_memo"] == counts
+
     def test_stats_to_dict_round_trips_cache(self):
         spec = small_spec(binders=("lopass",), vector_seeds=(7,))
         with FlowExecutor() as executor:
@@ -189,3 +203,15 @@ class TestResidentPool:
         warm_hits = sum(len(c.cache_hits) for c in second.cells)
         assert warm_hits > cold_hits
         assert any(c.schedule_cache_hit for c in second.cells)
+
+    def test_pool_children_merge_cone_memo_counters(self):
+        """jobs>1: each child's cone-memo deltas ship back with its
+        chunk and merge into the parent's stats (which child maps which
+        netlist is scheduler-dependent, so only misses are certain)."""
+        spec = small_spec()
+        with FlowExecutor(jobs=2) as executor:
+            executor.run_jobs(spec, expand_grid(spec))
+            counts = executor.stats.to_dict()["cone_memo"]
+            assert executor._state["cache"].cone_memo.misses == 0
+        assert counts["misses"] > 0
+        assert counts["resets"] == 0

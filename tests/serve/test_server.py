@@ -325,4 +325,5 @@ class TestMetricsEndpoint:
         assert metrics["inflight"] == 0
         assert metrics["executor"]["submissions"] == 1
         assert "hit_rate" in metrics["executor"]["cache"]
+        assert metrics["executor"]["cone_memo"]["misses"] > 0
         assert metrics["uptime_s"] >= 0.0

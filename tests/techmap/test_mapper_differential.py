@@ -11,9 +11,16 @@ smoke subset stays in tier-1 so every push checks the contract.
 
 import pytest
 
+import repro.techmap.compile as compile_mod
 from repro import benchmark_spec, BENCHMARK_NAMES
 from repro.cdfg import load_benchmark
-from repro.flow.run import FlowConfig, build_pipeline, run_flow
+from repro.flow.cache import ArtifactCache
+from repro.flow.run import (
+    FlowConfig,
+    build_pipeline,
+    compare_binders,
+    run_flow,
+)
 from repro.scheduling import list_schedule
 from repro.techmap import map_netlist
 from repro.techmap.compile import ConeMemo
@@ -23,14 +30,14 @@ from tests.conftest import oracle_flow_metrics
 _DESIGNS = {}
 
 
-def elaborated(benchmark: str, width: int):
+def elaborated(benchmark: str, width: int, binder: str = "lopass"):
     """Memoized (netlist, control activities) for one benchmark."""
-    key = (benchmark, width)
+    key = (benchmark, width, binder)
     if key not in _DESIGNS:
         spec = benchmark_spec(benchmark)
         schedule = list_schedule(load_benchmark(benchmark), spec.constraints)
         pipe = build_pipeline(
-            schedule, spec.constraints, "lopass", FlowConfig(width=width)
+            schedule, spec.constraints, binder, FlowConfig(width=width)
         )
         design = pipe.artifact("elaborate")
         activities = {
@@ -150,6 +157,80 @@ class TestSmoke:
     def test_flow_results_byte_identical(self):
         """Downstream FlowResults agree metric for metric."""
         assert_flow_matches_oracles("wang")
+
+
+#: The netlists one shared memo is pushed through, in order: two binders
+#: of one benchmark, then another benchmark.
+SHARED_MEMO_NETLISTS = [("chem", "lopass"), ("chem", "hlpower"),
+                        ("wang", "lopass")]
+
+
+def map_through(memo, glitch_aware, k):
+    """Map every shared-memo netlist with ``memo``; each mapping must
+    equal the seed mapper's byte for byte. Returns the memo hits each
+    mapping scored."""
+    hits = []
+    for bench_name, binder in SHARED_MEMO_NETLISTS:
+        netlist, activities = elaborated(bench_name, 4, binder)
+        before = memo.hits
+        fast = map_netlist(
+            netlist, k=k, input_activities=activities,
+            glitch_aware=glitch_aware, cone_memo=memo,
+        )
+        hits.append(memo.hits - before)
+        reference = _map_reference(
+            netlist, k=k, input_activities=activities,
+            glitch_aware=glitch_aware,
+        )
+        assert_identical(reference, fast)
+    return hits
+
+
+class TestSharedMemo:
+    """One memo serves every netlist: entries are exact-match
+    evaluations, so reusing them across binders, benchmarks, ``k`` and
+    glitch modes must not move a bit."""
+
+    def test_one_memo_across_netlists(self):
+        memo = ConeMemo()
+        for k in (4, 6):
+            for glitch_aware in (True, False):
+                hits = map_through(memo, glitch_aware, k)
+                # The HLPower netlist and the second benchmark reuse
+                # what the netlists before them stored.
+                assert hits[1] > 0 and hits[2] > 0, (k, glitch_aware, hits)
+        assert memo.stats()["resets"] == 0
+
+    def test_forced_resets_mid_run(self, monkeypatch):
+        """A memo that fills up mid-mapping empties itself and carries
+        on; the mapping stays byte-identical."""
+        monkeypatch.setattr(compile_mod, "CONE_MEMO_MAX_ENTRIES", 64)
+        memo = ConeMemo()
+        map_through(memo, True, 4)
+        stats = memo.stats()
+        assert stats["resets"] > 0
+        assert stats["entries"] <= 64
+        assert len(memo.prob_cache) <= stats["entries"]
+
+    def test_shared_cache_flow_equals_fresh_caches(self):
+        """``compare_binders`` over several benchmarks with one cache
+        (one cone memo) gives the metrics of runs on fresh caches."""
+        config = FlowConfig(width=4, n_vectors=32)
+        shared = ArtifactCache()
+        for bench_name in ("wang", "pr"):
+            spec = benchmark_spec(bench_name)
+            schedule = list_schedule(
+                load_benchmark(bench_name), spec.constraints
+            )
+            warm = compare_binders(schedule, spec.constraints, config,
+                                   cache=shared)
+            for binder, flow in warm.items():
+                cold = compare_binders(
+                    schedule, spec.constraints, config,
+                    binders={binder: binder}, cache=ArtifactCache(),
+                )[binder]
+                assert flow.metrics() == cold.metrics(), (bench_name, binder)
+        assert shared.cone_memo.hits > 0
 
 
 @pytest.mark.slow
