@@ -43,57 +43,115 @@ from repro import (
     run_sweep,
     synthesize,
 )
-from repro.binding import (
-    BINDER_NAMES,
-    DEFAULT_MCTS_BUDGET,
-    DEFAULT_MCTS_SEED,
-    SATable,
-)
+from repro.binding import BINDER_NAMES, SATable
 from repro.binding.sa_table import SHIPPED_TABLE_PATH
 from repro.cdfg.corpus import (
     CORPUS_FAMILIES,
     corpus_instances,
     oracle_feasible,
 )
-from repro.errors import ReproError
-from repro.techmap import MAP_EFFORTS
+from repro.errors import ConfigError, ReproError
 from repro.flow import (
-    BinderConfig,
     SweepSpec,
     format_sweep_summary,
     format_table,
     percent_change,
 )
+from repro.flow.knobs import KNOBS, Knob, check_knob
 
 
-def _axis_type(choices: Sequence[str], flag: str):
-    """argparse ``type`` for a comma-separated axis over fixed choices.
+# Knob flags come from the knob table (repro.flow.knobs), so help text,
+# defaults and checks cannot drift between subcommands.
 
-    Validation happens at parse time (like ``choices=`` on scalar
-    flags), and string defaults pass through the same parser, so a
-    subcommand cannot silently accept values its siblings reject.
-    """
+class _KnobAction(argparse.Action):
+    """Store a scalar knob flag once the knob table accepts it."""
 
-    def parse(raw: str) -> List[str]:
-        values = [token.strip() for token in raw.split(",") if token.strip()]
-        if not values:
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            check_knob(self.dest, values)
+        except ConfigError as exc:
+            raise argparse.ArgumentError(self, str(exc))
+        setattr(namespace, self.dest, values)
+
+
+def _axis_type(knob: Knob):
+    """argparse ``type`` for a comma-separated axis of knob values
+    (string defaults pass through it too)."""
+
+    def parse(raw: str) -> List:
+        tokens = [token.strip() for token in raw.split(",") if token.strip()]
+        if not tokens:
             raise argparse.ArgumentTypeError(
-                f"{flag} needs at least one value"
+                f"{knob.axis_flag} needs at least one value"
             )
-        for value in values:
-            if value not in choices:
-                raise argparse.ArgumentTypeError(
-                    f"invalid choice {value!r} (choose from "
-                    f"{', '.join(choices)})"
-                )
+        values = []
+        for token in tokens:
+            try:
+                value = knob.type(token)
+            except ValueError:
+                value = token  # check_knob names the unparsable token
+            try:
+                values.append(check_knob(knob.name, value))
+            except ConfigError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
         return values
 
     return parse
 
 
-# Shared flag declarations. Every subcommand that takes one of these
-# flags goes through the same helper, so help text, defaults and
-# choices cannot drift apart (tests/test_cli_args.py pins this).
+def _add_knob_args(parser: argparse.ArgumentParser, command: str) -> None:
+    """Every knob flag of ``command``, as the knob table declares it.
+
+    The flag stores under the knob's name: one value, or a list for a
+    comma-separated axis flag.
+    """
+    for knob in KNOBS.values():
+        help_text = f"{knob.help} (default {knob.default})"
+        if knob.choices:
+            metavar = "{" + ",".join(knob.choices) + "}"
+        else:
+            metavar = "N" if knob.type is int else "X"
+        if command in knob.axis_commands:
+            parser.add_argument(
+                knob.axis_flag, dest=knob.name, default=str(knob.default),
+                type=_axis_type(knob), metavar=metavar + "[,...]",
+                help="comma-separated axis: " + help_text)
+        elif command in knob.commands:
+            parser.add_argument(
+                knob.flag, dest=knob.name, default=knob.default,
+                type=knob.type, choices=knob.choices or None,
+                metavar=None if knob.choices else metavar,
+                action=_KnobAction, help=help_text)
+
+
+def _knob_spec_fields(args) -> Dict[str, object]:
+    """The SweepSpec fields set by the parsed knob flags of a command.
+
+    An axis flag fills the knob's axis; a knob that also has a scalar
+    SweepSpec field keeps its first value there and sets the axis only
+    when it holds several values.
+    """
+    fields: Dict[str, object] = {}
+    for knob in KNOBS.values():
+        if args.command not in knob.commands + knob.axis_commands:
+            continue
+        value = getattr(args, knob.name)
+        values = value if isinstance(value, list) else [value]
+        if knob.scalar:
+            fields[knob.name] = values[0]
+            if len(values) > 1:
+                fields[knob.axis] = values
+        else:
+            fields[knob.axis] = values
+    return fields
+
+
+def _add_binders_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--binders", default="lopass,hlpower",
+        help=f"comma-separated binder names from {BINDER_NAMES} "
+             f"(default lopass,hlpower)")
+
 
 def _add_sa_table_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -115,46 +173,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
                         help="worker processes (default 1 = in-process)")
 
 
-def _add_map_effort_arg(
-    parser: argparse.ArgumentParser, multi: bool = False
-) -> None:
-    help_text = ("technology-mapper effort (default fast; 'exhaustive' "
-                 "evaluates every surviving cut per node)")
-    if multi:
-        parser.add_argument(
-            "--map-effort", default="fast",
-            type=_axis_type(MAP_EFFORTS, "--map-effort"),
-            metavar="{" + ",".join(MAP_EFFORTS) + "}[,...]",
-            help="comma-separated axis: " + help_text)
-    else:
-        parser.add_argument("--map-effort", default="fast",
-                            choices=MAP_EFFORTS, help=help_text)
-
-
-def _add_mcts_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mcts-budget", type=int, default=DEFAULT_MCTS_BUDGET, metavar="N",
-        help="mcts binder search iterations per resource class "
-             f"(default {DEFAULT_MCTS_BUDGET}; 0 = best heuristic)")
-    parser.add_argument(
-        "--mcts-seed", type=int, default=DEFAULT_MCTS_SEED, metavar="N",
-        help="mcts binder playout seed "
-             f"(default {DEFAULT_MCTS_SEED}; deterministic per seed)")
-
-
-def _add_flow_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--width", type=int, default=8,
-                        help="datapath bit-width (default 8)")
-    parser.add_argument("--vectors", type=int, default=256,
-                        help="random input vectors (default 256)")
-    parser.add_argument("--alpha", type=float, default=0.5,
-                        help="Equation (4) alpha (default 0.5)")
-    _add_sa_table_arg(parser)
-    _add_jobs_arg(parser)
-    _add_map_effort_arg(parser)
-    _add_mcts_args(parser)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -164,10 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run one benchmark comparison")
     bench.add_argument("name", choices=BENCHMARK_NAMES)
-    _add_flow_args(bench)
+    _add_knob_args(bench, "bench")
+    _add_sa_table_arg(bench)
+    _add_jobs_arg(bench)
 
     suite = sub.add_parser("suite", help="run the full Table 3 comparison")
-    _add_flow_args(suite)
+    _add_knob_args(suite, "suite")
+    _add_sa_table_arg(suite)
+    _add_jobs_arg(suite)
 
     sweep = sub.add_parser(
         "sweep",
@@ -191,24 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
              "repro-module-v1 JSON module or flat BLIF file (repeatable; "
              "requires --flow estimate; with no explicit --benchmarks, "
              "only the designs run)")
+    _add_binders_arg(sweep)
     sweep.add_argument(
-        "--binders", default="lopass,hlpower",
-        help=f"comma-separated binder names from {BINDER_NAMES} "
-             f"(default lopass,hlpower)")
-    sweep.add_argument(
-        "--alphas", default="0.5",
-        help="comma-separated Equation (4) alpha values (default 0.5)")
-    sweep.add_argument(
-        "--widths", default="8",
-        help="comma-separated datapath bit-widths (default 8)")
-    sweep.add_argument(
-        "--seeds", default="1",
+        "--seeds", default="1", type=_parse_seeds,
         help="a count N (= vector seeds 7..7+N-1) or a comma-separated "
              "list of explicit seeds (default 1)")
-    sweep.add_argument("--vectors", type=int, default=256,
-                       help="random input vectors per cell (default 256)")
-    sweep.add_argument("--scheduler", choices=("list", "force"),
-                       default="list")
+    _add_knob_args(sweep, "sweep")
     _add_jobs_arg(sweep)
     sweep.add_argument("--out", metavar="FILE",
                        help="write the JSON result store here")
@@ -221,25 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binder label (or name) percent changes compare "
                             "against; 'none' disables the column "
                             "(default lopass)")
-    _add_map_effort_arg(sweep, multi=True)
-    _add_mcts_args(sweep)
-    sweep.add_argument(
-        "--sim-batch", type=int, default=32, metavar="N",
-        help="max configurations per batched simulation kernel pass: "
-             "cells sharing the mapped design run "
-             "together (default 32; 1 disables batching — metrics are "
-             "byte-identical either way)")
-    sweep.add_argument("--idle-modes", default="zero",
-                       help="comma-separated idle-step control policies to "
-                            "sweep: 'zero' and/or 'hold' (default zero)")
-    sweep.add_argument("--jitters", default="0",
-                       help="comma-separated per-gate delay-jitter values "
-                            "to sweep (default 0 = pure unit delay)")
-    sweep.add_argument("--flow", choices=("full", "estimate"),
-                       default="full",
-                       help="'full' runs the measurement chain through "
-                            "simulation; 'estimate' stops every cell after "
-                            "tech-map (Equation-(3) numbers, no simulator)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="disable the per-worker pipeline artifact "
                             "cache (metrics are identical either way; "
@@ -268,22 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="external design to estimate: a repro-module-v1 JSON "
              "module or flat BLIF file (repeatable; with no explicit "
              "--benchmarks, only the designs run)")
-    estimate.add_argument(
-        "--binders", default="lopass,hlpower",
-        help=f"comma-separated binder names from {BINDER_NAMES} "
-             f"(default lopass,hlpower)")
-    estimate.add_argument(
-        "--alphas", default="0.5",
-        help="comma-separated Equation (4) alpha values (default 0.5)")
-    estimate.add_argument("--width", type=int, default=8,
-                          help="datapath bit-width (default 8)")
+    _add_binders_arg(estimate)
+    _add_knob_args(estimate, "estimate")
     _add_jobs_arg(estimate)
     estimate.add_argument("--baseline", default="lopass",
                           help="binder label (or name) the dSA column "
                                "compares against; 'none' disables the "
                                "column (default lopass)")
-    _add_map_effort_arg(estimate)
-    _add_mcts_args(estimate)
     _add_sa_table_arg(estimate)
     estimate.add_argument("--out", metavar="FILE",
                           help="write the JSON result store here")
@@ -308,21 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run at most N instances, drawn round-robin "
                              "across the selected families (default 0 = "
                              "all)")
-    corpus.add_argument("--binders", default="lopass,hlpower",
-                        help=f"comma-separated binder names from "
-                             f"{BINDER_NAMES} (default lopass,hlpower)")
-    corpus.add_argument("--alphas", default="0.5",
-                        help="comma-separated Equation (4) alpha values "
-                             "(default 0.5)")
-    corpus.add_argument("--width", type=int, default=8,
-                        help="datapath bit-width (default 8)")
+    _add_binders_arg(corpus)
+    _add_knob_args(corpus, "corpus")
     _add_jobs_arg(corpus)
+    # The corpus's own mode flag: unlike the flow knob (default full) it
+    # defaults to the cheap estimate flow.
     corpus.add_argument("--flow", choices=("estimate", "full"),
                         default="estimate",
                         help="'estimate' (default) stops every cell after "
                              "tech-map; 'full' simulates every instance")
-    _add_map_effort_arg(corpus)
-    _add_mcts_args(corpus)
     corpus.add_argument("--profile", action="store_true",
                         help="print per-stage wall clock and peak memory "
                              "for every instance instead of the sweep "
@@ -361,12 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="integrated HLS on a benchmark")
     synth.add_argument("name", choices=BENCHMARK_NAMES)
-    synth.add_argument("--scheduler", choices=("list", "force"),
-                       default="list")
     synth.add_argument("--binder", choices=BINDER_NAMES,
                        default="hlpower")
-    synth.add_argument("--width", type=int, default=8)
-    _add_mcts_args(synth)
+    _add_knob_args(synth, "synth")
     synth.add_argument("--vhdl", metavar="FILE",
                        help="write the generated VHDL here")
 
@@ -425,16 +398,21 @@ def _parse_benchmarks(raw: str) -> List[str]:
 
 
 def _parse_seeds(raw: str) -> List[int]:
+    """argparse ``type`` of ``--seeds``: a count or explicit seeds."""
     raw = raw.strip()
-    if "," in raw:
-        return _comma_list(raw, int, "--seeds")
     try:
+        if "," in raw:
+            return [check_knob("vector_seed", int(token))
+                    for token in raw.split(",") if token.strip()]
         count = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: --seeds expects integers, got {raw!r}")
+    except (ValueError, ConfigError):
+        raise argparse.ArgumentTypeError(
+            f"--seeds expects integers, got {raw!r}"
+        )
     if count < 1:
-        raise SystemExit("error: --seeds count must be >= 1")
-    return list(range(7, 7 + count))
+        raise argparse.ArgumentTypeError("--seeds count must be >= 1")
+    first = KNOBS["vector_seed"].default
+    return list(range(first, first + count))
 
 
 def _comma_list(raw: str, cast, flag: str) -> List:
@@ -449,16 +427,8 @@ def _comma_list(raw: str, cast, flag: str) -> List:
 
 def _bench_rows(names: Sequence[str], args, table: SATable) -> List[List[str]]:
     spec = SweepSpec(
-        benchmarks=list(names),
-        configs=[
-            BinderConfig("lopass", "lopass", args.alpha),
-            BinderConfig("hlpower", "hlpower", args.alpha),
-        ],
-        widths=(args.width,),
-        n_vectors=args.vectors,
-        map_effort=args.map_effort,
-        mcts_budget=args.mcts_budget,
-        mcts_seed=args.mcts_seed,
+        benchmarks=list(names), binders=("lopass", "hlpower"),
+        **_knob_spec_fields(args),
     )
     sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
     rows = []
@@ -517,8 +487,6 @@ def cmd_suite(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # The axis flag carries a parse-time validated list (see _axis_type).
-    efforts = args.map_effort
     designs = _load_designs(args.design)
     if designs and args.flow != "estimate":
         raise SystemExit(
@@ -530,21 +498,10 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(
             benchmarks=_select_benchmarks(args.benchmarks, designs),
             binders=_comma_list(args.binders, str, "--binders"),
-            alphas=_comma_list(args.alphas, float, "--alphas"),
-            widths=_comma_list(args.widths, int, "--widths"),
-            vector_seeds=_parse_seeds(args.seeds),
-            n_vectors=args.vectors,
-            scheduler=args.scheduler,
+            vector_seeds=args.seeds,
             baseline=args.baseline,
-            map_effort=efforts[0],
-            map_efforts=efforts if len(efforts) > 1 else None,
-            idle_modes=_comma_list(args.idle_modes, str, "--idle-modes"),
-            jitters=_comma_list(args.jitters, int, "--jitters"),
-            flow=args.flow,
-            sim_batch=args.sim_batch,
             designs=designs,
-            mcts_budget=args.mcts_budget,
-            mcts_seed=args.mcts_seed,
+            **_knob_spec_fields(args),
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
@@ -575,14 +532,10 @@ def cmd_estimate(args) -> int:
         spec = SweepSpec(
             benchmarks=_select_benchmarks(args.benchmarks, designs),
             binders=_comma_list(args.binders, str, "--binders"),
-            alphas=_comma_list(args.alphas, float, "--alphas"),
-            widths=(args.width,),
             baseline=args.baseline,
-            map_effort=args.map_effort,
             flow="estimate",
             designs=designs,
-            mcts_budget=args.mcts_budget,
-            mcts_seed=args.mcts_seed,
+            **_knob_spec_fields(args),
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
@@ -673,7 +626,11 @@ def _corpus_profile(args, instances) -> int:
     from repro.scheduling import list_schedule
 
     binders = _comma_list(args.binders, str, "--binders")
-    alphas = _comma_list(args.alphas, float, "--alphas")
+    # The corpus's scalar knob flags (width, map effort, mcts).
+    knobs = {
+        knob.name: getattr(args, knob.name)
+        for knob in KNOBS.values() if "corpus" in knob.commands
+    }
     table = _open_sa_table(args.sa_table)
     records = []
     tracemalloc.start()
@@ -684,15 +641,10 @@ def _corpus_profile(args, instances) -> int:
             )
             registers, ports = prepare_flow_inputs(schedule)
             for binder in binders:
-                for alpha in alphas:
+                for alpha in args.alpha:
                     config = FlowConfig(
-                        width=args.width,
-                        alpha=alpha,
-                        sa_table=table,
-                        map_effort=args.map_effort,
-                        flow=args.flow,
-                        mcts_budget=args.mcts_budget,
-                        mcts_seed=args.mcts_seed,
+                        alpha=alpha, sa_table=table, flow=args.flow,
+                        **knobs,
                     )
                     tracemalloc.reset_peak()
                     result = execute_flow(
@@ -701,7 +653,7 @@ def _corpus_profile(args, instances) -> int:
                     )
                     _, peak = tracemalloc.get_traced_memory()
                     label = (
-                        binder if len(alphas) == 1
+                        binder if len(args.alpha) == 1
                         else f"{binder}_a{alpha:g}"
                     )
                     records.append(
@@ -768,13 +720,9 @@ def cmd_corpus(args) -> int:
         spec = SweepSpec(
             benchmarks=[inst.name for inst in instances],
             binders=binders,
-            alphas=_comma_list(args.alphas, float, "--alphas"),
-            widths=(args.width,),
             baseline="lopass" if "lopass" in binders else "none",
-            map_effort=args.map_effort,
             flow=args.flow,
-            mcts_budget=args.mcts_budget,
-            mcts_seed=args.mcts_seed,
+            **_knob_spec_fields(args),
         )
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")

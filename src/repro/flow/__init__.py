@@ -4,7 +4,8 @@
 graph — bind -> datapath -> elaborate -> techmap -> timing / vectors
 -> simulate -> power — whose typed :class:`~repro.flow.pipeline.Stage`
 objects declare their inputs and the subset of
-:class:`~repro.flow.run.FlowConfig` they read, and store their
+:class:`~repro.flow.run.FlowConfig` they read (the rows of the knob
+table, :mod:`repro.flow.knobs`, that name them), and store their
 artifacts in a content-addressed
 :class:`~repro.flow.cache.ArtifactCache` (see docs/architecture.md).
 
@@ -19,7 +20,7 @@ Equation-(3) estimates without invoking the simulator.
 The sweep subsystem scales those calls into declarative experiment
 grids across three layers: :mod:`repro.flow.grid` is the model
 (:class:`~repro.flow.grid.SweepSpec` describes a ``benchmark x binder
-x alpha x width x idle x jitter x kernel x seed`` grid),
+x alpha x width x effort x idle x jitter x seed`` grid),
 :mod:`repro.flow.executor` is the resident execution layer
 (:class:`~repro.flow.executor.FlowExecutor` owns warm worker state —
 memoized elaborations, the artifact cache, shared SA-table values —

@@ -44,6 +44,7 @@ from repro.cdfg import Schedule, benchmark_spec, load_benchmark
 from repro.errors import ConfigError
 from repro.flow.cache import ArtifactCache, CacheStats
 from repro.flow.grid import SweepCell, SweepJob, SweepSpec, expand_grid
+from repro.flow.knobs import CONFIG_KNOBS
 from repro.flow.pipeline import batch_simulate_pipelines
 from repro.flow.run import (
     FlowConfig,
@@ -148,22 +149,17 @@ def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
 
 def _flow_config(job: SweepJob, spec: SweepSpec, table: SATable) -> FlowConfig:
     """The FlowConfig of one job — shared by execution and prefetch, so
-    batched pipelines fingerprint identically to the per-cell flows."""
-    return FlowConfig(
-        width=job.width,
-        k=spec.k,
-        n_vectors=spec.n_vectors,
-        vector_seed=job.vector_seed,
-        alpha=job.config.alpha,
-        sa_table=table,
-        check_function=spec.check_function,
-        idle_selects=job.idle_selects,
-        delay_jitter=job.delay_jitter,
-        map_effort=job.map_effort,
-        flow=spec.flow,
-        mcts_budget=spec.mcts_budget,
-        mcts_seed=spec.mcts_seed,
-    )
+    batched pipelines fingerprint identically to the per-cell flows.
+
+    Swept knobs take the job's grid coordinate, the spec's scalar
+    knobs apply to every cell, and the rest keep their defaults.
+    """
+    values = {
+        knob.name: getattr(job if knob.axis else spec, knob.name)
+        for knob in CONFIG_KNOBS
+        if knob.scalar or knob.axis
+    }
+    return FlowConfig(sa_table=table, **values)
 
 
 def _load_design(state: Dict[str, Any], name: str, text: str):
@@ -178,15 +174,10 @@ def _load_design(state: Dict[str, Any], name: str, text: str):
     return memo[key], hit
 
 
-def _execute_design(state: Dict[str, Any], job: SweepJob,
-                    spec: SweepSpec) -> Tuple[SweepCell, Any, Dict[Any, float]]:
-    """Run one external-design job (estimate flow, no schedule/binder)."""
-    from repro.ingest import run_design_estimate
-
-    design, hit = _load_design(state, job.design, spec.designs[job.design])
-    cfg = FlowConfig(k=spec.k, map_effort=job.map_effort, flow="estimate")
-    result = run_design_estimate(design, cfg, cache=state["cache"])
-    cell = SweepCell(
+def _cell(job: SweepJob, result: Any, schedule_hit: bool,
+          sa_new_entries: int) -> SweepCell:
+    """The record of one executed job: its grid coordinates + metrics."""
+    return SweepCell(
         benchmark=job.benchmark,
         config=job.config.label,
         binder=job.config.binder,
@@ -195,15 +186,25 @@ def _execute_design(state: Dict[str, Any], job: SweepJob,
         vector_seed=job.vector_seed,
         metrics=result.metrics(),
         runtime_s=result.runtime_s,
-        schedule_cache_hit=hit,
-        sa_new_entries=0,
+        schedule_cache_hit=schedule_hit,
+        sa_new_entries=sa_new_entries,
         idle_selects=job.idle_selects,
         delay_jitter=job.delay_jitter,
         map_effort=job.map_effort,
         stage_timings=dict(result.stage_timings),
         cache_hits=list(result.cache_hits),
     )
-    return cell, result, {}
+
+
+def _execute_design(state: Dict[str, Any], job: SweepJob,
+                    spec: SweepSpec) -> Tuple[SweepCell, Any, Dict[Any, float]]:
+    """Run one external-design job (estimate flow, no schedule/binder)."""
+    from repro.ingest import run_design_estimate
+
+    design, hit = _load_design(state, job.design, spec.designs[job.design])
+    cfg = FlowConfig(k=spec.k, map_effort=job.map_effort, flow="estimate")
+    result = run_design_estimate(design, cfg, cache=state["cache"])
+    return _cell(job, result, hit, 0), result, {}
 
 
 def _execute(state: Dict[str, Any], job: SweepJob,
@@ -227,24 +228,7 @@ def _execute(state: Dict[str, Any], job: SweepJob,
         if key not in known
     }
     known.update(new_entries)
-    cell = SweepCell(
-        benchmark=job.benchmark,
-        config=job.config.label,
-        binder=job.config.binder,
-        alpha=job.config.alpha,
-        width=job.width,
-        vector_seed=job.vector_seed,
-        metrics=result.metrics(),
-        runtime_s=result.runtime_s,
-        schedule_cache_hit=hit,
-        sa_new_entries=len(new_entries),
-        idle_selects=job.idle_selects,
-        delay_jitter=job.delay_jitter,
-        map_effort=job.map_effort,
-        stage_timings=dict(result.stage_timings),
-        cache_hits=list(result.cache_hits),
-    )
-    return cell, result, new_entries
+    return _cell(job, result, hit, len(new_entries)), result, new_entries
 
 
 def _batch_key(job: SweepJob, spec: SweepSpec) -> Optional[Tuple]:

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.binding import BINDER_NAMES
 from repro.cdfg import benchmark_spec
 from repro.errors import ConfigError
-from repro.techmap import MAP_EFFORTS
+from repro.flow.knobs import KNOBS, SWEEP_KNOBS, check_knob, knob_fields
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,19 @@ class BinderConfig:
     alpha: float = 0.5
 
 
+def _sweep_fields():
+    """SweepSpec's knob fields: a scalar per ``scalar`` row, a tuple
+    per ``axis`` row (None when the scalar field doubles as its
+    one-value default)."""
+    for knob in SWEEP_KNOBS:
+        if knob.scalar:
+            yield knob.name, knob.type, knob.default
+        if knob.axis:
+            yield knob.axis, tuple, None if knob.scalar else (knob.default,)
+
+
 @dataclass
+@knob_fields(*_sweep_fields())
 class SweepSpec:
     """Declarative description of one experiment grid.
 
@@ -48,34 +60,21 @@ class SweepSpec:
     ``lopass / hlpower_a1 / hlpower_a05``. The simulation-only axes
     (idle mode, jitter, seed) vary nothing before the simulate
     stage, so the pipeline cache turns them into simulate-only work.
+
+    Besides the fields below, each ``scalar`` row of the knob table
+    (:mod:`repro.flow.knobs`) is a field shared by all cells (``k``,
+    ``n_vectors``, ``flow``, ``sim_batch``, ...) and each ``axis`` row
+    a tuple field (``widths``, ``alphas``, ``vector_seeds``,
+    ``idle_modes``, ``jitters``; ``map_efforts`` None = ``(map_effort,)``).
+    Every value is checked on construction and by :meth:`validate`.
     """
 
     benchmarks: Sequence[str] = ()
     binders: Sequence[str] = ("lopass", "hlpower")
-    alphas: Sequence[float] = (0.5,)
-    widths: Sequence[int] = (8,)
-    vector_seeds: Sequence[int] = (7,)
     configs: Optional[Sequence[BinderConfig]] = None
-    n_vectors: int = 256
-    k: int = 4
-    scheduler: str = "list"
-    check_function: bool = True
-    #: Technology-mapper effort for every cell: "fast" (default,
-    #: byte-identical to the seed mapper) or "exhaustive".
-    #: ``map_efforts`` overrides this scalar with a grid axis.
-    map_effort: str = "fast"
     #: Binder label (or binder name) used as the reference for
     #: percentage changes; "none" (or empty) disables the comparison.
     baseline: str = "lopass"
-    #: Idle-step control policies to sweep ("zero" and/or "hold").
-    idle_modes: Sequence[str] = ("zero",)
-    #: Per-gate delay-jitter values to sweep (0 = pure unit delay).
-    jitters: Sequence[int] = (0,)
-    #: Optional mapper-effort axis; ``None`` means ``(map_effort,)``.
-    map_efforts: Optional[Sequence[str]] = None
-    #: "full" runs the paper's measurement chain; "estimate" stops
-    #: every cell after tech-map (Equation-(3) numbers, no simulator).
-    flow: str = "full"
     #: External designs to estimate alongside (or instead of) the
     #: benchmarks: design name -> design text (``repro-module-v1`` JSON
     #: or flat BLIF; see :mod:`repro.ingest`). Design cells appear as
@@ -85,36 +84,34 @@ class SweepSpec:
     #: rides in :meth:`to_dict`, so serve request deduplication and
     #: worker-pool shipping see the design content.
     designs: Optional[Mapping[str, str]] = None
-    #: Maximum configurations per batched simulation kernel pass.
-    #: Cells that share the mapped design (same benchmark / binder /
-    #: width / effort, differing only in seed,
-    #: idle mode or jitter) are dispatched through
-    #: :func:`~repro.flow.pipeline.batch_simulate_pipelines` in groups
-    #: of up to this many; ``1`` disables batching (every cell runs
-    #: the solo kernel). Metrics are byte-identical either way. Kernel
-    #: wall clock is strongly sublinear in batch width (the union of
-    #: scheduled events grows much slower than the config count), so
-    #: wider is cheaper until word width dominates; 32 is the sweet
-    #: spot measured on the chem benchmark (BENCH_flow.json).
-    sim_batch: int = 32
-    #: MCTS binder knobs, applied to every ``"mcts"`` cell: search
-    #: budget (iterations per resource class; 0 degenerates to the
-    #: best heuristic) and playout seed. Both enter the bind-stage
-    #: fingerprint; other binders ignore them.
-    mcts_budget: int = 256
-    mcts_seed: int = 1
 
     def __post_init__(self) -> None:
-        # Binder names gate which bind implementations run at all, so
-        # an unknown name must fail here — at construction / from_dict
-        # time — not halfway through a sweep when run_binder first sees
-        # the job.
-        for config in self.binder_configs():
+        self._check_knobs()
+
+    def _check_knobs(self) -> None:
+        """Every knob value (scalars, axis entries, binder columns)."""
+        for knob in SWEEP_KNOBS:
+            if knob.scalar:
+                check_knob(knob.name, getattr(self, knob.name))
+            values = getattr(self, knob.axis) if knob.axis else None
+            if values is None:
+                continue
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(
+                    f"{knob.axis} must be a non-empty list, got {values!r}"
+                )
+            for value in values:
+                check_knob(knob.name, value)
+        configs = self.binder_configs()
+        if not configs:
+            raise ConfigError("sweep spec has no binder configurations")
+        for config in configs:
             if config.binder not in BINDER_NAMES:
                 raise ConfigError(
                     f"unknown binder {config.binder!r}; choose from "
                     f"{BINDER_NAMES}"
                 )
+            check_knob("alpha", config.alpha)
 
     def binder_configs(self) -> List[BinderConfig]:
         if self.configs is not None:
@@ -135,68 +132,17 @@ class SweepSpec:
         return [self.map_effort]
 
     def validate(self) -> None:
+        self._check_knobs()
         if not self.benchmarks and not self.designs:
             raise ConfigError("sweep spec has no benchmarks or designs")
         for name in self.benchmarks:
             benchmark_spec(name)  # raises on unknown names
         if self.designs is not None:
             self._validate_designs()
-        if self.scheduler not in ("list", "force"):
-            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-        for effort in [self.map_effort] + self.efforts():
-            if effort not in MAP_EFFORTS:
-                raise ConfigError(
-                    f"unknown mapper effort {effort!r}; choose from "
-                    f"{MAP_EFFORTS}"
-                )
-        if self.flow not in ("full", "estimate"):
-            raise ConfigError(
-                f"unknown flow mode {self.flow!r}; choose from "
-                f"('full', 'estimate')"
-            )
-        if self.sim_batch < 1:
-            raise ConfigError(
-                f"sim_batch must be >= 1, got {self.sim_batch}"
-            )
-        if not self.idle_modes:
-            raise ConfigError("sweep spec needs >= 1 idle mode")
-        for idle in self.idle_modes:
-            if idle not in ("zero", "hold"):
-                raise ConfigError(
-                    f"unknown idle policy {idle!r}; choose from "
-                    f"('zero', 'hold')"
-                )
-        if not self.jitters:
-            raise ConfigError("sweep spec needs >= 1 jitter value")
-        for jitter in self.jitters:
-            if jitter < 0:
-                raise ConfigError(f"delay jitter must be >= 0, got {jitter}")
         configs = self.binder_configs()
-        if not configs:
-            raise ConfigError("sweep spec has no binder configurations")
-        for config in configs:
-            if config.binder not in BINDER_NAMES:
-                raise ConfigError(
-                    f"unknown binder {config.binder!r}; choose from "
-                    f"{BINDER_NAMES}"
-                )
-        if (not isinstance(self.mcts_budget, int)
-                or isinstance(self.mcts_budget, bool)
-                or self.mcts_budget < 0):
-            raise ConfigError(
-                f"mcts_budget must be an integer >= 0, "
-                f"got {self.mcts_budget!r}"
-            )
-        if (not isinstance(self.mcts_seed, int)
-                or isinstance(self.mcts_seed, bool)):
-            raise ConfigError(
-                f"mcts_seed must be an integer, got {self.mcts_seed!r}"
-            )
         labels = [config.label for config in configs]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate binder labels: {labels}")
-        if not self.widths or not self.vector_seeds:
-            raise ConfigError("sweep spec needs >= 1 width and seed")
         if self.baseline and self.baseline != "none":
             if self.baseline not in labels:
                 matches = [
@@ -246,13 +192,10 @@ class SweepSpec:
         data = asdict(self)
         data["benchmarks"] = list(self.benchmarks)
         data["binders"] = list(self.binders)
-        data["alphas"] = list(self.alphas)
-        data["widths"] = list(self.widths)
-        data["vector_seeds"] = list(self.vector_seeds)
-        data["idle_modes"] = list(self.idle_modes)
-        data["jitters"] = list(self.jitters)
-        if self.map_efforts is not None:
-            data["map_efforts"] = list(self.map_efforts)
+        for knob in SWEEP_KNOBS:
+            values = getattr(self, knob.axis) if knob.axis else None
+            if values is not None:
+                data[knob.axis] = list(values)
         if self.configs is not None:
             data["configs"] = [asdict(config) for config in self.configs]
         if self.designs is not None:
@@ -278,11 +221,16 @@ class SweepJob:
     config: BinderConfig
     width: int
     vector_seed: int
-    idle_selects: str = "zero"
-    delay_jitter: int = 0
-    map_effort: str = "fast"
+    idle_selects: str = KNOBS["idle_selects"].default
+    delay_jitter: int = KNOBS["delay_jitter"].default
+    map_effort: str = KNOBS["map_effort"].default
     #: Set for external-design cells: the key into ``spec.designs``.
     design: Optional[str] = None
+
+    @property
+    def alpha(self) -> float:
+        """The binder column's alpha (the job's ``alphas`` coordinate)."""
+        return self.config.alpha
 
 
 #: Binder column shown for external-design cells (which have none).
@@ -305,9 +253,9 @@ class SweepCell:
     runtime_s: float
     schedule_cache_hit: bool
     sa_new_entries: int
-    idle_selects: str = "zero"
-    delay_jitter: int = 0
-    map_effort: str = "fast"
+    idle_selects: str = KNOBS["idle_selects"].default
+    delay_jitter: int = KNOBS["delay_jitter"].default
+    map_effort: str = KNOBS["map_effort"].default
     #: Per-pipeline-stage wall clock of this cell's flow run.
     stage_timings: Dict[str, float] = field(default_factory=dict)
     #: Pipeline stages served from the worker's artifact cache.

@@ -1,14 +1,17 @@
 """The staged flow pipeline (bind → … → power) behind every driver.
 
 The measurement flow is a fixed chain of pure stages, each reading a
-declared subset of :class:`~repro.flow.run.FlowConfig`:
+declared subset of :class:`~repro.flow.run.FlowConfig` — the knob rows
+of :data:`~repro.flow.knobs.KNOBS` that name the stage:
 
 ====================  ===========================  ========================
 stage                 inputs                       config fields read
 ====================  ===========================  ========================
-``bind``              schedule/constraints/        ``alpha`` (+ SA-table
-                      registers/ports/binder       settings; hlpower and
-                                                   mcts only)
+``bind``              schedule/constraints/        ``alpha`` + SA-table
+                      registers/ports/binder       settings (hlpower and
+                                                   mcts), ``mcts_budget,
+                                                   mcts_seed`` (mcts);
+                                                   via ``binder_token``
 ``datapath``          ``bind``                     ``width``
 ``elaborate``         ``datapath``                 (none)
 ``techmap``           ``elaborate``                ``k, control_activity,
@@ -58,6 +61,8 @@ from typing import (
 from repro.errors import ConfigError, SimulationError
 from repro.binding import (
     BINDER_NAMES,
+    DEFAULT_MCTS_BUDGET,
+    DEFAULT_MCTS_SEED,
     BindingSolution,
     HLPowerConfig,
     MCTSConfig,
@@ -71,8 +76,10 @@ from repro.binding.compile import (
     bind_lopass_fast,
 )
 from repro.binding.sa_table import SATableConfig
+from repro.binding.weights import DEFAULT_ALPHA
 from repro.cdfg.schedule import Schedule
 from repro.flow.cache import ArtifactCache, fingerprint
+from repro.flow.knobs import CONFIG_KNOBS
 from repro.fpga.compile import elaborate_design
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.power import PowerReport, power_report
@@ -106,11 +113,11 @@ def run_binder(
     constraints: Mapping[str, int],
     registers: RegisterBinding,
     ports: PortAssignment,
-    alpha: float = 0.5,
+    alpha: float = DEFAULT_ALPHA,
     sa_table=None,
     bind_memo: Optional[BindMemo] = None,
-    mcts_budget: int = 256,
-    mcts_seed: int = 1,
+    mcts_budget: int = DEFAULT_MCTS_BUDGET,
+    mcts_seed: int = DEFAULT_MCTS_SEED,
 ) -> BindingSolution:
     """Dispatch one binder by name or callable (shared with repro.hls).
 
@@ -232,6 +239,12 @@ def binder_token(binder: Binder, cfg: "FlowConfig") -> Optional[Tuple]:
 # ---------------------------------------------------------------------------
 # Stage registry.
 # ---------------------------------------------------------------------------
+
+
+def _config_fields(stage: str) -> Tuple[str, ...]:
+    """The FlowConfig fields entering ``stage``'s fingerprint: the
+    knob rows naming it, in table order (the order is hashed)."""
+    return tuple(k.name for k in CONFIG_KNOBS if stage in k.stages)
 
 
 @dataclass(frozen=True)
@@ -420,6 +433,8 @@ STAGES: Dict[str, Stage] = {
     stage.name: stage
     for stage in (
         Stage(
+            # The bind knobs enter through binder_token, not as config
+            # fields: which of them count depends on the binder.
             "bind", deps=(), config_fields=(), run=_run_bind,
             extra=lambda p: binder_token(p.binder, p.cfg),
             # Memory-only: binding has a side effect the artifact does
@@ -429,29 +444,28 @@ STAGES: Dict[str, Stage] = {
             # previous process would leave the caller's table empty.
             persist_to_disk=False,
         ),
-        Stage("datapath", deps=("bind",), config_fields=("width",),
-              run=_run_datapath),
-        Stage("elaborate", deps=("datapath",), config_fields=(),
+        Stage("datapath", deps=("bind",),
+              config_fields=_config_fields("datapath"), run=_run_datapath),
+        Stage("elaborate", deps=("datapath",),
+              config_fields=_config_fields("elaborate"),
               run=_run_elaborate),
         Stage("techmap", deps=("elaborate",),
-              config_fields=("k", "control_activity", "map_effort"),
-              run=_run_techmap),
-        Stage("timing", deps=("techmap",), config_fields=("device",),
-              run=_run_timing),
+              config_fields=_config_fields("techmap"), run=_run_techmap),
+        Stage("timing", deps=("techmap",),
+              config_fields=_config_fields("timing"), run=_run_timing),
         Stage(
-            "vectors", deps=(),
-            config_fields=("width", "n_vectors", "vector_seed"),
+            "vectors", deps=(), config_fields=_config_fields("vectors"),
             run=_run_vectors, uses_flow_inputs=False,
             extra=lambda p: (len(p.schedule.cdfg.primary_inputs),),
         ),
         Stage(
             "simulate", deps=("techmap", "vectors"),
-            config_fields=("idle_selects", "delay_jitter"),
+            config_fields=_config_fields("simulate"),
             run=_run_simulate, on_hit=_check_simulation,
             persist_to_disk=False,
         ),
         Stage("power", deps=("simulate", "techmap"),
-              config_fields=("sim_clock_ns", "device"), run=_run_power,
+              config_fields=_config_fields("power"), run=_run_power,
               persist_to_disk=False),
     )
 }

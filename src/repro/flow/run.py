@@ -36,8 +36,8 @@ from repro.binding import (
 )
 from repro.cdfg.schedule import Schedule
 from repro.flow.cache import ArtifactCache
+from repro.flow.knobs import CONFIG_KNOBS, check_knob, knob_fields
 from repro.flow.pipeline import ESTIMATE_STAGES, Binder, Pipeline
-from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.power import PowerReport
 from repro.fpga.simulate import SimulationResult
@@ -45,101 +45,24 @@ from repro.fpga.timing import TimingReport
 from repro.rtl.controller import build_controller
 from repro.rtl.datapath import Datapath
 from repro.rtl.metrics import MuxReport, mux_report
-from repro.techmap import MAP_EFFORTS, MapResult
-
-#: Valid values of :attr:`FlowConfig.flow`.
-FLOW_MODES = ("full", "estimate")
-
+from repro.techmap import MapResult
 
 @dataclass
+@knob_fields(*((k.name, k.type, k.default) for k in CONFIG_KNOBS))
 class FlowConfig:
-    """Knobs of the measurement flow (defaults match the benches).
+    """Knobs of the measurement flow: one field per ``config`` row of
+    :data:`~repro.flow.knobs.KNOBS` (type, default, check and the
+    stages reading it are documented there).
 
-    Validated eagerly on construction: unknown ``map_effort`` /
-    ``idle_selects`` / ``flow`` values and non-positive ``width`` /
-    ``k`` / ``n_vectors`` raise :class:`~repro.errors.ConfigError` (a
-    ``ValueError``) here instead of failing deep inside the flow.
+    Validated eagerly on construction: every field goes through
+    :func:`~repro.flow.knobs.check_knob`, so a bad value raises
+    :class:`~repro.errors.ConfigError` (a ``ValueError``) here instead
+    of failing deep inside the flow.
     """
 
-    width: int = 8
-    k: int = 4
-    n_vectors: int = 256
-    vector_seed: int = 7
-    alpha: float = 0.5
-    device: DeviceModel = CYCLONE_II_LIKE
-    sa_table: Optional[SATable] = None
-    #: Verify simulated outputs against CDFG semantics.
-    check_function: bool = True
-    #: Activity hint for control inputs during mapping (selects change
-    #: a couple of times per iteration, not every cycle).
-    control_activity: float = 0.1
-    #: Idle-step control convention: "zero" (plain FSM synthesis, the
-    #: paper's flow) or "hold" (operand isolation; ablation).
-    idle_selects: str = "zero"
-    #: Stimulus clock period (the .vwf time base), shared by every
-    #: design under comparison; achieved clock period is reported
-    #: separately, as in Table 3.
-    sim_clock_ns: float = 40.0
-    #: Per-gate delay spread for the timing simulation (0 = pure unit
-    #: delay, the paper's model; >0 models routed-delay spread and is
-    #: exercised by an ablation bench).
-    delay_jitter: int = 0
-    #: Technology-mapper effort: "fast" (the compiled memoized mapper,
-    #: byte-identical to the seed mapper) or "exhaustive" (evaluate
-    #: every surviving cut per node — better covers, slower).
-    map_effort: str = "fast"
-    #: Which flow the drivers execute: "full" (the paper's measurement
-    #: chain, through simulation and power) or "estimate" (stop after
-    #: tech-map/timing and report the Equation-(3) estimates only).
-    flow: str = "full"
-    #: MCTS binder search budget (iterations per resource class; 0
-    #: degenerates to the best heuristic) and playout seed. Both enter
-    #: the bind-stage fingerprint; ignored by the other binders.
-    mcts_budget: int = 256
-    mcts_seed: int = 1
-
     def __post_init__(self) -> None:
-        for name in ("width", "k", "n_vectors"):
-            value = getattr(self, name)
-            # bool is an int subclass; reject it explicitly.
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < 1):
-                raise ConfigError(
-                    f"FlowConfig.{name} must be a positive integer, "
-                    f"got {value!r}"
-                )
-        if self.map_effort not in MAP_EFFORTS:
-            raise ConfigError(
-                f"unknown mapper effort {self.map_effort!r}; choose from "
-                f"{MAP_EFFORTS}"
-            )
-        if self.idle_selects not in ("zero", "hold"):
-            raise ConfigError(
-                f"unknown idle policy {self.idle_selects!r}; choose from "
-                f"('zero', 'hold')"
-            )
-        if self.flow not in FLOW_MODES:
-            raise ConfigError(
-                f"unknown flow mode {self.flow!r}; choose from {FLOW_MODES}"
-            )
-        if self.delay_jitter < 0:
-            raise ConfigError(
-                f"FlowConfig.delay_jitter must be >= 0, "
-                f"got {self.delay_jitter}"
-            )
-        if (not isinstance(self.mcts_budget, int)
-                or isinstance(self.mcts_budget, bool)
-                or self.mcts_budget < 0):
-            raise ConfigError(
-                f"FlowConfig.mcts_budget must be an integer >= 0, "
-                f"got {self.mcts_budget!r}"
-            )
-        if (not isinstance(self.mcts_seed, int)
-                or isinstance(self.mcts_seed, bool)):
-            raise ConfigError(
-                f"FlowConfig.mcts_seed must be an integer, "
-                f"got {self.mcts_seed!r}"
-            )
+        for knob in CONFIG_KNOBS:
+            check_knob(knob.name, getattr(self, knob.name))
 
 
 @dataclass

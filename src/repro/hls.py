@@ -17,6 +17,7 @@ from typing import Dict, Mapping, Optional
 from repro.errors import ConfigError
 from repro.binding import SATable, assign_ports, bind_registers
 from repro.binding.base import BindingSolution
+from repro.flow.knobs import KNOBS
 from repro.flow.pipeline import run_binder
 from repro.binding.portopt import optimize_ports
 from repro.cdfg.graph import CDFG
@@ -31,19 +32,19 @@ class HLSConfig:
     """Settings for the integrated flow."""
 
     #: "list" (resource-constrained) or "force" (latency-constrained).
-    scheduler: str = "list"
+    scheduler: str = KNOBS["scheduler"].default
     #: Latency target for the force-directed scheduler (None = critical
     #: path).
     latency: Optional[int] = None
     binder: str = "hlpower"
-    alpha: float = 0.5
+    alpha: float = KNOBS["alpha"].default
     optimize_port_assignment: bool = True
-    width: int = 8
+    width: int = KNOBS["width"].default
     sa_table: Optional[SATable] = None
     latencies: Optional[Mapping[str, int]] = None
     #: MCTS binder knobs (ignored by the other binders).
-    mcts_budget: int = 256
-    mcts_seed: int = 1
+    mcts_budget: int = KNOBS["mcts_budget"].default
+    mcts_seed: int = KNOBS["mcts_seed"].default
 
 
 @dataclass

@@ -20,105 +20,90 @@ from typing import Any, Dict, Mapping, Tuple
 from repro.errors import ConfigError, ReproError
 from repro.flow.cache import fingerprint
 from repro.flow.grid import BinderConfig, SweepCell, SweepSpec
+from repro.flow.knobs import KNOBS, Knob, check_knob
 
 
 class RequestError(ConfigError):
     """A malformed request body (maps to HTTP 400)."""
 
 
-#: Accepted fields of a single-cell request, with defaults matching
-#: :class:`~repro.flow.run.FlowConfig` so an empty request body means
-#: exactly what a default ``run_flow`` call means. ``/estimate``
-#: accepts only the fields upstream of the simulate stage.
-_FLOW_FIELDS: Dict[str, Any] = {
+def _read_only_by(knob: Knob, stages: Tuple[str, ...]) -> bool:
+    """Whether ``knob`` enters fingerprints, all of them in ``stages``."""
+    return bool(knob.stages) and set(knob.stages) <= set(stages)
+
+
+_SERVE_KNOBS = tuple(k for k in KNOBS.values() if k.serve)
+#: Knobs a single-cell request may set, per flow: the table's
+#: ``serve`` rows; ``/estimate`` drops those only a full flow reads.
+_CELL_KNOBS: Dict[str, Tuple[Knob, ...]] = {
+    "full": _SERVE_KNOBS,
+    "estimate": tuple(
+        k for k in _SERVE_KNOBS
+        if not _read_only_by(k, ("vectors", "simulate", "power"))
+    ),
+}
+#: What the cell runs (not knobs): defaults match a bare ``run_flow``.
+_CELL_FIELDS: Dict[str, Any] = {
     "benchmark": None,  # required
     "binder": "hlpower",
-    "alpha": 0.5,
-    "width": 8,
-    "k": 4,
-    "scheduler": "list",
-    "map_effort": "fast",
-    "n_vectors": 256,
-    "vector_seed": 7,
-    "idle_selects": "zero",
-    "delay_jitter": 0,
-    "check_function": True,
-    "mcts_budget": 256,
-    "mcts_seed": 1,
 }
-_ESTIMATE_ONLY_EXCLUDED = (
-    "n_vectors", "vector_seed", "idle_selects", "delay_jitter",
-)
 #: Request fields consumed by the queue, not the spec.
 _CONTROL_FIELDS = ("priority",)
 
-_TYPES: Dict[str, Tuple[type, ...]] = {
-    "benchmark": (str,),
-    "binder": (str,),
-    "alpha": (int, float),
-    "width": (int,),
-    "k": (int,),
-    "scheduler": (str,),
-    "map_effort": (str,),
-    "n_vectors": (int,),
-    "vector_seed": (int,),
-    "idle_selects": (str,),
-    "delay_jitter": (int,),
-    "check_function": (bool,),
-    "mcts_budget": (int,),
-    "mcts_seed": (int,),
-}
 
-
-def _single_cell_fields(body: Mapping[str, Any],
-                        flow: str) -> Dict[str, Any]:
+def _request_fields(body: Mapping[str, Any], fields: Dict[str, Any],
+                    knobs: Tuple[Knob, ...]) -> Dict[str, Any]:
+    """``fields`` + knob defaults, overridden by the checked body."""
     if not isinstance(body, Mapping):
         raise RequestError("request body must be a JSON object")
-    allowed = dict(_FLOW_FIELDS)
-    if flow == "estimate":
-        for field in _ESTIMATE_ONLY_EXCLUDED:
-            del allowed[field]
+    values = dict(fields)
+    values.update((knob.name, knob.default) for knob in knobs)
     unknown = sorted(
         key for key in body
-        if key not in allowed and key not in _CONTROL_FIELDS
+        if key not in values and key not in _CONTROL_FIELDS
     )
     if unknown:
         raise RequestError(
             f"unknown request field(s) {unknown}; accepted: "
-            f"{sorted(allowed)}"
+            f"{sorted(values)}"
         )
-    fields = dict(allowed)
     for key, value in body.items():
         if key in _CONTROL_FIELDS:
             continue
-        expected = _TYPES[key]
-        # bool is an int subclass: reject true where an int is wanted.
-        if not isinstance(value, expected) or (
-            isinstance(value, bool) and bool not in expected
-        ):
-            raise RequestError(
-                f"field {key!r} expects "
-                f"{'/'.join(t.__name__ for t in expected)}, "
-                f"got {value!r}"
-            )
-        fields[key] = value
-    if fields["benchmark"] is None:
-        raise RequestError("field 'benchmark' is required")
-    return fields
+        if key in fields:
+            if value is not None and not isinstance(value, str):
+                raise RequestError(
+                    f"field {key!r} expects str, got {value!r}"
+                )
+        else:
+            try:
+                check_knob(key, value)
+            except ConfigError as exc:
+                raise RequestError(str(exc)) from exc
+        values[key] = value
+    return values
 
 
 def single_cell_spec(body: Mapping[str, Any], flow: str) -> SweepSpec:
     """A one-cell grid for an ``/estimate`` or ``/flow`` request.
 
-    The spec is validated eagerly so malformed requests fail at parse
-    time with a 400, never inside the executor.
+    Every field is checked here (knobs by
+    :func:`~repro.flow.knobs.check_knob`), so malformed requests fail
+    at parse time with a 400, never inside the executor.
     """
-    fields = _single_cell_fields(body, flow)
-    defaults = _FLOW_FIELDS
+    knobs = _CELL_KNOBS[flow]
+    fields = _request_fields(body, _CELL_FIELDS, knobs)
+    if fields["benchmark"] is None:
+        raise RequestError("field 'benchmark' is required")
+    kwargs: Dict[str, Any] = {}
+    for knob in knobs:
+        if knob.name == "alpha":
+            continue  # rides in the binder column below
+        if knob.scalar:
+            kwargs[knob.name] = fields[knob.name]
+        else:
+            kwargs[knob.axis] = (fields[knob.name],)
     try:
-        # Construction itself validates eagerly too (unknown binder
-        # names raise in SweepSpec.__post_init__), so it stays inside
-        # the 400 boundary.
         spec = SweepSpec(
             benchmarks=[fields["benchmark"]],
             configs=[BinderConfig(
@@ -126,22 +111,9 @@ def single_cell_spec(body: Mapping[str, Any], flow: str) -> SweepSpec:
                 binder=fields["binder"],
                 alpha=float(fields["alpha"]),
             )],
-            widths=(fields["width"],),
-            vector_seeds=(fields.get("vector_seed",
-                                     defaults["vector_seed"]),),
-            n_vectors=fields.get("n_vectors", defaults["n_vectors"]),
-            k=fields["k"],
-            scheduler=fields["scheduler"],
-            check_function=fields["check_function"],
-            map_effort=fields["map_effort"],
             baseline="none",
-            idle_modes=(fields.get("idle_selects",
-                                   defaults["idle_selects"]),),
-            jitters=(fields.get("delay_jitter",
-                                defaults["delay_jitter"]),),
             flow=flow,
-            mcts_budget=fields["mcts_budget"],
-            mcts_seed=fields["mcts_seed"],
+            **kwargs,
         )
         spec.validate()
     except ReproError as exc:  # ConfigError, unknown-benchmark, ...
@@ -149,14 +121,15 @@ def single_cell_spec(body: Mapping[str, Any], flow: str) -> SweepSpec:
     return spec
 
 
-#: Accepted fields of a ``POST /ingest`` request: the design itself
-#: plus the only flow knobs an external design consumes (it has no
-#: schedule or binder, so the rest of ``_FLOW_FIELDS`` does not apply).
+#: The knobs an external design consumes: it has no schedule, binder
+#: or simulation, only the mapping stages.
+_INGEST_KNOBS = tuple(
+    k for k in _SERVE_KNOBS if _read_only_by(k, ("techmap", "timing"))
+)
+#: Accepted non-knob fields of a ``POST /ingest`` request.
 _INGEST_FIELDS: Dict[str, Any] = {
     "design": None,  # required: module JSON object/text or flat BLIF text
     "name": None,  # default: the design's own declared name
-    "k": 4,
-    "map_effort": "fast",
 }
 
 
@@ -170,26 +143,12 @@ def ingest_spec(body: Mapping[str, Any]) -> SweepSpec:
     """
     import json
 
-    if not isinstance(body, Mapping):
-        raise RequestError("request body must be a JSON object")
-    unknown = sorted(
-        key for key in body
-        if key not in _INGEST_FIELDS and key not in _CONTROL_FIELDS
-    )
-    if unknown:
-        raise RequestError(
-            f"unknown request field(s) {unknown}; accepted: "
-            f"{sorted(_INGEST_FIELDS)}"
-        )
-    fields = dict(_INGEST_FIELDS)
-    fields.update(
-        (key, value) for key, value in body.items()
-        if key not in _CONTROL_FIELDS
-    )
+    if isinstance(body, Mapping) and isinstance(body.get("design"),
+                                                Mapping):
+        body = dict(body, design=json.dumps(body["design"]))
+    fields = _request_fields(body, _INGEST_FIELDS, _INGEST_KNOBS)
     design = fields["design"]
-    if isinstance(design, Mapping):
-        design = json.dumps(design)
-    if not isinstance(design, str) or not design.strip():
+    if design is None or not design.strip():
         raise RequestError(
             "field 'design' is required: a repro-module-v1 object, "
             "module JSON text, or flat BLIF text"
@@ -202,24 +161,17 @@ def ingest_spec(body: Mapping[str, Any]) -> SweepSpec:
             name = load_design_text(design).name
         except ReproError as exc:
             raise RequestError(str(exc))
-    if not isinstance(name, str) or not name:
+    if not name:
         raise RequestError(f"field 'name' expects a non-empty str, "
                            f"got {name!r}")
-    if not isinstance(fields["k"], int) or isinstance(fields["k"], bool):
-        raise RequestError(f"field 'k' expects int, got {fields['k']!r}")
-    if not isinstance(fields["map_effort"], str):
-        raise RequestError(
-            f"field 'map_effort' expects str, got {fields['map_effort']!r}"
-        )
-    spec = SweepSpec(
-        benchmarks=[],
-        designs={name: design},
-        k=fields["k"],
-        map_effort=fields["map_effort"],
-        baseline="none",
-        flow="estimate",
-    )
     try:
+        spec = SweepSpec(
+            benchmarks=[],
+            designs={name: design},
+            baseline="none",
+            flow="estimate",
+            **{knob.name: fields[knob.name] for knob in _INGEST_KNOBS},
+        )
         spec.validate()
     except ReproError as exc:  # IngestError, NetlistError, ConfigError...
         raise RequestError(str(exc)) from exc

@@ -1,7 +1,8 @@
 """Cross-subcommand consistency of the shared CLI flags.
 
 ``--sa-table``, ``--jobs``, ``--map-effort`` and the MCTS flags appear
-on several subcommands; they are declared once in shared helpers (see
+on several subcommands; they are declared once (knob flags in the knob
+table, :mod:`repro.flow.knobs`; the rest in shared helpers of
 :mod:`repro.cli`), and these tests pin that a subcommand cannot
 silently drift to different defaults or accept values its siblings
 reject. The retired engine flags must stay rejected everywhere.
@@ -15,9 +16,12 @@ import pytest
 
 from repro.binding import SATable
 from repro.binding.sa_table import SHIPPED_TABLE_PATH
-from repro.cli import build_parser, main
-from repro.flow import SweepSpec
+from repro.cli import _knob_spec_fields, build_parser, main
+from repro.flow import SweepSpec, expand_grid
+from repro.flow.executor import _flow_config
+from repro.flow.knobs import KNOBS
 from repro.techmap import MAP_EFFORTS
+from tests.knob_values import cli_bad_tokens, other_value
 
 #: Subcommands carrying each shared flag.
 SHARED_FLAGS = {
@@ -180,3 +184,116 @@ def test_explicit_sa_table_is_written_back(tmp_path, capsys):
     added = _precalculated(capsys.readouterr().out)
     assert added > 0
     assert len(SATable().load(str(path))) == added
+
+
+# ---------------------------------------------------------------------------
+# Knob flags are derived from the knob table (repro.flow.knobs); the
+# tests below are parametrized over KNOBS so a new row is covered
+# without editing them.
+# ---------------------------------------------------------------------------
+
+#: Every subcommand's flags. Deriving knob flags from the table must
+#: neither add nor drop an option.
+FLAGS = {
+    "bench": {"--alpha", "--jobs", "--map-effort", "--mcts-budget",
+              "--mcts-seed", "--sa-table", "--vectors", "--width"},
+    "suite": {"--alpha", "--jobs", "--map-effort", "--mcts-budget",
+              "--mcts-seed", "--sa-table", "--vectors", "--width"},
+    "sweep": {"--alphas", "--baseline", "--benchmarks", "--binders",
+              "--cache-dir", "--design", "--flow", "--idle-modes",
+              "--jitters", "--jobs", "--map-effort", "--mcts-budget",
+              "--mcts-seed", "--no-cache", "--out", "--precalc-mux",
+              "--sa-table", "--scheduler", "--seeds", "--sim-batch",
+              "--vectors", "--widths"},
+    "estimate": {"--alphas", "--baseline", "--benchmarks", "--binders",
+                 "--design", "--jobs", "--map-effort", "--mcts-budget",
+                 "--mcts-seed", "--out", "--sa-table", "--width"},
+    "corpus": {"--alphas", "--binders", "--families", "--flow", "--jobs",
+               "--limit", "--list", "--map-effort", "--mcts-budget",
+               "--mcts-seed", "--no-oracle", "--out", "--profile",
+               "--sa-table", "--width"},
+    "serve": {"--cache-dir", "--cache-entries", "--host", "--jobs",
+              "--port", "--sa-table"},
+    "synth": {"--binder", "--mcts-budget", "--mcts-seed", "--scheduler",
+              "--vhdl", "--width"},
+    "profiles": set(),
+}
+
+
+def _argv(command):
+    return [command] + (["pr"] if command in ("bench", "synth") else [])
+
+
+def _knob_flag_cases():
+    """(knob, command, flag, is_axis) for every knob flag."""
+    out = []
+    for knob in KNOBS.values():
+        out += [(knob.name, c, knob.flag, False) for c in knob.commands]
+        out += [(knob.name, c, knob.axis_flag, True)
+                for c in knob.axis_commands]
+    return out
+
+
+def test_subcommand_flags_unchanged(commands):
+    actual = {
+        name: {a.option_strings[0] for a in parser._actions
+               if a.option_strings and a.option_strings[0] != "-h"}
+        for name, parser in commands.items()
+    }
+    assert actual == FLAGS
+
+
+@pytest.mark.parametrize("name, command, flag, axis", _knob_flag_cases())
+def test_knob_flag_default_is_the_table_default(commands, name, command,
+                                                flag, axis):
+    knob = KNOBS[name]
+    action = _flag_action(commands[command], flag)
+    assert action.dest == name
+    if axis:
+        assert action.type(action.default) == [knob.default]
+    else:
+        assert action.default == knob.default
+
+
+@pytest.mark.parametrize("name, command, flag, axis", _knob_flag_cases())
+def test_knob_flag_value_reaches_the_flow(name, command, flag, axis):
+    knob = KNOBS[name]
+    value = other_value(knob)
+    args = build_parser().parse_args(_argv(command) + [flag, str(value)])
+    if command == "synth":  # builds an HLSConfig, not a sweep
+        assert getattr(args, name) == value
+        return
+    spec = SweepSpec(benchmarks=["pr"], binders=("mcts",), baseline="none",
+                     **_knob_spec_fields(args))
+    job = expand_grid(spec)[0]
+    target = _flow_config(job, spec, None) if knob.config else spec
+    assert getattr(target, name) == value
+
+
+@pytest.mark.parametrize(
+    "name, command, flag, token",
+    [(name, command, flag, token)
+     for name, command, flag, _ in _knob_flag_cases()
+     for token in cli_bad_tokens(KNOBS[name])],
+)
+def test_malformed_knob_flag_is_a_parse_error(name, command, flag, token,
+                                              capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(_argv(command) + [f"{flag}={token}"])
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--jitters", "a"], ["sweep", "--jitters", "1.5"],
+    ["sweep", "--widths", "0"], ["sweep", "--vectors", "0"],
+    ["sweep", "--alphas", "x"], ["sweep", "--alphas", "nan"],
+    ["sweep", "--alphas=-3.0"], ["sweep", "--map-effort", ","],
+    ["sweep", "--sim-batch", "x"], ["sweep", "--seeds", "x"],
+    ["sweep", "--seeds", "7,x"], ["sweep", "--seeds", "0"],
+    ["bench", "pr", "--width", "0"], ["estimate", "--width", "0"],
+])
+def test_reported_cases_exit_with_error(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "error:" in capsys.readouterr().err
