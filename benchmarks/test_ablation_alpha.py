@@ -50,10 +50,8 @@ def sweep_alpha(sa_table):
 
 
 @pytest.mark.slow
-def test_ablation_alpha(benchmark, sa_table):
-    names, baselines, sweeps = benchmark.pedantic(
-        sweep_alpha, args=(sa_table,), rounds=1, iterations=1
-    )
+def test_ablation_alpha(sa_table):
+    names, baselines, sweeps = sweep_alpha(sa_table)
     rows = []
     balance_by_alpha = {}
     power_by_alpha = {}

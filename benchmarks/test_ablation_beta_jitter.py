@@ -50,10 +50,8 @@ def sweep_beta(sa_table):
     return name, rows
 
 
-def test_ablation_beta(benchmark, sa_table):
-    name, rows = benchmark.pedantic(
-        sweep_beta, args=(sa_table,), rounds=1, iterations=1
-    )
+def test_ablation_beta(sa_table):
+    name, rows = sweep_beta(sa_table)
     text = format_table(
         ["beta(mult)", "muxDiff mean", "variance", "mux length"],
         rows,
@@ -87,10 +85,8 @@ def compare_jitter(sa_table):
 
 
 @pytest.mark.slow
-def test_ablation_delay_jitter(benchmark, sa_table):
-    name, rows, toggles = benchmark.pedantic(
-        compare_jitter, args=(sa_table,), rounds=1, iterations=1
-    )
+def test_ablation_delay_jitter(sa_table):
+    name, rows, toggles = compare_jitter(sa_table)
     text = format_table(
         ["delay jitter", "comb toggles", "dynamic power (mW)"],
         rows,

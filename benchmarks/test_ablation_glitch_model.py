@@ -37,8 +37,8 @@ def partial_datapath_deltas():
     return rows
 
 
-def test_ablation_glitch_model(benchmark, sa_table):
-    rows = benchmark(partial_datapath_deltas)
+def test_ablation_glitch_model(sa_table):
+    rows = partial_datapath_deltas()
     text = format_table(
         ["Partial datapath", "Zero-delay SA", "Glitch-aware SA", "Glitch %"],
         rows,

@@ -52,10 +52,8 @@ def compare_policies(sa_table):
 
 
 @pytest.mark.slow
-def test_ablation_idle_policy(benchmark, sa_table):
-    rows, savings = benchmark.pedantic(
-        compare_policies, args=(sa_table,), rounds=1, iterations=1
-    )
+def test_ablation_idle_policy(sa_table):
+    rows, savings = compare_policies(sa_table)
     text = format_table(
         ["Bench", "Default-0 (mW)", "Hold (mW)", "Change %"],
         rows,

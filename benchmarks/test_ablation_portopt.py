@@ -39,10 +39,8 @@ def run_portopt(suite):
     return rows, length_gains
 
 
-def test_ablation_portopt(benchmark, suite):
-    rows, gains = benchmark.pedantic(
-        run_portopt, args=(suite,), rounds=1, iterations=1
-    )
+def test_ablation_portopt(suite):
+    rows, gains = run_portopt(suite)
     text = format_table(
         ["Bench", "Flips", "FU mux length", "dLen%", "muxDiff mean",
          "largest"],

@@ -77,7 +77,7 @@ def compare_modes(sa_table):
 
 
 @pytest.mark.slow
-def test_ablation_sa_table(benchmark, sa_table):
+def test_ablation_sa_table(sa_table):
     # Warm the table first so the cached run measures lookups only.
     for name in bench_names():
         spec = benchmark_spec(name)
@@ -86,9 +86,7 @@ def test_ablation_sa_table(benchmark, sa_table):
             schedule, spec.constraints,
             config=HLPowerConfig(sa_table=sa_table),
         )
-    rows, all_identical, speedups = benchmark.pedantic(
-        compare_modes, args=(sa_table,), rounds=1, iterations=1
-    )
+    rows, all_identical, speedups = compare_modes(sa_table)
     text = format_table(
         ["Bench", "Identical binding"],
         [row[:2] for row in rows],

@@ -54,10 +54,8 @@ def render_bars(series):
     return "\n".join(lines)
 
 
-def test_fig3_toggle_rate(benchmark, suite):
-    series = benchmark.pedantic(
-        build_fig3_series, args=(suite,), rounds=1, iterations=1
-    )
+def test_fig3_toggle_rate(suite):
+    series = build_fig3_series(suite)
 
     rows = []
     for name in bench_names():

@@ -31,8 +31,8 @@ def build_table1_rows():
     return rows
 
 
-def test_table1_profiles(benchmark):
-    rows = benchmark(build_table1_rows)
+def test_table1_profiles():
+    rows = build_table1_rows()
     text = format_table(
         ["Bench", "PIs", "POs", "Adds", "Mults", "Edges", "Paper edges"],
         rows,

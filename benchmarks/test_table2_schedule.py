@@ -48,10 +48,8 @@ def build_table2_rows(sa_table):
     return rows
 
 
-def test_table2_schedule(benchmark, sa_table):
-    rows = benchmark.pedantic(
-        build_table2_rows, args=(sa_table,), rounds=1, iterations=1
-    )
+def test_table2_schedule(sa_table):
+    rows = build_table2_rows(sa_table)
     text = format_table(
         [
             "Bench", "Add", "Mult", "Cycle", "Paper cyc",

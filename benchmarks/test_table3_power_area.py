@@ -73,10 +73,8 @@ def build_table3_rows(suite):
     return rows, averages, deltas
 
 
-def test_table3_power_area(benchmark, suite):
-    rows, averages, deltas = benchmark.pedantic(
-        build_table3_rows, args=(suite,), rounds=1, iterations=1
-    )
+def test_table3_power_area(suite):
+    rows, averages, deltas = build_table3_rows(suite)
     text = format_table(
         [
             "Bench", "Pow mW L/H", "Clk ns L/H", "LUTs L/H",

@@ -40,10 +40,8 @@ def build_table4_rows(suite):
     return rows, means, variances
 
 
-def test_table4_muxdiff(benchmark, suite):
-    rows, means, variances = benchmark.pedantic(
-        build_table4_rows, args=(suite,), rounds=1, iterations=1
-    )
+def test_table4_muxdiff(suite):
+    rows, means, variances = build_table4_rows(suite)
     text = format_table(
         [
             "Bench", "LOPASS m/v", "HL a=1 m/v", "HL a=0.5 m/v", "# muxes",

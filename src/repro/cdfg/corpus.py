@@ -100,8 +100,8 @@ class CorpusInstance:
 #: The shipped families. ``micro`` stays within the exact binder's
 #: per-class limit (the oracle subset); ``kernel`` matches the paper
 #: benchmarks' mid-range; ``wide`` stresses mux growth at chem scale;
-#: ``huge`` and ``soc`` push into the thousand-op regime the scaling
-#: bench (``benchmarks/bench_scale.py``) measures. The first seeds of
+#: ``huge`` and ``soc`` push into the thousand-op regime perfbench's
+#: ``soc-estimate`` workload measures. The first seeds of
 #: micro/kernel/wide reproduce the classic 90-instance corpus the
 #: differential suites pin byte-identical (see
 #: :data:`CLASSIC_SEEDS`); the extended seed ranges exist to give the

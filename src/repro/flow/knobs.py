@@ -137,8 +137,7 @@ KNOBS: Dict[str, Knob] = {
              serve=True, flag="--scheduler", commands=("sweep", "synth")),
         # Cells sharing the mapped design run through one batched
         # simulation pass in groups of up to this many; wider is cheaper
-        # until word width dominates (32 measured best on chem,
-        # BENCH_flow.json).
+        # until word width dominates (32 measured best on chem).
         Knob("sim_batch", int, 32,
              "max configurations per batched simulation kernel pass (1 "
              "disables batching; metrics are byte-identical either way)",

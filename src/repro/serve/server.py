@@ -295,7 +295,7 @@ class FlowServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
-        request_line = await reader.readline()
+        request_line = await _readline(reader)
         if not request_line:
             raise _BadRequest("empty request")
         try:
@@ -306,7 +306,7 @@ class FlowServer:
             raise _BadRequest("malformed request line")
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
+            line = await _readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = line.decode("latin-1").partition(":")
@@ -471,6 +471,14 @@ class FlowServer:
 
 class _BadRequest(Exception):
     """Unparseable HTTP request (maps to 400)."""
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; over the stream limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _BadRequest("request line or header too long")
 
 
 class _Overloaded(Exception):

@@ -43,7 +43,7 @@ dictates three implementation rules:
    concrete tables differ are *not* merged, because reassociating the
    per-input joint-law product (a different input order) can move the
    result by an ulp. The NPN class is the outer key: it groups the
-   entries of structurally repeated cones and is what the bench
+   entries of structurally repeated cones and is what ``stats()``
    reports, but reuse happens only on exact matches;
 2. leaf statistics are normalized by shifting every step time so the
    earliest trigger is 0 (the unit-delay evaluation is invariant under

@@ -147,8 +147,8 @@ def map_netlist(
 
 # ---------------------------------------------------------------------------
 # The reference mapper — the seed implementation, kept verbatim as the
-# differential-testing oracle for the compiled fast path. Tests and
-# benches call it directly; the flow never does.
+# differential-testing oracle for the compiled fast path. Tests call
+# it directly; the flow never does.
 # ---------------------------------------------------------------------------
 
 

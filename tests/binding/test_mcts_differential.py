@@ -95,7 +95,7 @@ def test_sandwich_full_slice(instance):
 def test_default_budget_closes_gap_somewhere():
     # The acceptance bar: at the default budget the search strictly
     # improves on the better heuristic for a measurable subset of the
-    # oracle-feasible slice (bench_mcts.py records the exact counts).
+    # oracle-feasible slice.
     improved = 0
     for instance in oracle_slice():
         lengths = check_sandwich(instance)

@@ -8,6 +8,8 @@ content-addressed recomputations. The same metrics must also come out
 of the seed oracles chained without cache or fast engines.
 """
 
+import tracemalloc
+
 import pytest
 
 import repro.flow.pipeline as pipeline_mod
@@ -27,6 +29,7 @@ from repro.flow import (
     run_flow,
 )
 from repro.cdfg import load_benchmark
+from repro.cdfg.corpus import corpus_instance
 from repro.scheduling import list_schedule
 from repro.serve.api import request_key, single_cell_spec, sweep_spec
 from tests.conftest import oracle_flow_metrics
@@ -250,6 +253,45 @@ class TestStageInstrumentation:
         assert all(t >= 0 for t in result.stage_timings.values())
         assert "runtime_s" not in result.metrics()
         assert "stage_timings" not in result.metrics()
+
+
+#: Per-stage Python-heap peaks (MiB) of a LOPASS width-8 estimate flow
+#: on huge-n256-m40-d100-s0, recorded when the compiled engines landed.
+HEAP_PEAK_MB = {
+    "bind": 1.97,
+    "datapath": 0.1,
+    "elaborate": 3.02,
+    "techmap": 33.89,
+    "timing": 23.99,
+}
+
+
+@pytest.mark.slow
+def test_estimate_stage_heap_peaks_stay_under_ceiling():
+    # A stage fails once its peak grows by more than 25% and more
+    # than 1 MiB (the absolute slack ignores allocator noise).
+    name = "huge-n256-m40-d100-s0"
+    instance = corpus_instance(name)
+    schedule = list_schedule(load_benchmark(name), instance.constraints)
+    pipe = build_pipeline(schedule, instance.constraints, "lopass",
+                          FlowConfig(width=8, flow="estimate"))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for stage in ESTIMATE_STAGES:
+            tracemalloc.reset_peak()
+            pipe.artifact(stage)
+            peaks[stage] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert set(peaks) == set(HEAP_PEAK_MB)
+    over = {
+        stage: (HEAP_PEAK_MB[stage], round(peak, 2))
+        for stage, peak in peaks.items()
+        if peak > HEAP_PEAK_MB[stage] * 1.25
+        and peak - HEAP_PEAK_MB[stage] > 1.0
+    }
+    assert not over, over
 
 
 # ---------------------------------------------------------------------------

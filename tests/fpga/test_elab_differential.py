@@ -10,6 +10,7 @@ cross-product is slow-marked.
 """
 
 import io
+import time
 
 import pytest
 
@@ -97,3 +98,23 @@ class TestClassicCorpusCrossProduct:
     @pytest.mark.parametrize("name", sorted(classic_corpus_names()))
     def test_byte_identical(self, name):
         assert_engines_agree(name)
+
+
+def _best_of(runs: int, elaborate, datapath) -> float:
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        elaborate(datapath)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+@pytest.mark.slow
+def test_compiled_elaborator_speedup():
+    # The compiled elaborator exists to be faster; on a 1024-op
+    # instance it must stay at least 2x ahead of the oracle
+    # (elaborate + clean, best of 2).
+    datapath = datapath_for("huge-n1024-m40-d100-s0")
+    fast = _best_of(2, elaborate_design, datapath)
+    reference = _best_of(2, elaborate_datapath, datapath)
+    assert reference / fast >= 2.0, (fast, reference)

@@ -4,6 +4,7 @@ The request model takes its fields, types and checks from the knob
 table (repro.flow.knobs), so these tests are parametrized over
 ``KNOBS``: every bad value of every knob a request can carry is
 rejected before anything is queued, and the daemon stays healthy.
+A request line or header longer than the stream limit is a 400 too.
 """
 
 import asyncio
@@ -107,15 +108,19 @@ REPORTED = [
 ]
 
 
-async def _raw_post(port, path, text):
-    """POST ``text`` verbatim; returns the status code."""
+#: Whole requests whose one line outgrows the asyncio stream limit
+#: (64 KiB): an over-long request line and an over-long header.
+OVERLONG = [
+    b"POST /" + b"e" * 70_000 + b" HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    b"POST /estimate HTTP/1.1\r\nX-Pad: " + b"x" * 70_000
+    + b"\r\nContent-Length: 2\r\n\r\n{}",
+]
+
+
+async def _raw_request(port, raw_request):
+    """Send ``raw_request`` verbatim; returns the status code."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = text.encode()
-    writer.write(
-        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        f"Connection: close\r\n\r\n".encode() + payload
-    )
+    writer.write(raw_request)
     await writer.drain()
     raw = await reader.read()
     writer.close()
@@ -123,11 +128,24 @@ async def _raw_post(port, path, text):
     return int(raw.split(b" ", 2)[1])
 
 
+async def _raw_post(port, path, text):
+    """POST ``text`` verbatim; returns the status code."""
+    payload = text.encode()
+    return await _raw_request(
+        port,
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: close\r\n\r\n".encode() + payload,
+    )
+
+
 def test_daemon_answers_400_before_queueing():
     async def scenario(server):
         before = server.executor.stats.submissions
         statuses = [await _raw_post(server.port, path, text)
                     for path, text in REPORTED]
+        statuses += [await _raw_request(server.port, raw)
+                     for raw in OVERLONG]
         after_bad = server.executor.stats.submissions
         # Accepted-request counters grow only once a request is queued.
         queued = {kind: server.requests[kind]
@@ -138,7 +156,7 @@ def test_daemon_answers_400_before_queueing():
         return before, statuses, after_bad, queued, valid[0]
 
     before, statuses, after_bad, queued, valid = run_scenario(scenario)
-    assert statuses == [400] * len(REPORTED)
+    assert statuses == [400] * (len(REPORTED) + len(OVERLONG))
     assert after_bad == before
     assert set(queued.values()) == {0}
     assert valid == 200

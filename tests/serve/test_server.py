@@ -75,12 +75,13 @@ def _dechunk(body):
     return out
 
 
-def _direct_estimate_metrics(benchmark, **config_overrides):
+def _direct_estimate_metrics(benchmark, binder="hlpower",
+                             **config_overrides):
     spec = benchmark_spec(benchmark)
     schedule = list_schedule(load_benchmark(benchmark), spec.constraints)
     config = FlowConfig(flow="estimate", **config_overrides)
     return run_estimate(
-        schedule, spec.constraints, "hlpower", config
+        schedule, spec.constraints, binder, config
     ).metrics()
 
 
@@ -221,6 +222,36 @@ class TestDeduplication:
         assert not distinct
         assert deduped == 1
         assert depth == 2  # the duplicate never re-enqueued
+
+    @pytest.mark.slow
+    def test_concurrent_load_collapses_onto_few_submissions(self):
+        configs = [
+            {"benchmark": bench, "binder": binder, "width": 4}
+            for bench in ("pr", "wang")
+            for binder in ("lopass", "hlpower")
+        ]
+        bodies = [configs[i % len(configs)] for i in range(200)]
+
+        async def scenario(server):
+            before = server.executor.stats.submissions
+            responses = await asyncio.gather(*[
+                http_request(server.port, "POST", "/estimate", body)
+                for body in bodies
+            ])
+            return responses, server.executor.stats.submissions - before
+
+        responses, submissions = run_scenario(scenario)
+        assert [status for status, _, _ in responses] == [200] * len(bodies)
+        served = {}
+        for body, (_, _, payload) in zip(bodies, responses):
+            key = (body["benchmark"], body["binder"])
+            served.setdefault(key, []).append(json.loads(payload)["metrics"])
+        for (bench, binder), metrics in served.items():
+            direct = _direct_estimate_metrics(bench, binder, width=4)
+            assert all(m == direct for m in metrics), (bench, binder)
+        # In-flight dedup: the concurrent duplicates ride a handful of
+        # computations instead of one submission per request.
+        assert submissions <= len(bodies) // 10, submissions
 
 
 class TestPriorityQueue:
