@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.activity.transition import MAX_EXACT_INPUTS
 from repro.binding.mcts import DEFAULT_MCTS_BUDGET, DEFAULT_MCTS_SEED
 from repro.binding.sa_table import SATable
 from repro.binding.weights import DEFAULT_ALPHA
@@ -68,8 +69,11 @@ KNOBS: Dict[str, Knob] = {
              flag="--width", commands=("bench", "suite", "estimate",
                                        "corpus", "synth"),
              axis_flag="--widths", axis_commands=("sweep",)),
-        Knob("k", int, 4, "LUT input count K", low=1, stages=("techmap",),
-             scalar=True, serve=True),
+        # The mapper needs K >= 2 and its exact SA evaluation covers
+        # cones of at most MAX_EXACT_INPUTS leaves.
+        Knob("k", int, 4, "LUT input count K", low=2,
+             high=MAX_EXACT_INPUTS, stages=("techmap",), scalar=True,
+             serve=True),
         Knob("n_vectors", int, 256, "random input vectors per cell", low=1,
              stages=("vectors",), scalar=True, serve=True, flag="--vectors",
              commands=("bench", "suite", "sweep")),

@@ -140,6 +140,7 @@ def _stamp(
             if new_enable is None:
                 new_enable = prefix + enable
         latches[new_out] = Latch(new_out, new_data, init, new_enable)
+    top.touch()
     return {
         out: mapped if (mapped := get(out)) is not None else prefix + out
         for out in template.outputs

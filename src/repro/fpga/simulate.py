@@ -286,31 +286,28 @@ class CompiledNetlist:
     #: Per net: its value after the power-on settle of the all-zero
     #: sources (every lane alike), evaluated level by level.
     power_on: np.ndarray
-    #: Cheap staleness guard for the per-netlist cache.
-    signature: Tuple[int, int, int]
+    #: The netlist version it was lowered from (the cache's
+    #: staleness guard).
+    version: int
 
     @property
     def n_gates(self) -> int:
         return len(self.gate_out)
 
 
-def _netlist_signature(netlist: Netlist) -> Tuple[int, int, int]:
-    return (len(netlist.inputs), len(netlist.gates), len(netlist.latches))
-
-
 def compile_netlist(netlist: Netlist, delay_jitter: int = 0) -> CompiledNetlist:
     """Compiled form of ``netlist`` for the given delay spread.
 
-    Cached on the netlist instance, keyed by ``delay_jitter``; a gate or
-    latch added after compilation invalidates the cached entry (the
-    signature check), so stale lowerings are never reused.
+    Cached on the netlist instance, keyed by ``delay_jitter``; any edit
+    after compilation (see :meth:`Netlist.touch`) invalidates the
+    cached entry, so stale lowerings are never reused.
     """
     cache = getattr(netlist, "_sim_compiled", None)
     if cache is None:
         cache = {}
         netlist._sim_compiled = cache
     compiled = cache.get(delay_jitter)
-    if compiled is None or compiled.signature != _netlist_signature(netlist):
+    if compiled is None or compiled.version != netlist.version:
         compiled = _lower_netlist(netlist, delay_jitter)
         cache[delay_jitter] = compiled
     return compiled
@@ -390,7 +387,7 @@ def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
             [net_id[latch.data] for latch in latches], dtype=np.intp
         ),
         power_on=np.zeros(len(net_names), dtype=bool),
-        signature=_netlist_signature(netlist),
+        version=netlist.version,
     )
 
     # Power-on settle of the all-zero sources: every lane is alike, so

@@ -105,6 +105,8 @@ def propagate_constants_fast(netlist: Netlist) -> int:
         for net, value in found:
             constants[net] = value
             wave.append(net)
+    if rewrites:
+        netlist.touch()
     return rewrites
 
 
@@ -159,6 +161,8 @@ def sweep_buffers_fast(netlist: Netlist) -> int:
             latch.enable = final.get(latch.enable, latch.enable)
     for name in alias:
         del gates[name]
+    if alias:
+        netlist.touch()
     return len(alias)
 
 
@@ -194,6 +198,8 @@ def sweep_dead_fast(netlist: Netlist) -> int:
     for net in [net for net in latches if net not in live]:
         del latches[net]
         removed += 1
+    if removed:
+        netlist.touch()
     return removed
 
 

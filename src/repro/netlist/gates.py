@@ -277,13 +277,26 @@ class Netlist:
         # must stay O(1) or netlist building goes quadratic in the pad
         # count (every add_gate would scan the primary-input list).
         self._input_set: Set[str] = set()
+        #: Mutation counter: every edit bumps it (see :meth:`touch`),
+        #: and compiled views cached on the netlist are valid only for
+        #: the version they were built from.
+        self.version = 0
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        # Netlists pickled before the input-set mirror existed restore
-        # without it; rebuild so membership checks keep working.
+        # Netlists pickled before the input-set mirror or the version
+        # existed restore without them; rebuild both.
         self.__dict__.update(state)
         if "_input_set" not in state:
             self._input_set = set(self.inputs)
+        self.__dict__.setdefault("version", 0)
+
+    def touch(self) -> None:
+        """Record an in-place edit (invalidates cached compiled views).
+
+        The ``add_*`` methods call it; code that writes ``gates``,
+        ``latches`` or ``inputs`` directly must call it too.
+        """
+        self.version += 1
 
     # -- construction --------------------------------------------------
 
@@ -303,11 +316,13 @@ class Netlist:
             raise NetlistError(f"net {net!r} already driven")
         self.inputs.append(net)
         self._input_set.add(net)
+        self.version += 1
         return net
 
     def set_output(self, net: str) -> None:
         if net not in self.outputs:
             self.outputs.append(net)
+            self.version += 1
 
     def add_gate(
         self,
@@ -323,6 +338,7 @@ class Netlist:
         if gate_type is None:
             gate_type = table.classify()
         self.gates[net] = Gate(net, tuple(inputs), table, gate_type)
+        self.version += 1
         return net
 
     def add_simple(
@@ -350,6 +366,7 @@ class Netlist:
         if self._is_used(net):
             raise NetlistError(f"net {net!r} already driven")
         self.latches[net] = Latch(net, data, init, enable)
+        self.version += 1
         return net
 
     # -- queries --------------------------------------------------------

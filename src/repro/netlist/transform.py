@@ -37,6 +37,8 @@ def propagate_constants(netlist: Netlist) -> int:
                 netlist.gates[net] = new_gate
                 rewrites += 1
                 changed = True
+    if rewrites:
+        netlist.touch()
     return rewrites
 
 
@@ -107,6 +109,8 @@ def sweep_buffers(netlist: Netlist) -> int:
             latch.enable = resolve(latch.enable)
     for name in alias:
         del netlist.gates[name]
+    if alias:
+        netlist.touch()
     return len(alias)
 
 
@@ -141,6 +145,8 @@ def sweep_dead(netlist: Netlist) -> int:
         if net not in live:
             del netlist.latches[net]
             removed += 1
+    if removed:
+        netlist.touch()
     return removed
 
 

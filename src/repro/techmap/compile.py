@@ -14,17 +14,16 @@ This module removes both without changing a single output bit:
 
 * nets are interned to dense int ids once per netlist
   (:func:`compile_map_netlist`, cached on the netlist object exactly
-  like the simulator's ``compile_netlist``), and cuts become int
-  *bitmasks* over those ids — union is ``|``, dominance is
-  ``a & b == a``, dedup is int hashing (:func:`enumerate_cuts_ids`
-  mirrors the reference enumeration order decision for decision, so
-  the candidate lists are element-wise identical);
-* collapsed cone functions are memoized per netlist by
-  ``(root id, cut mask)`` and the cone *evaluations* are memoized in a
-  :class:`ConeMemo` keyed by the concrete ``(bits, leaf statistics)``
-  and grouped by NPN-canonical truth table (:func:`npn_key`); the flow
-  keeps one memo per artifact cache, shared by every netlist mapped
-  through it;
+  like the simulator's ``compile_netlist``), and the cut sets of one
+  structural level are enumerated together as padded int arrays
+  (:func:`enumerate_cuts_ids` mirrors the reference enumeration
+  decision for decision, so the candidate lists are element-wise
+  identical); every cut carries its cone's truth table, composed from
+  the tables of the fanin cuts that formed it;
+* the cone *evaluations* are memoized in a :class:`ConeMemo` keyed by
+  the concrete ``(bits, leaf statistics)`` and grouped by
+  NPN-canonical truth table (:func:`npn_key`); the flow keeps one
+  memo per artifact cache, shared by every netlist mapped through it;
 * cache misses are evaluated in numpy batches: every distinct miss of
   one structural level and arity is one job of :func:`batch_evaluate`,
   which builds one ``2**n x 2**n`` joint matrix per (distinct leaf
@@ -67,13 +66,14 @@ dictates three implementation rules:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EstimationError, MappingError
 from repro.activity.transition import MAX_EXACT_INPUTS
 from repro.netlist.gates import Netlist, TruthTable
+from repro.techmap.cuts import cone_function
 
 #: Widest table for which the exact NPN canonical form is computed;
 #: wider tables fall back to a deterministic semi-canonical key.
@@ -163,12 +163,11 @@ def npn_key(table: TruthTable) -> Tuple:
 class CompiledMapNetlist:
     """Dense-int view of a netlist for the fast mapper.
 
-    ``names``/``ids`` intern nets; ``rank`` maps an id to the
-    lexicographic rank of its name, so sorting leaf ids by rank
-    reproduces the reference mapper's ``sorted(cut)`` leaf ordering
-    exactly. ``cone_tables`` memoizes collapsed cone functions by
-    ``(root id, cut mask)`` — pure netlist structure, so it is valid
-    across every (k, cap, effort, activity) run on this netlist.
+    ``names``/``ids`` intern nets (sources first, then gates in
+    topological order); ``rank`` maps an id to the lexicographic rank
+    of its name, so sorting leaf ids by rank reproduces the reference
+    mapper's ``sorted(cut)`` leaf ordering exactly. ``by_level`` lists
+    the gates of each structural level in topological order.
     """
 
     def __init__(self, netlist: Netlist):
@@ -207,233 +206,357 @@ class CompiledMapNetlist:
         self.fanout = [max(1, count) for count in fanout]
 
         levels = [0] * len(names)
+        by_level: Dict[int, List[int]] = {}
         for net_id in self.order:
             inputs = self.gate_inputs[net_id]
             if inputs:
                 levels[net_id] = 1 + max(levels[i] for i in inputs)
+            by_level.setdefault(levels[net_id], []).append(net_id)
         self.levels = levels
-
-        self.cone_tables: Dict[Tuple[int, int], TruthTable] = {}
-
-    # -- cone collapsing ---------------------------------------------------
-
-    def cone_table(
-        self, root: int, leaves: Sequence[int], mask: int
-    ) -> TruthTable:
-        """Collapse the cone of ``root`` over ``leaves`` (bit-parallel).
-
-        Same algorithm and result as
-        :func:`repro.techmap.cuts.cone_function`, over int ids.
-        """
-        cached = self.cone_tables.get((root, mask))
-        if cached is not None:
-            return cached
-        leaves = tuple(leaves)
-        if self.gate_inputs[root] == leaves:
-            # Single-gate cone with leaves already in the gate's input
-            # order: the collapse is the identity (about a third of
-            # all candidates on bit-sliced netlists).
-            table = self.tables[root]
-            self.cone_tables[(root, mask)] = table
-            return table
-        n = len(leaves)
-        if n > 16:
-            raise MappingError(
-                f"cone collapse limited to 16 leaves, got {n}"
-            )
-        width = 1 << n
-        full = (1 << width) - 1
-        position_masks = _leaf_position_masks(n)
-        masks: Dict[int, int] = {
-            leaf: position_masks[position]
-            for position, leaf in enumerate(leaves)
+        self.by_level = {
+            level: by_level[level] for level in sorted(by_level)
         }
-
-        if root in masks:
-            table = TruthTable(n, masks[root])
-            self.cone_tables[(root, mask)] = table
-            return table
-
-        for net_id in self._cone_order(root, mask):
-            table = self.tables[net_id]
-            fanin_masks = [masks[i] for i in self.gate_inputs[net_id]]
-            out_mask = 0
-            for combo in range(1 << table.n_inputs):
-                if not (table.bits >> combo) & 1:
-                    continue
-                term = full
-                for pos, fanin_mask in enumerate(fanin_masks):
-                    if (combo >> pos) & 1:
-                        term &= fanin_mask
-                    else:
-                        term &= full ^ fanin_mask
-                    if not term:
-                        break
-                out_mask |= term
-            masks[net_id] = out_mask
-        table = TruthTable(n, masks[root])
-        self.cone_tables[(root, mask)] = table
-        return table
-
-    def _cone_order(self, root: int, leaf_mask: int) -> List[int]:
-        """Cone gate ids in topological order, bounded by ``leaf_mask``."""
-        order: List[int] = []
-        state: Dict[int, int] = {}
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        while stack:
-            net_id, phase = stack.pop()
-            if phase == 0:
-                if net_id in state:
-                    continue
-                state[net_id] = 0
-                stack.append((net_id, 1))
-                inputs = self.gate_inputs[net_id]
-                if inputs is None:
-                    raise MappingError(
-                        f"cone of {self.names[root]!r} reaches source "
-                        f"{self.names[net_id]!r} outside its cut"
-                    )
-                for fanin in inputs:
-                    if (leaf_mask >> fanin) & 1:
-                        continue
-                    if fanin not in state:
-                        stack.append((fanin, 0))
-                    elif state.get(fanin) == 0:
-                        raise MappingError(
-                            f"cyclic cone at {self.names[fanin]!r}"
-                        )
-            else:
-                state[net_id] = 1
-                order.append(net_id)
-        return order
-
-
-#: Per-arity bit-parallel input patterns for cone collapsing: entry
-#: ``[n][p]`` is the mask whose bit ``c`` is input ``p``'s value in
-#: combination ``c``.
-_POSITION_MASKS: Dict[int, List[int]] = {}
-
-
-def _leaf_position_masks(n: int) -> List[int]:
-    masks = _POSITION_MASKS.get(n)
-    if masks is None:
-        width = 1 << n
-        masks = []
-        for position in range(n):
-            mask = 0
-            for combo in range(width):
-                if (combo >> position) & 1:
-                    mask |= 1 << combo
-            masks.append(mask)
-        _POSITION_MASKS[n] = masks
-    return masks
 
 
 def compile_map_netlist(netlist: Netlist) -> CompiledMapNetlist:
     """Compile (or fetch the cached compilation of) ``netlist``.
 
     Cached on the netlist object, like the simulator's
-    ``compile_netlist``; a gate or latch added after compilation
-    invalidates the entry.
+    ``compile_netlist``, for the :attr:`Netlist.version` it was built
+    from: any edit since then recompiles.
     """
-    token = (len(netlist.gates), len(netlist.latches), len(netlist.inputs))
     cached = getattr(netlist, "_map_compiled", None)
-    if cached is not None and cached[0] == token:
+    if cached is not None and cached[0] == netlist.version:
         return cached[1]
     compiled = CompiledMapNetlist(netlist)
-    netlist._map_compiled = (token, compiled)
+    netlist._map_compiled = (netlist.version, compiled)
     return compiled
 
 
 # ---------------------------------------------------------------------------
-# Bitmask cut enumeration.
+# Array cut sets with carried truth tables.
 # ---------------------------------------------------------------------------
+
+#: Widest cut whose truth table is built (the limit of
+#: :func:`repro.techmap.cuts.cone_function`); the mapper refuses to
+#: evaluate a wider one, as the reference mapper does.
+MAX_CONE_LEAVES = 16
+
+#: One candidate cut: leaf ids in ``sorted(cut)`` order and the cone
+#: function over them (None past :data:`MAX_CONE_LEAVES` leaves).
+Candidate = Tuple[Tuple[int, ...], Optional[TruthTable]]
+
+
+class _CutPool:
+    """Every cut of one enumeration, one array row each.
+
+    Row ``i < n_nets`` is net ``i``'s trivial cut ``{i}``, and row
+    ``n_nets`` is the empty cut: the whole cut list of a padding net
+    ``n_nets`` that fills fanin rows past a gate's arity. A node's
+    kept candidates are the ``count[i]`` rows from ``start[i]``, so its
+    full cut list (trivial first) is addressed by :meth:`list_rows`.
+    Per row: ``leaves`` holds leaf *ranks* ascending, padded with
+    ``n_nets``; ``depth`` is the deepest leaf's level; ``bits`` is the
+    truth table over the leaves, one byte per input combination (zero
+    from ``2**size`` on); ``inner`` is a 64-bit Bloom filter (bit
+    ``id & 63``) over a superset of the cone's gates.
+    """
+
+    def __init__(self, cm: CompiledMapNetlist, k: int):
+        n = len(cm.names)
+        self.sentinel = n
+        #: Net id of each leaf rank (the padding rank maps to itself),
+        #: and the Bloom bit of that net (none for padding).
+        self.id_of = np.empty(n + 1, dtype=np.int64)
+        self.id_of[cm.rank] = np.arange(n)
+        self.id_of[n] = n
+        self.leaf_bit = np.left_shift(
+            np.uint64(1), (self.id_of & 63).astype(np.uint64)
+        )
+        self.leaf_bit[n] = 0
+        self.start = np.zeros(n + 1, dtype=np.intp)
+        self.count = np.zeros(n + 1, dtype=np.intp)
+        self.leaves = np.full((2 * n + 1, k), n, dtype=np.int32)
+        self.leaves[:n, 0] = cm.rank
+        self.depth = np.zeros(2 * n + 1, dtype=np.int32)
+        self.depth[:n] = cm.levels
+        self.bits = np.zeros((2 * n + 1, 2), dtype=np.uint8)
+        self.bits[:n, 1] = 1
+        self.inner = np.zeros(2 * n + 1, dtype=np.uint64)
+        self.used = n + 1
+
+    def list_rows(self, nets: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Row of entry ``offsets`` of each net's full cut list."""
+        return np.where(offsets == 0, nets, self.start[nets] + offsets - 1)
+
+    def append(self, leaves, depth, bits, inner) -> int:
+        """Store new rows; returns the first one's index."""
+        first = self.used
+        self.used += len(leaves)
+        width = bits.shape[1]
+        if self.used > len(self.depth) or width > self.bits.shape[1]:
+            rows = max(self.used, 2 * len(self.depth))
+            self.leaves = _grown(self.leaves, rows, self.leaves.shape[1])
+            self.depth = _grown(self.depth, rows)
+            self.inner = _grown(self.inner, rows)
+            self.bits = _grown(self.bits, rows, max(width, self.bits.shape[1]))
+        self.leaves[first:self.used] = leaves
+        self.depth[first:self.used] = depth
+        self.bits[first:self.used, :width] = bits
+        self.inner[first:self.used] = inner
+        return first
+
+
+def _grown(array: np.ndarray, *shape: int) -> np.ndarray:
+    """``array`` in the top-left corner of a zeroed, larger array."""
+    grown = np.zeros(shape, dtype=array.dtype)
+    grown[tuple(map(slice, array.shape))] = array
+    return grown
+
+
+def _run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """``0..n-1`` for each run length ``n``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(
+        ends - lengths, lengths
+    )
 
 
 def enumerate_cuts_ids(
     cm: CompiledMapNetlist, k: int, cap: int
-) -> List[Optional[List[Tuple[int, Tuple[int, ...]]]]]:
-    """Per-node non-trivial candidate cuts as ``(mask, sorted leaves)``.
+) -> List[Optional[List[Candidate]]]:
+    """Per-node non-trivial candidate cuts with their cone functions.
 
     Mirrors :func:`repro.techmap.cuts.enumerate_cuts` decision for
-    decision — same cross-merge order, same dominance prune, same
-    ``(depth, size)`` stable sort, same ``cap - 1`` truncation — so
-    index ``j`` of a node's candidate list is the same cut the
-    reference mapper would evaluate ``j``-th. The trivial cut is not
-    materialized (the mapper skips it anyway); sources hold their
-    trivial cut only.
+    decision, so index ``j`` of a node's candidate list is the cut the
+    reference mapper evaluates ``j``-th, with the table
+    ``cone_function`` returns for it. The trivial cut is not listed
+    (the mapper skips it anyway); sources get None, constants ``[]``.
+    The mapper consumes the same lists level by level
+    (:func:`cut_levels`).
+    """
+    candidates: List[Optional[List[Candidate]]] = [None] * len(cm.names)
+    for net_id in cm.by_level.get(0, ()):
+        candidates[net_id] = []
+    for gates, lists in cut_levels(cm, k, cap):
+        for net_id, cut_list in zip(gates, lists):
+            candidates[net_id] = cut_list
+    return candidates
+
+
+def cut_levels(
+    cm: CompiledMapNetlist, k: int, cap: int
+) -> Iterator[Tuple[List[int], List[List[Candidate]]]]:
+    """Per structural level >= 1: its gates and their candidate lists.
+
+    Same cross-merge order, same first-seen dedup, same dominance
+    prune, same ``(depth, size)`` stable sort and same ``cap - 1``
+    truncation as the reference. All gates of one level are enumerated
+    together as array rows (see :class:`_CutPool`), one fanin stage at
+    a time, and each kept cut's table is carried from the fanin cuts
+    that formed it (:func:`_carry_tables`). Levels are produced
+    lazily, so only one level's candidate lists are alive at a time.
     """
     if k < 2:
         raise MappingError(f"LUT input count must be >= 2, got {k}")
     if cap < 1:
         raise MappingError(f"cut cap must be >= 1, got {cap}")
-    n_nets = len(cm.names)
-    levels = cm.levels
-    rank = cm.rank
-    # Per net: the full cut list (trivial first) used for merging, and
-    # the truncated candidate list used for selection.
-    merged_lists: List[Optional[List[Tuple[int, int, int]]]] = (
-        [None] * n_nets
-    )
-    full_lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_nets)]
-    for source in range(cm.n_sources):
-        full_lists[source] = [(1 << source, 1, levels[source])]
+    return _cut_levels(cm, k, cap)
 
-    for net_id in cm.order:
-        inputs = cm.gate_inputs[net_id]
-        trivial = (1 << net_id, 1, levels[net_id])
-        if not inputs:
-            full_lists[net_id] = [trivial]
-            merged_lists[net_id] = []
+
+def _cut_levels(cm: CompiledMapNetlist, k: int, cap: int):
+    n = len(cm.names)
+    pool = _CutPool(cm, k)
+    for level, gates in cm.by_level.items():
+        if level == 0:
             continue
-        current: List[Tuple[int, int, int]] = [(0, 0, 0)]
-        for fanin in inputs:
-            cut_list = full_lists[fanin]
-            next_level: List[Tuple[int, int, int]] = []
-            seen = set()
-            for base_mask, _, base_depth in current:
-                for cut_mask, _, cut_depth in cut_list:
-                    union = base_mask | cut_mask
-                    size = union.bit_count()
-                    if size <= k and union not in seen:
-                        seen.add(union)
-                        next_level.append(
-                            (union, size, max(base_depth, cut_depth))
-                        )
-            current = next_level
-            if not current:
-                break
-        # Dominance prune: stable sort by size, drop supersets.
-        current.sort(key=lambda item: item[1])
-        kept: List[Tuple[int, int, int]] = []
-        for item in current:
-            mask = item[0]
-            if any(existing[0] & mask == existing[0] for existing in kept):
-                continue
-            kept.append(item)
-        kept.sort(key=lambda item: (item[2], item[1]))
-        candidates = kept[: cap - 1] if cap > 1 else []
-        merged_lists[net_id] = [
-            (mask, _mask_leaves(mask, rank)) for mask, _, _ in candidates
+        width = max(len(cm.gate_inputs[g]) for g in gates)
+        fanin = np.array([
+            cm.gate_inputs[g] + (n,) * (width - len(cm.gate_inputs[g]))
+            for g in gates
+        ])
+        gate, leaves, depth, prov = _cross_merge(pool, fanin, k)
+        keep = _prune_and_order(gate, leaves, depth, pool.sentinel, cap)
+        gate, leaves, depth, prov = (
+            gate[keep], leaves[keep], depth[keep], prov[keep]
+        )
+        size = (leaves < pool.sentinel).sum(axis=1)
+        gate_ids = np.array(gates)
+        bits, inner = _carry_tables(
+            cm, pool, gate_ids, gate, leaves, size, prov
+        )
+        first = pool.append(leaves, depth, bits, inner)
+        kept = np.bincount(gate, minlength=len(gates))
+        pool.count[gate_ids] = kept
+        pool.start[gate_ids] = first + np.cumsum(kept) - kept
+
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        stride = packed.shape[1]
+        raw = packed.tobytes()
+        rows = [
+            (tuple(ids[:s]), None if s > MAX_CONE_LEAVES else TruthTable(
+                s, int.from_bytes(raw[at:at + stride], "little")
+            ))
+            for ids, s, at in zip(
+                pool.id_of[leaves].tolist(), size.tolist(),
+                range(0, len(raw), stride),
+            )
         ]
-        full_lists[net_id] = [trivial] + candidates
-    return merged_lists
+        ends = np.cumsum(kept).tolist()
+        yield gates, [
+            rows[end - n_kept:end]
+            for end, n_kept in zip(ends, kept.tolist())
+        ]
 
 
-def _mask_leaves(mask: int, rank: List[int]) -> Tuple[int, ...]:
-    leaves = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        leaves.append(low.bit_length() - 1)
-        remaining ^= low
-    leaves.sort(key=rank.__getitem__)
-    return tuple(leaves)
+def _cross_merge(pool: _CutPool, fanin: np.ndarray, k: int):
+    """The reference's ``_cross_merge`` for one level's gates at once.
+
+    ``fanin`` holds each gate's input ids, padded with the padding net
+    (whose one cut is empty, so padding stages change nothing). Returns
+    the merged cuts as rows grouped by gate (``gate`` indexes
+    ``fanin``), each gate's rows in the reference's order: per row its
+    leaves, depth and provenance — the pool row of the cut each fanin
+    contributed.
+    """
+    sentinel = pool.sentinel
+    n_gates, width = fanin.shape
+    # One empty cut per gate, like the reference's ``[frozenset()]``.
+    gate = np.arange(n_gates)
+    leaves = np.full((n_gates, k), sentinel, dtype=np.int32)
+    depth = np.zeros(n_gates, dtype=np.int32)
+    prov = np.zeros((n_gates, 0), dtype=np.intp)
+    for stage in range(width):
+        # Every (current cut, fanin cut) pair, base-major like the
+        # reference's nested loop.
+        fanin_ids = fanin[gate, stage]
+        lengths = 1 + pool.count[fanin_ids]
+        base = np.repeat(np.arange(len(gate)), lengths)
+        cut = pool.list_rows(fanin_ids[base], _run_offsets(lengths))
+        union = np.sort(
+            np.concatenate([leaves[base], pool.leaves[cut]], axis=1), axis=1
+        )
+        tail = union[:, 1:]
+        tail[tail == union[:, :-1]] = sentinel
+        union.sort(axis=1)
+        fits = union[:, k] == sentinel  # at most k leaves
+        base, cut, union = base[fits], cut[fits], union[fits, :k]
+        pair_gate = gate[base]
+        # First-seen dedup: a stable sort groups equal (gate, leaves)
+        # rows in pair order, so each group's head is the union the
+        # reference keeps.
+        order = np.lexsort(tuple(union.T[::-1]) + (pair_gate,))
+        grouped, grouped_gate = union[order], pair_gate[order]
+        repeat = (grouped_gate[1:] == grouped_gate[:-1]) & (
+            grouped[1:] == grouped[:-1]
+        ).all(axis=1)
+        first = np.ones(len(order), dtype=bool)
+        first[order[1:][repeat]] = False
+        gate, leaves = pair_gate[first], union[first]
+        depth = np.maximum(depth[base], pool.depth[cut])[first]
+        prov = np.column_stack([prov[base], cut])[first]
+    return gate, leaves, depth, prov
 
 
-def mask_leaves(cm: CompiledMapNetlist, mask: int) -> Tuple[int, ...]:
-    """Leaf ids of ``mask`` in the reference's sorted-by-name order."""
-    return _mask_leaves(mask, cm.rank)
+def _prune_and_order(
+    gate: np.ndarray, leaves: np.ndarray, depth: np.ndarray,
+    sentinel: int, cap: int,
+) -> np.ndarray:
+    """The reference's dominance prune, sort and truncation.
+
+    Rows are grouped by gate, each group in cross-merge order. A cut
+    is dropped when another cut of its gate is a proper subset of it.
+    The reference drops a cut when a cut it already kept is a proper
+    subset; both rules drop the same cuts, since every cut it drops
+    has a kept subset. The survivors are sorted stably by
+    ``(depth, size)`` and cut to ``cap - 1`` per gate. Returns their
+    row indices, in the final order.
+    """
+    size = (leaves < sentinel).sum(axis=1)
+    head = np.searchsorted(gate, gate)
+    group = np.bincount(gate)[gate]
+    smaller = np.repeat(np.arange(len(gate)), group)
+    larger = head[smaller] + _run_offsets(group)
+    pairs = size[smaller] < size[larger]
+    smaller, larger = smaller[pairs], larger[pairs]
+    inner, outer = leaves[smaller], leaves[larger]
+    subset = (
+        (inner[:, :, None] == outer[:, None, :]).any(axis=2)
+        | (inner == sentinel)
+    ).all(axis=1)
+    dominated = np.zeros(len(gate), dtype=bool)
+    dominated[larger[subset]] = True
+    kept = np.flatnonzero(~dominated)
+    order = kept[np.lexsort((size[kept], depth[kept], gate[kept]))]
+    position = np.arange(len(order)) - np.searchsorted(
+        gate[order], gate[order]
+    )
+    return order[position < cap - 1]
+
+
+def _carry_tables(
+    cm: CompiledMapNetlist, pool: _CutPool, gate_ids: np.ndarray,
+    gate: np.ndarray, leaves: np.ndarray, size: np.ndarray,
+    prov: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Truth tables and cone filters of one level's kept cuts.
+
+    A cut's table is its gate's function applied to the tables of the
+    fanin cuts that formed it, each expanded onto the cut's leaf
+    positions. That equals ``cone_function``'s table unless a leaf of
+    the cut lies inside one of those fanin cones (the reference then
+    treats it as a free input); the Bloom filters flag every such cut,
+    and a flagged cut's table is collapsed by ``cone_function`` itself.
+    Cuts wider than :data:`MAX_CONE_LEAVES` get no table.
+    """
+    sentinel = pool.sentinel
+    n_rows, k = leaves.shape
+    fits = size <= MAX_CONE_LEAVES
+    width = 1 << int(size[fits].max(initial=1))
+    combo = np.arange(width)
+    # planes[p] = bit p of every combination (all zero for p >= log2
+    # width, which is where padding leaves point).
+    planes = ((combo >> np.arange(k + 2)[:, None]) & 1).astype(
+        np.min_scalar_type(width - 1)
+    )
+    index = np.zeros((n_rows, width), dtype=np.intp)
+    inner = np.zeros(n_rows, dtype=np.uint64)
+    for stage in range(prov.shape[1]):
+        rows = prov[:, stage]
+        fanin_leaves = pool.leaves[rows]
+        # Where each fanin-cut leaf sits among the cut's leaves.
+        position = (leaves[:, None, :] < fanin_leaves[:, :, None]).sum(
+            axis=2
+        )
+        position[(fanin_leaves == sentinel) | ~fits[:, None]] = k + 1
+        sub = planes[position[:, 0]].copy()
+        for j in range(1, k):
+            sub |= planes[position[:, j]] << j
+        index |= pool.bits[rows[:, None], sub].astype(np.intp) << stage
+        inner |= pool.inner[rows]
+
+    # Each gate's function as one byte per input combination.
+    n_bytes = max(1, (1 << prov.shape[1]) // 8)
+    functions = np.unpackbits(np.frombuffer(b"".join(
+        cm.tables[g].bits.to_bytes(n_bytes, "little")
+        for g in gate_ids.tolist()
+    ), dtype=np.uint8).reshape(len(gate_ids), n_bytes), axis=1,
+        bitorder="little")
+    bits = functions[gate[:, None], index]
+    bits[combo >= (1 << np.minimum(size, MAX_CONE_LEAVES))[:, None]] = 0
+    bits[~fits] = 0
+
+    leaf_bits = np.bitwise_or.reduce(pool.leaf_bit[leaves], axis=1)
+    redundant = np.flatnonzero(fits & ((leaf_bits & inner) != 0))
+    for row in redundant.tolist():
+        names = [cm.names[i] for i in pool.id_of[leaves[row, :size[row]]]]
+        table = cone_function(cm.netlist, cm.names[gate_ids[gate[row]]],
+                              names)
+        bits[row, :1 << size[row]] = [
+            (table.bits >> c) & 1 for c in range(1 << size[row])
+        ]
+    own = (gate_ids[gate] & 63).astype(np.uint64)
+    return bits, inner | np.left_shift(np.uint64(1), own)
 
 
 # ---------------------------------------------------------------------------

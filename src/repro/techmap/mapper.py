@@ -22,9 +22,9 @@ in Section 4 of the paper:
 
 Two effort levels share this algorithm (see :data:`MAP_EFFORTS` and
 docs/techmap.md), both run by the compiled mapper
-(:mod:`repro.techmap.compile`: interned net ids, bitmask cut
-enumeration, NPN-keyed memoization of cone evaluations, and batched
-numpy SA evaluation):
+(:mod:`repro.techmap.compile`: interned net ids, array cut sets
+with carried truth tables, NPN-keyed memoization of cone evaluations,
+and batched numpy SA evaluation):
 
 * ``"fast"`` (default) — bit-identical results to the seed mapper,
   several times faster.
@@ -62,11 +62,12 @@ from repro.activity.transition import (
 )
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.techmap.compile import (
+    MAX_CONE_LEAVES,
     ConeMemo,
     HashedKey,
     compile_map_netlist,
     batch_evaluate,
-    enumerate_cuts_ids,
+    cut_levels,
     npn_key,
 )
 from repro.techmap.cuts import (
@@ -297,7 +298,7 @@ def _map_fast(
     memo: ConeMemo,
 ) -> MapResult:
     cm = compile_map_netlist(netlist)
-    candidates_by_id = enumerate_cuts_ids(cm, k, cut_cap)
+    levels = cut_levels(cm, k, cut_cap)
     n_nets = len(cm.names)
 
     waveforms: Dict[str, GlitchWaveform] = {}
@@ -333,29 +334,31 @@ def _map_fast(
         waveforms[name] = wave
         depths[name] = 0
 
-    # Nodes grouped by structural level: every candidate cut's leaves
-    # sit at strictly lower levels, so one level's nodes can be
-    # prepared, deduplicated and batch-evaluated together — this is
-    # what turns thousands of per-node numpy calls into a handful of
-    # large per-level batches.
-    nodes_by_level: Dict[int, List[int]] = {}
-    for net_id in cm.order:
-        nodes_by_level.setdefault(cm.levels[net_id], []).append(net_id)
-
     chosen: Dict[str, Tuple[Tuple[str, ...], TruthTable]] = {}
     fanouts = cm.fanout
     limit = None if exhaustive else max(1, sa_eval_limit)
     #: (leaf id, shift) -> that leaf's time-shifted signature; shifted
     #: tuples repeat across the candidates of bit-sliced structures.
     shifted_sigs: Dict[Tuple[int, int], Tuple] = {}
-    for level in sorted(nodes_by_level):
+    # Nodes grouped by structural level: every candidate cut's leaves
+    # sit at strictly lower levels, so one level's nodes can be
+    # prepared, deduplicated and batch-evaluated together — this is
+    # what turns thousands of per-node numpy calls into a handful of
+    # large per-level batches.
+    for level, nodes in cm.by_level.items():
+        # Level 0 holds the constants; every other level's cut lists
+        # are enumerated just before it is mapped.
+        if level:
+            _, candidate_lists = next(levels)
+        else:
+            candidate_lists = [None] * len(nodes)
         level_nodes: List[Tuple[int, List[_Candidate]]] = []
         #: exact key -> candidates awaiting the same evaluation (the
         #: cross-node bit-slice duplicates within this level).
         pending: Dict[Tuple, List[_Candidate]] = {}
         jobs_by_arity: Dict[int, List[_Candidate]] = {}
 
-        for net_id in nodes_by_level[level]:
+        for net_id, candidates in zip(nodes, candidate_lists):
             name = cm.names[net_id]
             if not cm.gate_inputs[net_id]:
                 table = cm.tables[net_id]
@@ -370,15 +373,18 @@ def _map_fast(
                 depths[name] = 0
                 chosen[name] = ((), table)
                 continue
-            candidates = candidates_by_id[net_id]
             if not candidates:
                 raise MappingError(_no_cut_message(name, k, cut_cap))
             if limit is not None:
                 candidates = candidates[:limit]
 
             prepared: List[_Candidate] = []
-            for mask, leaf_ids in candidates:
-                table = cm.cone_table(net_id, leaf_ids, mask)
+            for leaf_ids, table in candidates:
+                if table is None:
+                    raise MappingError(
+                        f"cone collapse limited to {MAX_CONE_LEAVES} "
+                        f"leaves, got {len(leaf_ids)}"
+                    )
                 depth = 1 + max(depth_of[l] for l in leaf_ids)
                 sigs = [sig_of[l] for l in leaf_ids]
                 if glitch_aware:
@@ -642,6 +648,7 @@ def _cover(
                 seen.add(leaf)
                 required.append(leaf)
 
+    mapped.touch()
     for net in netlist.outputs:
         mapped.set_output(net)
     mapped.validate()

@@ -26,6 +26,7 @@ from repro.fpga import (
     timing_report,
 )
 from repro.fpga.simulate import _simulate_reference, golden_outputs
+from repro.netlist.gates import Netlist
 from repro.rtl import build_datapath
 from repro.rtl.controller import build_controller
 from repro.rtl.metrics import mux_report
@@ -67,6 +68,21 @@ def evaluate_netlist(netlist, assignment):
             [values[name] for name in gate.inputs]
         )
     return values
+
+
+def rebuilt(netlist):
+    """A fresh netlist with the same inputs, latches, gates and outputs
+    (and none of the compiled views cached on ``netlist``)."""
+    copy = Netlist(netlist.name)
+    for net in netlist.inputs:
+        copy.add_input(net)
+    for latch in netlist.latches.values():
+        copy.add_latch(latch.data, latch.output, latch.init, latch.enable)
+    for gate in netlist.gates.values():
+        copy.add_gate(gate.table, gate.inputs, gate.output, gate.gate_type)
+    for net in netlist.outputs:
+        copy.set_output(net)
+    return copy
 
 
 def random_assignment(netlist, rng: random.Random):

@@ -125,8 +125,8 @@ class TestMalformedFlowConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"delay_jitter": 1.5}, {"delay_jitter": True}, {"width": 0},
-        {"k": 0}, {"n_vectors": 0}, {"alpha": float("nan")},
-        {"alpha": -3.0}, {"check_function": "no"},
+        {"k": 0}, {"k": 1}, {"k": 7}, {"n_vectors": 0},
+        {"alpha": float("nan")}, {"alpha": -3.0}, {"check_function": "no"},
     ])
     def test_reported_cases(self, kwargs):
         with pytest.raises(ConfigError):
@@ -168,7 +168,8 @@ class TestMalformedSweepSpec:
     @pytest.mark.parametrize("data", [
         {"jitters": ["a"]}, {"jitters": [1.5]}, {"sim_batch": "x"},
         {"alphas": ["x"]}, {"vector_seeds": ["x"]}, {"widths": [0]},
-        {"n_vectors": 0}, {"k": 0}, {"map_efforts": []},
+        {"n_vectors": 0}, {"k": 0}, {"k": 1}, {"k": 7},
+        {"map_efforts": []},
         {"check_function": "no"}, {"alphas": [float("nan")]},
         {"alphas": [-3.0]}, {"widths": 8},
     ])

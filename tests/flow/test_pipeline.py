@@ -256,12 +256,14 @@ class TestStageInstrumentation:
 
 
 #: Per-stage Python-heap peaks (MiB) of a LOPASS width-8 estimate flow
-#: on huge-n256-m40-d100-s0, recorded when the compiled engines landed.
+#: on huge-n256-m40-d100-s0, recorded when the compiled engines landed;
+#: techmap re-recorded with the array cut sets (big-int cut masks
+#: peaked at 33.3 MiB, over this ceiling's 25% slack).
 HEAP_PEAK_MB = {
     "bind": 1.97,
     "datapath": 0.1,
     "elaborate": 3.02,
-    "techmap": 33.89,
+    "techmap": 25.0,
     "timing": 23.99,
 }
 

@@ -17,6 +17,7 @@ cross-product slow-marked, and hypothesis properties over batches of
 one and over random small netlists with mixed batches).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -36,9 +37,11 @@ from repro.fpga import (
 from repro.errors import SimulationError
 from repro.fpga.simulate import _gate_delay, _simulate_reference
 from repro.fpga.vectors import VectorSet
-from repro.netlist.gates import Netlist, TruthTable
+from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
+from repro.netlist.transform import propagate_constants
 from repro.rtl import build_datapath
 from repro.techmap import map_netlist
+from tests.conftest import rebuilt
 
 WIDTH = 4
 #: Not a multiple of 64, so the tail-lane masking is exercised too.
@@ -126,6 +129,39 @@ def test_compiled_netlist_invalidated_on_mutation(mapped_design):
     finally:
         netlist.inputs.remove(pi)
         netlist._sim_compiled.clear()
+
+
+def test_compiled_netlist_rebuilt_after_in_place_rewrite():
+    """Constant folding keeps the input, gate and latch counts; the
+    cached lowering must still be rebuilt, and the simulation must
+    equal one of a fresh copy of the folded netlist."""
+    design, vectors = build_mapped("pr")
+    netlist = rebuilt(design.netlist)
+    design = dataclasses.replace(design, netlist=netlist)
+    # Feed one LUT a constant-1 input it ignores, for folding to drop.
+    name, gate = next(
+        (name, gate) for name, gate in netlist.gates.items()
+        if len(gate.inputs) == 2
+    )
+    one = netlist.add_const(True, "one_for_folding")
+    netlist.gates[name] = Gate(
+        name, gate.inputs + (one,),
+        TruthTable(3, gate.table.bits << 4), GateType.LUT,
+    )
+    netlist.touch()
+    before = simulate_design(design, vectors)
+    stale = compile_netlist(netlist, 0)
+    counts = (len(netlist.inputs), len(netlist.gates), len(netlist.latches))
+    assert propagate_constants(netlist) == 1
+    assert (len(netlist.inputs), len(netlist.gates),
+            len(netlist.latches)) == counts
+    assert netlist.gates[name].inputs == gate.inputs
+    after = simulate_design(design, vectors)
+    assert compile_netlist(netlist, 0) is not stale
+    fresh = simulate_design(
+        dataclasses.replace(design, netlist=rebuilt(netlist)), vectors
+    )
+    assert after == fresh == before
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,7 @@ REPORTED = [
     ("/sweep", '{"benchmarks": ["pr"], "widths": [0]}'),
     ("/sweep", '{"benchmarks": ["pr"], "n_vectors": 0}'),
     ("/sweep", '{"benchmarks": ["pr"], "k": 0}'),
+    ("/sweep", '{"benchmarks": ["pr"], "k": 7}'),
     ("/sweep", '{"benchmarks": ["pr"], "jitters": [1.5]}'),
     ("/sweep", '{"benchmarks": ["pr"], "map_efforts": []}'),
     ("/sweep", '{"benchmarks": ["pr"], "check_function": "no"}'),
@@ -100,11 +101,16 @@ REPORTED = [
     ("/sweep", '{"benchmarks": ["pr"], "alphas": [-3.0]}'),
     ("/flow", '{"benchmark": "pr", "width": 0}'),
     ("/flow", '{"benchmark": "pr", "k": 0}'),
+    ("/flow", '{"benchmark": "pr", "k": 1}'),
+    ("/flow", '{"benchmark": "pr", "k": 7}'),
     ("/flow", '{"benchmark": "pr", "n_vectors": 0}'),
     ("/flow", '{"benchmark": "pr", "alpha": NaN}'),
     ("/flow", '{"benchmark": "pr", "check_function": "no"}'),
     ("/estimate", '{"benchmark": "pr", "k": 0}'),
+    ("/estimate", '{"benchmark": "pr", "k": 1}'),
+    ("/estimate", '{"benchmark": "pr", "k": 7}'),
     ("/ingest", json.dumps({"design": MODULE, "k": 0})),
+    ("/ingest", json.dumps({"design": MODULE, "k": 7})),
 ]
 
 

@@ -2,15 +2,16 @@
 
 Every property below holds for the reference
 :func:`repro.techmap.cuts.enumerate_cuts` *and* pins the compiled
-bitmask enumeration (:func:`repro.techmap.compile.enumerate_cuts_ids`)
-to the reference's exact candidate order, which is what lets the fast
-mapper reproduce the seed mapper's selections bit for bit.
+array enumeration (:func:`repro.techmap.compile.enumerate_cuts_ids`)
+to the reference's exact candidate order and to the tables
+:func:`repro.techmap.cuts.cone_function` collapses, which is what lets
+the fast mapper reproduce the seed mapper's selections bit for bit.
 
 The generator grows adversarial netlists on purpose: zero-input
 constant gates, duplicate fanins, latch leaves (both as cut leaves and
 as cover roots), dead logic, nets that are simultaneously primary
-input and output, and gates up to 3 inputs with arbitrary truth
-tables.
+input and output, and gates up to 3 (or, for the compiled-enumeration
+properties, 5) inputs with arbitrary truth tables.
 """
 
 import pytest
@@ -24,7 +25,7 @@ from repro.techmap import (
     enumerate_cuts_ids,
     map_netlist,
 )
-from repro.techmap.cuts import cone_nodes
+from repro.techmap.cuts import cone_function, cone_nodes
 from repro.techmap.mapper import _map_reference
 
 #: The seed mapper (the oracle) and the fast one.
@@ -32,7 +33,7 @@ MAPPERS = (_map_reference, map_netlist)
 
 
 @st.composite
-def random_netlists(draw) -> Netlist:
+def random_netlists(draw, max_arity: int = 3) -> Netlist:
     netlist = Netlist("rand")
     n_inputs = draw(st.integers(1, 4))
     for index in range(n_inputs):
@@ -49,7 +50,7 @@ def random_netlists(draw) -> Netlist:
 
     n_gates = draw(st.integers(0, 14))
     for index in range(n_gates):
-        arity = draw(st.integers(0, 3))
+        arity = draw(st.integers(0, max_arity))
         if arity == 0:
             nets.append(netlist.add_const(draw(st.booleans()), f"g{index}"))
             continue
@@ -131,9 +132,10 @@ class TestCutProperties:
                 assert cuts[net] == [frozenset((net,))]
 
     @CUT_SETTINGS
-    @given(random_netlists(), st.integers(2, 4), st.integers(1, 8))
+    @given(random_netlists(max_arity=5), st.integers(2, 6),
+           st.integers(1, 8))
     def test_compiled_enumeration_matches_reference(self, netlist, k, cap):
-        """The bitmask engine yields the reference candidate lists,
+        """The array engine yields the reference candidate lists,
         element for element and in order."""
         reference = enumerate_cuts(netlist, k, cap)
         cm = compile_map_netlist(netlist)
@@ -142,14 +144,23 @@ class TestCutProperties:
             expected = [
                 cut for cut in reference[net] if cut != frozenset((net,))
             ]
-            got = compiled[cm.ids[net]]
-            assert len(got) == len(expected)
-            for (mask, leaf_ids), cut in zip(got, expected):
-                names = {cm.names[leaf] for leaf in leaf_ids}
-                assert names == set(cut)
-                # Leaf order is the reference's sorted(cut).
-                assert tuple(cm.names[leaf] for leaf in leaf_ids) == \
-                    tuple(sorted(cut))
+            # Leaf order is the reference's sorted(cut).
+            assert [
+                tuple(cm.names[leaf] for leaf in leaf_ids)
+                for leaf_ids, _ in compiled[cm.ids[net]]
+            ] == [tuple(sorted(cut)) for cut in expected]
+
+    @CUT_SETTINGS
+    @given(random_netlists(max_arity=5), st.integers(2, 6),
+           st.integers(1, 8))
+    def test_carried_tables_equal_cone_function(self, netlist, k, cap):
+        cm = compile_map_netlist(netlist)
+        for net_id, candidates in enumerate(enumerate_cuts_ids(cm, k, cap)):
+            for leaf_ids, table in candidates or ():
+                leaves = tuple(cm.names[leaf] for leaf in leaf_ids)
+                assert table == cone_function(
+                    netlist, cm.names[net_id], leaves
+                ), (cm.names[net_id], leaves)
 
 
 class TestEdgeCases:
@@ -195,6 +206,69 @@ class TestEdgeCases:
             # The latch survives and its data cone is covered.
             assert result.netlist.num_latches() == 1
             assert "d" in result.netlist.gates
+
+    def test_compiled_cap_one_lists_no_candidates(self):
+        from repro.netlist.gates import GateType
+        netlist = Netlist()
+        a = netlist.add_input("a")
+        b = netlist.add_input("b")
+        x = netlist.add_simple(GateType.AND, (a, b), "x")
+        netlist.set_output(netlist.add_simple(GateType.NOT, (x,), "y"))
+        cm = compile_map_netlist(netlist)
+        compiled = enumerate_cuts_ids(cm, 4, 1)
+        assert [compiled[cm.ids[net]] for net in ("x", "y")] == [[], []]
+        assert compiled[cm.ids["a"]] is None  # sources list nothing
+
+    def test_compiled_constant_and_latch_leaves_carry_exact_tables(self):
+        from repro.netlist.gates import GateType
+        netlist = Netlist()
+        a = netlist.add_input("a")
+        one = netlist.add_const(True, "one")
+        q = netlist.add_latch("d", "q")
+        x = netlist.add_simple(GateType.AND, (a, one), "x")
+        y = netlist.add_simple(GateType.XOR, (x, q), "y")
+        netlist.add_simple(GateType.NOT, (y,), "d")
+        netlist.set_output(y)
+        cm = compile_map_netlist(netlist)
+        compiled = enumerate_cuts_ids(cm, 4, 8)
+        assert compiled[cm.ids["one"]] == []
+        leaf_sets = []
+        for net in ("x", "y", "d"):
+            for leaf_ids, table in compiled[cm.ids[net]]:
+                leaves = tuple(cm.names[leaf] for leaf in leaf_ids)
+                leaf_sets.append(leaves)
+                assert table == cone_function(netlist, net, leaves)
+        # The constant and the latch output are leaves like any net.
+        assert ("a", "one", "q") in leaf_sets
+        assert ("a", "one") in leaf_sets
+
+    def test_redundant_cut_table_matches_cone_function(self):
+        """A kept cut may hold a leaf inside the cone of another fanin
+        cut it was merged from: here y's cut (a, w, x) comes from p's
+        cut (a), whose cone runs through x. The reference treats x as
+        a free input, so composing p's table would be wrong; the
+        enumeration must return cone_function's table instead."""
+        from repro.netlist.gates import GateType
+        netlist = Netlist()
+        a = netlist.add_input("a")
+        b = netlist.add_input("b")
+        x = netlist.add_simple(GateType.NOT, (a,), "x")
+        p = netlist.add_simple(GateType.NOR, (a, x), "p")
+        w = netlist.add_simple(GateType.NOT, (b,), "w")
+        q = netlist.add_simple(GateType.AND, (x, w), "q")
+        netlist.set_output(netlist.add_simple(GateType.NOR, (a, p, q), "y"))
+        cm = compile_map_netlist(netlist)
+        tables = {
+            tuple(cm.names[leaf] for leaf in leaf_ids): table
+            for leaf_ids, table in enumerate_cuts_ids(cm, 3, 3)[cm.ids["y"]]
+        }
+        assert tables[("a", "w", "x")] == cone_function(
+            netlist, "y", ("a", "w", "x")
+        )
+        ref = _map_reference(netlist, k=3, cut_cap=3)
+        fast = map_netlist(netlist, k=3, cut_cap=3)
+        assert ref.selected_cuts == fast.selected_cuts
+        assert ref.total_sa == fast.total_sa
 
     def test_duplicate_fanins_map_identically(self):
         netlist = Netlist()

@@ -12,10 +12,10 @@ from repro.netlist.library import (
     build_partial_datapath,
     build_register,
 )
-from repro.netlist.transform import clean
+from repro.netlist.transform import clean, propagate_constants
 from repro.techmap import map_netlist
 
-from tests.conftest import evaluate_netlist
+from tests.conftest import evaluate_netlist, rebuilt
 
 
 def assert_equivalent(original: Netlist, mapped: Netlist, seed: int = 0):
@@ -139,3 +139,23 @@ class TestQuality:
         result = map_netlist(netlist)
         for net, gate in result.netlist.gates.items():
             assert result.selected_cuts[net] == gate.inputs
+
+    def test_in_place_rewrite_recompiles(self):
+        """Constant folding keeps the input, gate and latch counts, so
+        only the netlist version can tell the cached compiled view is
+        stale: the second mapping must not see the folded-away input."""
+        netlist = Netlist()
+        a = netlist.add_input("a")
+        b = netlist.add_input("b")
+        one = netlist.add_const(True, "one")
+        x = netlist.add_simple(GateType.AND, (a, one), "x")
+        netlist.set_output(netlist.add_simple(GateType.XOR, (x, b), "y"))
+        assert map_netlist(netlist).selected_cuts["y"] == ("a", "b", "one")
+        counts = (len(netlist.inputs), len(netlist.gates))
+        assert propagate_constants(netlist) == 1
+        assert (len(netlist.inputs), len(netlist.gates)) == counts
+        result = map_netlist(netlist)
+        fresh = map_netlist(rebuilt(netlist))
+        assert result.selected_cuts == fresh.selected_cuts
+        assert result.selected_cuts["y"] == ("a", "b")
+        assert result.total_sa == fresh.total_sa
