@@ -16,12 +16,12 @@ optional on-disk layer for cross-process sweeps and the resident
 fan out into 256 subdirectories keyed by the first two fingerprint
 hex digits (so a long-lived directory of thousands of artifacts never
 degrades into one giant flat listing), writes are atomic
-(temp + ``os.replace``), reads are corruption-tolerant (a truncated or
-mangled entry is quarantined with a ``.corrupt`` suffix and counted,
-never raised), and the whole tree is bounded both by entry count and
-by total bytes with oldest-first eviction (disk reads refresh the
-mtime, so the bound approximates LRU across *all* processes sharing
-the directory).
+(temp + ``os.replace``), reads are corruption-tolerant (a truncated,
+mangled or digest-mismatched entry is quarantined with a ``.corrupt``
+suffix and counted, never raised), and the whole tree is bounded both
+by entry count and by total bytes with oldest-first eviction (disk
+reads refresh the mtime, so the bound approximates LRU across *all*
+processes sharing the directory).
 
 Counters — hits, misses, evictions, corrupt quarantines, and the wall
 clock spent in lookups and disk I/O — are surfaced as a typed
@@ -45,6 +45,7 @@ import tempfile
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.techmap.compile import ConeMemo
@@ -56,6 +57,36 @@ _MISSING = object()
 #: to a live writer mid-publish and are left alone. Quarantined
 #: ``.corrupt`` entries use the same horizon before they are swept.
 STALE_TMP_SECONDS = 300.0
+
+#: Every disk entry starts with this tag and the SHA-256 of the pickle
+#: after it. A read whose digest disagrees (a bit flip that still
+#: unpickles, or a header-less entry from older code) is quarantined
+#: like a truncated one, so no mangled artifact is ever served.
+DISK_MAGIC = b"repro-artifact-sha256:"
+_HEADER_BYTES = len(DISK_MAGIC) + hashlib.sha256().digest_size
+
+
+def _unpack(blob: bytes) -> Any:
+    """The artifact in one disk entry; ``ValueError`` unless its
+    header matches the payload."""
+    payload = memoryview(blob)[_HEADER_BYTES:]
+    if blob[:_HEADER_BYTES] != (DISK_MAGIC
+                                + hashlib.sha256(payload).digest()):
+        raise ValueError("disk entry fails its content digest")
+    return pickle.loads(payload)
+
+
+class Encoded(bytes):
+    """A token's :func:`_update` byte stream, made once by
+    :func:`encode`. :func:`fingerprint` feeds it verbatim, so a digest
+    over it equals the digest over the token it encodes."""
+
+
+def encode(value: Any) -> Encoded:
+    """Pre-encode a token whose digest inputs are reused many times."""
+    chunks: List[bytes] = []
+    _update(SimpleNamespace(update=chunks.append), value)
+    return Encoded(b"".join(chunks))
 
 
 def _update(hasher: "hashlib._Hash", value: Any) -> None:
@@ -73,7 +104,10 @@ def _update(hasher: "hashlib._Hash", value: Any) -> None:
         raw = value.encode()
         hasher.update(b"s%d:" % len(raw) + raw + b";")
     elif isinstance(value, bytes):
-        hasher.update(b"y%d:" % len(value) + value + b";")
+        if isinstance(value, Encoded):
+            hasher.update(value)
+        else:
+            hasher.update(b"y%d:" % len(value) + value + b";")
     elif isinstance(value, (tuple, list)):
         hasher.update(b"(")
         for item in value:
@@ -388,14 +422,15 @@ class ArtifactCache:
         try:
             try:
                 with open(path, "rb") as handle:
-                    value = pickle.load(handle)
+                    value = _unpack(handle.read())
             except FileNotFoundError:
                 return _MISSING
             except (pickle.UnpicklingError, EOFError, AttributeError,
                     ImportError, IndexError, ValueError, MemoryError):
-                # Truncated or mangled entry — e.g. a reader racing a
-                # non-atomic copy, or bit rot. Quarantine it (count as
-                # a miss, never an error) so the slot can be rewritten.
+                # Truncated, mangled or header-less entry — e.g. a
+                # reader racing a non-atomic copy, bit rot, or a pickle
+                # from older code. Quarantine it (count as a miss,
+                # never an error) so the slot can be rewritten.
                 if quarantine:
                     self._quarantine(path)
                 return _MISSING
@@ -416,6 +451,7 @@ class ArtifactCache:
         # for future readers, never to an error for this writer.
         started = time.perf_counter()
         try:
+            payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
             path = self._disk_path(key)
             shard = os.path.dirname(path)
             os.makedirs(shard, exist_ok=True)
@@ -424,7 +460,10 @@ class ArtifactCache:
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle, pickle.HIGHEST_PROTOCOL)
+                    handle.write(
+                        DISK_MAGIC + hashlib.sha256(payload).digest()
+                    )
+                    handle.write(payload)
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)

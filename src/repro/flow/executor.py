@@ -40,12 +40,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.binding import SATable
-from repro.cdfg import Schedule, benchmark_spec, load_benchmark
+from repro.cdfg import benchmark_spec, load_benchmark
 from repro.errors import ConfigError
-from repro.flow.cache import ArtifactCache, CacheStats
+from repro.flow.cache import ArtifactCache, CacheStats, encode
 from repro.flow.grid import SweepCell, SweepJob, SweepSpec, expand_grid
 from repro.flow.knobs import CONFIG_KNOBS
-from repro.flow.pipeline import batch_simulate_pipelines
+from repro.flow.pipeline import batch_simulate_pipelines, flow_input_token
 from repro.flow.run import (
     FlowConfig,
     build_pipeline,
@@ -100,12 +100,15 @@ def _init_worker(payload: _WorkerPayload) -> None:
 
 
 def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
-               prefetch: bool = False) -> Tuple[Schedule, Dict[str, int], Any, Any, bool]:
+               prefetch: bool = False) -> Tuple[Tuple, bool]:
     """Memoized schedule + registers + ports for one benchmark.
 
     Keyed by the content that determines them: benchmark name,
-    scheduler, and the resource constraints. Returns the cached tuple
-    plus whether this call was a hit.
+    scheduler, and the resource constraints. Returns the cached
+    ``(schedule, constraints, registers, ports, input_token)`` plus
+    whether this call was a hit. The flow-input token is encoded once,
+    when the entry is filled: the memoized inputs never change, so
+    every later flow over them skips re-encoding the design.
 
     ``prefetch=True`` marks a call from the batched-simulation
     prefetch pass: a miss it fills is billed to the *first per-cell
@@ -137,14 +140,15 @@ def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
             constraints = bench.constraints
             schedule = list_schedule(cdfg, constraints)
         registers, ports = prepare_flow_inputs(schedule)
-        memo[key] = (schedule, constraints, registers, ports)
+        token = encode(flow_input_token(schedule, constraints, registers,
+                                        ports))
+        memo[key] = (schedule, constraints, registers, ports, token)
         if prefetch:
             unbilled.add(key)
     if not prefetch and key in unbilled:
         unbilled.discard(key)
         hit = False
-    schedule, constraints, registers, ports = memo[key]
-    return schedule, constraints, registers, ports, hit
+    return memo[key], hit
 
 
 def _flow_config(job: SweepJob, spec: SweepSpec, table: SATable) -> FlowConfig:
@@ -213,21 +217,25 @@ def _execute(state: Dict[str, Any], job: SweepJob,
     if job.design is not None:
         return _execute_design(state, job, spec)
     table: SATable = state["sa_table"]
-    schedule, constraints, registers, ports, hit = _elaborate(
+    (schedule, constraints, registers, ports, token), hit = _elaborate(
         state, job.benchmark, spec
     )
     config = _flow_config(job, spec, table)
     result = execute_flow(
         schedule, constraints, job.config.binder, config, registers, ports,
-        cache=state["cache"],
+        cache=state["cache"], input_token=token,
     )
+    # The table only ever grows, so an unchanged size means no new
+    # entries and no copy of the table.
     known: set = state["sa_known"]
-    new_entries = {
-        key: value
-        for key, value in table.snapshot().items()
-        if key not in known
-    }
-    known.update(new_entries)
+    new_entries: Dict[Any, float] = {}
+    if len(table) > len(known):
+        new_entries = {
+            key: value
+            for key, value in table.snapshot().items()
+            if key not in known
+        }
+        known.update(new_entries)
     return _cell(job, result, hit, len(new_entries)), result, new_entries
 
 
@@ -274,13 +282,12 @@ def _prefetch_batches(
             continue
         pipes = []
         for job in group_jobs:
-            schedule, constraints, registers, ports, _ = _elaborate(
-                state, job.benchmark, spec, prefetch=True
-            )
+            (schedule, constraints, registers, ports, token), _ = \
+                _elaborate(state, job.benchmark, spec, prefetch=True)
             pipes.append(build_pipeline(
                 schedule, constraints, job.config.binder,
                 _flow_config(job, spec, table), registers, ports,
-                cache=cache,
+                cache=cache, input_token=token,
             ))
         passes = batch_simulate_pipelines(pipes, max_batch=spec.sim_batch)
         for member_indices, wall in passes:

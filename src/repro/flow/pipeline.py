@@ -78,7 +78,7 @@ from repro.binding.compile import (
 from repro.binding.sa_table import SATableConfig
 from repro.binding.weights import DEFAULT_ALPHA
 from repro.cdfg.schedule import Schedule
-from repro.flow.cache import ArtifactCache, fingerprint
+from repro.flow.cache import ArtifactCache, Encoded, fingerprint
 from repro.flow.knobs import CONFIG_KNOBS
 from repro.fpga.compile import elaborate_design
 from repro.fpga.elaborate import ElaboratedDesign
@@ -209,6 +209,22 @@ def registers_token(registers: RegisterBinding) -> Tuple:
 
 def ports_token(ports: PortAssignment) -> Tuple:
     return ("ports", tuple(sorted(ports.ports.items())))
+
+
+def flow_input_token(
+    schedule: Schedule,
+    constraints: Mapping[str, int],
+    registers: RegisterBinding,
+    ports: PortAssignment,
+) -> Tuple:
+    """Content token of the flow inputs, mixed into the root stages'
+    fingerprints and the bind memo's key."""
+    return (
+        schedule_token(schedule),
+        tuple(sorted(constraints.items())),
+        registers_token(registers),
+        ports_token(ports),
+    )
 
 
 def binder_token(binder: Binder, cfg: "FlowConfig") -> Optional[Tuple]:
@@ -369,32 +385,17 @@ def _run_vectors(p: "Pipeline") -> VectorSet:
     )
 
 
-def _golden_outputs_memo(p: "Pipeline", mapped: MappedDesign):
-    """CDFG-semantics outputs, shared via the cache.
-
-    Keyed by the techmap and vectors fingerprints: the expected outputs
-    depend on nothing else, so every simulation knob cell of a sweep
-    (idle x jitter over the same design and stimulus) verifies
-    against one computation instead of re-deriving it per cell.
-    Memory-only, like the artifacts it checks.
-    """
-    techmap_fp = p.stage_fingerprint("techmap")
-    vectors_fp = p.stage_fingerprint("vectors")
-    if techmap_fp is None or vectors_fp is None:
-        return golden_outputs(mapped.design, p.artifact("vectors"))
-    key = fingerprint(CACHE_SALT, "golden-outputs", techmap_fp, vectors_fp)
-    hit, expected = p.cache.lookup(key)
-    if not hit:
-        expected = golden_outputs(mapped.design, p.artifact("vectors"))
-        p.cache.store(key, expected, persist=False)
-    return expected
-
-
 def _check_simulation(p: "Pipeline", artifact: SimulatedDesign) -> None:
     if not p.cfg.check_function or artifact.checked:
         return
-    mapped = p.artifact("techmap")
-    expected = _golden_outputs_memo(p, mapped)
+    # The expected outputs depend on the mapped design and stimulus
+    # alone, so every simulation knob cell of a sweep (idle x jitter)
+    # verifies against one computation.
+    expected = p.derived(
+        "golden-outputs", ("techmap", "vectors"),
+        lambda: golden_outputs(p.artifact("techmap").design,
+                               p.artifact("vectors")),
+    )
     if expected != artifact.result.outputs:
         solution = p.artifact("bind")
         raise SimulationError(
@@ -499,6 +500,7 @@ class Pipeline:
         registers: RegisterBinding,
         ports: PortAssignment,
         cache: Optional[ArtifactCache] = None,
+        input_token: Optional[Encoded] = None,
     ):
         self.schedule = schedule
         self.constraints = dict(constraints)
@@ -511,11 +513,12 @@ class Pipeline:
         self.cache_hits: Dict[str, bool] = {}
         self._artifacts: Dict[str, Any] = {}
         self._fingerprints: Dict[str, Optional[str]] = {}
+        # Callers holding immutable inputs (the executor's elaboration
+        # memo) pass the token pre-encoded; the digests are the same.
         self._input_token = (
-            schedule_token(schedule),
-            tuple(sorted(self.constraints.items())),
-            registers_token(registers),
-            ports_token(ports),
+            input_token if input_token is not None
+            else flow_input_token(schedule, self.constraints, registers,
+                                  ports)
         )
 
     # -- fingerprints ------------------------------------------------------
@@ -579,6 +582,22 @@ class Pipeline:
         )
         self.cache_hits[name] = hit
         self._artifacts[name] = value
+        return value
+
+    def derived(self, name: str, deps: Tuple[str, ...],
+                compute: Callable[[], Any]) -> Any:
+        """``compute()``, a pure function of the ``deps`` artifacts,
+        cached memory-only under their digests (and recomputed when
+        one is uncacheable). Like artifacts, the value is shared and
+        must be treated as immutable."""
+        digests = [self.stage_fingerprint(dep) for dep in deps]
+        if None in digests:
+            return compute()
+        key = fingerprint(CACHE_SALT, name, *digests)
+        hit, value = self.cache.lookup(key)
+        if not hit:
+            value = compute()
+            self.cache.store(key, value, persist=False)
         return value
 
     def run_stages(self, names: Tuple[str, ...]) -> None:

@@ -35,7 +35,7 @@ from repro.binding import (
     bind_registers,
 )
 from repro.cdfg.schedule import Schedule
-from repro.flow.cache import ArtifactCache
+from repro.flow.cache import ArtifactCache, Encoded
 from repro.flow.knobs import CONFIG_KNOBS, check_knob, knob_fields
 from repro.flow.pipeline import ESTIMATE_STAGES, Binder, Pipeline
 from repro.fpga.elaborate import ElaboratedDesign
@@ -192,21 +192,37 @@ def build_pipeline(
     registers: Optional[RegisterBinding] = None,
     ports: Optional[PortAssignment] = None,
     cache: Optional[ArtifactCache] = None,
+    input_token: Optional[Encoded] = None,
 ) -> Pipeline:
-    """Assemble a :class:`Pipeline` with the drivers' input defaults."""
+    """Assemble a :class:`Pipeline`, deriving missing registers/ports.
+
+    ``input_token`` is :func:`~repro.flow.cache.encode` of
+    :func:`~repro.flow.pipeline.flow_input_token` over these inputs,
+    for callers that hold them unchanged across many flows (the
+    executor encodes once per elaboration-memo entry). Without it the
+    pipeline encodes the inputs itself: they may have been mutated
+    since any earlier call.
+    """
     cfg = config or FlowConfig()
     if registers is None:
         registers = bind_registers(schedule)
     if ports is None:
         ports = assign_ports(schedule.cdfg)
     return Pipeline(schedule, constraints, binder, cfg, registers, ports,
-                    cache)
+                    cache, input_token)
 
 
 def _controller_luts(pipe: Pipeline) -> int:
-    return build_controller(pipe.artifact("datapath")).estimated_luts(
-        pipe.cfg.k
+    controller = pipe.derived(
+        "controller", ("datapath",),
+        lambda: build_controller(pipe.artifact("datapath")),
     )
+    return controller.estimated_luts(pipe.cfg.k)
+
+
+def _muxes(pipe: Pipeline) -> MuxReport:
+    return pipe.derived("mux-report", ("bind",),
+                        lambda: mux_report(pipe.artifact("bind")))
 
 
 def run_flow(
@@ -217,6 +233,7 @@ def run_flow(
     registers: Optional[RegisterBinding] = None,
     ports: Optional[PortAssignment] = None,
     cache: Optional[ArtifactCache] = None,
+    input_token: Optional[Encoded] = None,
 ) -> FlowResult:
     """Bind, build, map, simulate, and measure one design.
 
@@ -231,7 +248,8 @@ def run_flow(
             "FlowConfig(flow='estimate')"
         )
     pipe = build_pipeline(
-        schedule, constraints, binder, cfg, registers, ports, cache
+        schedule, constraints, binder, cfg, registers, ports, cache,
+        input_token,
     )
     solution = pipe.artifact("bind")
     mapped = pipe.artifact("techmap")
@@ -245,7 +263,7 @@ def run_flow(
         datapath=pipe.artifact("datapath"),
         design=mapped.design,
         mapping=mapped.mapping,
-        muxes=mux_report(solution),
+        muxes=_muxes(pipe),
         timing=timing,
         simulation=simulation,
         power=power,
@@ -265,6 +283,7 @@ def run_estimate(
     registers: Optional[RegisterBinding] = None,
     ports: Optional[PortAssignment] = None,
     cache: Optional[ArtifactCache] = None,
+    input_token: Optional[Encoded] = None,
 ) -> EstimateResult:
     """The estimate-only partial flow: stop after tech-map/timing.
 
@@ -275,7 +294,8 @@ def run_estimate(
     """
     started = time.perf_counter()
     pipe = build_pipeline(
-        schedule, constraints, binder, config, registers, ports, cache
+        schedule, constraints, binder, config, registers, ports, cache,
+        input_token,
     )
     pipe.run_stages(ESTIMATE_STAGES)
     solution = pipe.artifact("bind")
@@ -287,7 +307,7 @@ def run_estimate(
         datapath=pipe.artifact("datapath"),
         design=mapped.design,
         mapping=mapped.mapping,
-        muxes=mux_report(solution),
+        muxes=_muxes(pipe),
         timing=pipe.artifact("timing"),
         area_luts=mapped.mapping.area + controller_luts,
         controller_luts=controller_luts,
@@ -305,12 +325,13 @@ def execute_flow(
     registers: Optional[RegisterBinding] = None,
     ports: Optional[PortAssignment] = None,
     cache: Optional[ArtifactCache] = None,
+    input_token: Optional[Encoded] = None,
 ) -> Union[FlowResult, EstimateResult]:
     """Dispatch on ``config.flow``: the full or the estimate-only flow."""
     cfg = config or FlowConfig()
     runner = run_estimate if cfg.flow == "estimate" else run_flow
     return runner(schedule, constraints, binder, cfg, registers, ports,
-                  cache)
+                  cache, input_token)
 
 
 def compare_binders(

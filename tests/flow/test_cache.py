@@ -3,16 +3,24 @@
 import dataclasses
 import os
 import pickle
+import struct
 import time
 
 import pytest
 
+from repro import benchmark_spec
+from repro.cdfg import load_benchmark
+from repro.flow import FlowConfig, build_pipeline, run_estimate
 from repro.flow.cache import (
+    DISK_MAGIC,
     STALE_TMP_SECONDS,
     ArtifactCache,
     CacheStats,
+    Encoded,
+    encode,
     fingerprint,
 )
+from repro.scheduling import list_schedule
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,6 +73,20 @@ class TestFingerprint:
     def test_unfingerprintable_value_rejected(self):
         with pytest.raises(TypeError):
             fingerprint(object())
+
+    def test_encoded_token_hashes_like_the_token(self):
+        token = (1, [2.5, "s"], {"k": None}, frozenset({4, 5}), b"raw",
+                 _Token("x", 1.0), True)
+        encoded = encode(token)
+        assert isinstance(encoded, Encoded)
+        assert fingerprint(encoded) == fingerprint(token)
+        assert fingerprint("salt", encoded, 3) == \
+            fingerprint("salt", token, 3)
+
+    def test_plain_bytes_are_not_fed_verbatim(self):
+        # Only Encoded skips the type tag; equal plain bytes do not.
+        raw = bytes(encode(("a", 1)))
+        assert fingerprint(raw) != fingerprint(("a", 1))
 
 
 class TestArtifactCache:
@@ -351,6 +373,63 @@ class TestDiskLayer:
         os.utime(corrupt, (old, old))
         cache.store("k1", "artifact")  # prune sweeps stale quarantine
         assert not os.path.exists(corrupt)
+
+    def test_headerless_entry_quarantined(self, tmp_path):
+        # A bare pickle (the layout of older code) unpickles fine but
+        # carries no digest: it is quarantined and counted, not served.
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        path = cache._disk_path("old")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            pickle.dump({"stale": 1.5}, handle)
+        assert ("old" in cache) is False
+        assert cache.lookup("old") == (False, None)
+        assert cache.disk_corrupt == 1
+        assert os.path.exists(path + ".corrupt")
+
+    def test_entry_header_is_tag_and_payload_digest(self, tmp_path):
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        cache.store("k1", {"payload": [1.5, 2.5]})
+        with open(cache._disk_path("k1"), "rb") as handle:
+            blob = handle.read()
+        assert blob.startswith(DISK_MAGIC)
+        payload = blob[len(DISK_MAGIC) + 32:]
+        assert pickle.loads(payload) == {"payload": [1.5, 2.5]}
+
+    def test_silent_bit_flip_quarantined_and_recomputed(self, tmp_path):
+        """A flipped byte inside a stored float still unpickles — to a
+        wrong number. The content digest catches it: the entry is
+        quarantined and counted, and the flow recomputes byte-identical
+        metrics."""
+        bench = benchmark_spec("pr")
+        schedule = list_schedule(load_benchmark("pr"), bench.constraints)
+        cfg = FlowConfig(width=4, flow="estimate")
+        cold = run_estimate(schedule, bench.constraints, "lopass", cfg,
+                            cache=ArtifactCache(disk_dir=str(tmp_path)))
+        timing_fp = build_pipeline(
+            schedule, bench.constraints, "lopass", cfg
+        ).stage_fingerprint("timing")
+        path = ArtifactCache(disk_dir=str(tmp_path))._disk_path(timing_fp)
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        # Pickle stores a float as opcode "G" + 8 big-endian bytes;
+        # flip the lowest mantissa byte.
+        period = struct.pack(">d", cold.timing.clock_period_ns)
+        at = bytes(blob).index(b"G" + period) + 8
+        blob[at] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        mangled = pickle.loads(bytes(blob[len(DISK_MAGIC) + 32:]))
+        assert mangled.clock_period_ns != cold.timing.clock_period_ns
+
+        reader = ArtifactCache(disk_dir=str(tmp_path))
+        warm = run_estimate(schedule, bench.constraints, "lopass", cfg,
+                            cache=reader)
+        assert reader.disk_corrupt == 1
+        assert os.path.exists(path + ".corrupt")
+        assert "timing" not in warm.cache_hits
+        assert "techmap" in warm.cache_hits
+        assert warm.metrics() == cold.metrics()
 
     def test_flat_layout_pickles_still_bounded(self, tmp_path):
         # Directories written by the pre-sharding layout hold .pkl

@@ -1,8 +1,13 @@
 """Resident-executor tests: warm state across submissions, byte-identical
 results versus transient sweeps, stats accounting, and lifecycle."""
 
+from collections import Counter
+
 import pytest
 
+import repro.flow.pipeline as pipeline_mod
+import repro.flow.run as run_mod
+from repro.binding import SATable
 from repro.errors import ConfigError
 from repro.flow import CacheStats, FlowExecutor, SweepSpec, run_sweep
 from repro.flow.executor import DEFAULT_CACHE_ENTRIES
@@ -73,6 +78,43 @@ class TestWarmState:
         second = run_sweep(spec, jobs=1)
         assert first.stage_cache_hits == second.stage_cache_hits
         assert second.schedule_cache_misses > 0
+
+
+class TestWarmRepeat:
+    def test_warm_estimate_repeat_skips_encoding_and_reports(
+            self, monkeypatch):
+        """The flow-input token is encoded once per elaboration-memo
+        entry, and the controller and mux report once per artifact: a
+        warm repeat of an estimate cell does neither, adds no SA-table
+        entry so copies no table, and answers the cold cell's
+        metrics."""
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(pipeline_mod, "schedule_token")
+        count(run_mod, "build_controller")
+        count(run_mod, "mux_report")
+        count(SATable, "snapshot")
+        spec = small_spec(binders=("hlpower",), vector_seeds=(7,),
+                          baseline="none", flow="estimate")
+        with FlowExecutor(jobs=1) as executor:
+            cold = executor.run_jobs(spec, expand_grid(spec))
+            assert cold.sa_new_entries > 0
+            assert (calls["schedule_token"], calls["build_controller"],
+                    calls["mux_report"]) == (1, 1, 1)
+            calls.clear()
+            warm = executor.run_jobs(spec, expand_grid(spec))
+        assert calls == {}
+        assert warm.cells[0].schedule_cache_hit
+        assert warm.cells[0].metrics == cold.cells[0].metrics
 
 
 class TestStats:

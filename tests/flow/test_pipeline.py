@@ -30,6 +30,7 @@ from repro.flow import (
 )
 from repro.cdfg import load_benchmark
 from repro.cdfg.corpus import corpus_instance
+from repro.flow.cache import encode
 from repro.scheduling import list_schedule
 from repro.serve.api import request_key, single_cell_spec, sweep_spec
 from tests.conftest import oracle_flow_metrics
@@ -459,12 +460,27 @@ GOLDEN_REQUEST_KEYS = [
 class TestFingerprintGolden:
     @pytest.mark.parametrize("name,binder", sorted(FINGERPRINT_GOLDEN))
     def test_stage_fingerprints_pinned(self, name, binder):
+        """Pinned for a pipeline that encodes its flow inputs and for
+        one handed them pre-encoded (as the executor's elaboration memo
+        does) — which also share one bind-memo key."""
         bench = benchmark_spec("pr")
         schedule = list_schedule(load_benchmark("pr"), bench.constraints)
-        pipe = build_pipeline(schedule, bench.constraints, binder,
-                              FlowConfig(**GOLDEN_CONFIGS[name]))
-        digests = tuple(pipe.stage_fingerprint(s) for s in STAGE_NAMES)
-        assert digests == FINGERPRINT_GOLDEN[name, binder]
+        cfg = FlowConfig(**GOLDEN_CONFIGS[name])
+        raw = build_pipeline(schedule, bench.constraints, binder, cfg)
+        token = encode(pipeline_mod.flow_input_token(
+            schedule, bench.constraints, raw.registers, raw.ports
+        ))
+        pre = build_pipeline(schedule, bench.constraints, binder, cfg,
+                             raw.registers, raw.ports, input_token=token)
+        memo_keys = []
+        for pipe in (raw, pre):
+            digests = tuple(pipe.stage_fingerprint(s) for s in STAGE_NAMES)
+            assert digests == FINGERPRINT_GOLDEN[name, binder]
+            # The pipeline's own fresh cache: its one entry is the
+            # bind memo, under its key.
+            pipeline_mod._bind_memo(pipe)
+            memo_keys.append(list(pipe.cache._entries))
+        assert memo_keys[0] == memo_keys[1] and len(memo_keys[0]) == 1
 
     @pytest.mark.parametrize("kind,body,key", GOLDEN_REQUEST_KEYS)
     def test_request_keys_pinned(self, kind, body, key):
