@@ -575,6 +575,9 @@ class FlowExecutor:
                 ]
                 n_chunks = len(chunks)
                 table = self.sa_table
+                # The in-process state shares this table: entries merged
+                # here are not new to a later in-process submission.
+                known: set = self._state["sa_known"]
                 for executed, stats in self._pool.map(
                     _execute_chunk_remote, chunks, chunksize=1
                 ):
@@ -584,6 +587,7 @@ class FlowExecutor:
                     _add_counts(memo_delta, stats["cone_memo"])
                     for cell, new_entries in executed:
                         sa_new_total += table.merge(new_entries)
+                        known.update(new_entries)
                         cells.append(cell)
                         if progress is not None:
                             progress(cell)

@@ -66,7 +66,9 @@ dictates three implementation rules:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -322,32 +324,70 @@ def _run_offsets(lengths: np.ndarray) -> np.ndarray:
     )
 
 
+class LevelCuts(NamedTuple):
+    """One structural level's kept cuts, one array row per cut.
+
+    Gate ``gates[g]``'s candidates are rows ``offsets[g]`` to
+    ``offsets[g + 1]``, in the reference's candidate order; ``gate``
+    holds ``g`` per row. ``leaves`` holds each cut's leaf ids in
+    ``sorted(cut)`` order, padded with ``len(cm.names)``, and
+    ``table`` the cone function over them as little-endian ``uint64``
+    words (bit ``c`` of the table is word ``c // 64``, bit ``c % 64``;
+    one word for ``k <= 6``; all zero past :data:`MAX_CONE_LEAVES`
+    leaves, where the cut has no table).
+    """
+
+    gates: np.ndarray
+    gate: np.ndarray
+    leaves: np.ndarray
+    size: np.ndarray
+    table: np.ndarray
+    offsets: np.ndarray
+
+
+def table_ints(words: np.ndarray) -> List[int]:
+    """The tables of :attr:`LevelCuts.table` rows as Python ints."""
+    stride = words.shape[1] * 8
+    raw = words.tobytes()
+    return [
+        int.from_bytes(raw[at:at + stride], "little")
+        for at in range(0, len(raw), stride)
+    ]
+
+
 def enumerate_cuts_ids(
     cm: CompiledMapNetlist, k: int, cap: int
 ) -> List[Optional[List[Candidate]]]:
     """Per-node non-trivial candidate cuts with their cone functions.
 
-    Mirrors :func:`repro.techmap.cuts.enumerate_cuts` decision for
-    decision, so index ``j`` of a node's candidate list is the cut the
-    reference mapper evaluates ``j``-th, with the table
-    ``cone_function`` returns for it. The trivial cut is not listed
+    The per-node view of :func:`cut_levels`: index ``j`` of a node's
+    list is the cut the reference mapper evaluates ``j``-th, with the
+    table ``cone_function`` returns for it (None past
+    :data:`MAX_CONE_LEAVES` leaves). The trivial cut is not listed
     (the mapper skips it anyway); sources get None, constants ``[]``.
-    The mapper consumes the same lists level by level
-    (:func:`cut_levels`).
     """
     candidates: List[Optional[List[Candidate]]] = [None] * len(cm.names)
     for net_id in cm.by_level.get(0, ()):
         candidates[net_id] = []
-    for gates, lists in cut_levels(cm, k, cap):
-        for net_id, cut_list in zip(gates, lists):
-            candidates[net_id] = cut_list
+    for cuts in cut_levels(cm, k, cap):
+        rows = [
+            (tuple(ids[:s]),
+             None if s > MAX_CONE_LEAVES else TruthTable(s, bits))
+            for ids, s, bits in zip(
+                cuts.leaves.tolist(), cuts.size.tolist(),
+                table_ints(cuts.table),
+            )
+        ]
+        bounds = cuts.offsets.tolist()
+        for g, net_id in enumerate(cuts.gates.tolist()):
+            candidates[net_id] = rows[bounds[g]:bounds[g + 1]]
     return candidates
 
 
 def cut_levels(
     cm: CompiledMapNetlist, k: int, cap: int
-) -> Iterator[Tuple[List[int], List[List[Candidate]]]]:
-    """Per structural level >= 1: its gates and their candidate lists.
+) -> Iterator[LevelCuts]:
+    """Per structural level >= 1, in order: its gates' kept cuts.
 
     Same cross-merge order, same first-seen dedup, same dominance
     prune, same ``(depth, size)`` stable sort and same ``cap - 1``
@@ -355,7 +395,7 @@ def cut_levels(
     together as array rows (see :class:`_CutPool`), one fanin stage at
     a time, and each kept cut's table is carried from the fanin cuts
     that formed it (:func:`_carry_tables`). Levels are produced
-    lazily, so only one level's candidate lists are alive at a time.
+    lazily, so only one level's cuts are alive at a time.
     """
     if k < 2:
         raise MappingError(f"LUT input count must be >= 2, got {k}")
@@ -386,27 +426,20 @@ def _cut_levels(cm: CompiledMapNetlist, k: int, cap: int):
             cm, pool, gate_ids, gate, leaves, size, prov
         )
         first = pool.append(leaves, depth, bits, inner)
-        kept = np.bincount(gate, minlength=len(gates))
-        pool.count[gate_ids] = kept
-        pool.start[gate_ids] = first + np.cumsum(kept) - kept
+        offsets = np.zeros(len(gates) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(gate, minlength=len(gates)), out=offsets[1:])
+        pool.count[gate_ids] = np.diff(offsets)
+        pool.start[gate_ids] = first + offsets[:-1]
 
         packed = np.packbits(bits, axis=1, bitorder="little")
-        stride = packed.shape[1]
-        raw = packed.tobytes()
-        rows = [
-            (tuple(ids[:s]), None if s > MAX_CONE_LEAVES else TruthTable(
-                s, int.from_bytes(raw[at:at + stride], "little")
-            ))
-            for ids, s, at in zip(
-                pool.id_of[leaves].tolist(), size.tolist(),
-                range(0, len(raw), stride),
-            )
-        ]
-        ends = np.cumsum(kept).tolist()
-        yield gates, [
-            rows[end - n_kept:end]
-            for end, n_kept in zip(ends, kept.tolist())
-        ]
+        words = np.zeros(
+            (len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8
+        )
+        words[:, :packed.shape[1]] = packed
+        yield LevelCuts(
+            gate_ids, gate, pool.id_of[leaves], size,
+            words.view(np.dtype("<u8")), offsets,
+        )
 
 
 def _cross_merge(pool: _CutPool, fanin: np.ndarray, k: int):
@@ -421,12 +454,14 @@ def _cross_merge(pool: _CutPool, fanin: np.ndarray, k: int):
     """
     sentinel = pool.sentinel
     n_gates, width = fanin.shape
-    # One empty cut per gate, like the reference's ``[frozenset()]``.
-    gate = np.arange(n_gates)
-    leaves = np.full((n_gates, k), sentinel, dtype=np.int32)
-    depth = np.zeros(n_gates, dtype=np.int32)
-    prov = np.zeros((n_gates, 0), dtype=np.intp)
-    for stage in range(width):
+    # Merging the reference's initial ``[frozenset()]`` with the first
+    # fanin's cut list gives that list itself: distinct, k-feasible
+    # cuts, in list order.
+    lengths = 1 + pool.count[fanin[:, 0]]
+    gate = np.repeat(np.arange(n_gates), lengths)
+    cut = pool.list_rows(fanin[gate, 0], _run_offsets(lengths))
+    leaves, depth, prov = pool.leaves[cut], pool.depth[cut], cut[:, None]
+    for stage in range(1, width):
         # Every (current cut, fanin cut) pair, base-major like the
         # reference's nested loop.
         fanin_ids = fanin[gate, stage]
@@ -519,21 +554,23 @@ def _carry_tables(
     planes = ((combo >> np.arange(k + 2)[:, None]) & 1).astype(
         np.min_scalar_type(width - 1)
     )
-    index = np.zeros((n_rows, width), dtype=np.intp)
-    inner = np.zeros(n_rows, dtype=np.uint64)
-    for stage in range(prov.shape[1]):
-        rows = prov[:, stage]
-        fanin_leaves = pool.leaves[rows]
-        # Where each fanin-cut leaf sits among the cut's leaves.
-        position = (leaves[:, None, :] < fanin_leaves[:, :, None]).sum(
-            axis=2
-        )
-        position[(fanin_leaves == sentinel) | ~fits[:, None]] = k + 1
-        sub = planes[position[:, 0]].copy()
-        for j in range(1, k):
-            sub |= planes[position[:, j]] << j
-        index |= pool.bits[rows[:, None], sub].astype(np.intp) << stage
-        inner |= pool.inner[rows]
+    # Per (row, fanin stage): where each leaf of the fanin cut sits
+    # among the cut's leaves, then each cut combination's combination
+    # of the fanin cut, and the fanin cut's table bit there.
+    fanin_leaves = pool.leaves[prov]
+    position = (leaves[:, None, None, :] < fanin_leaves[..., None]).sum(
+        axis=3
+    )
+    position[(fanin_leaves == sentinel) | ~fits[:, None, None]] = k + 1
+    sub = np.bitwise_or.reduce(
+        planes[position] << np.arange(k, dtype=planes.dtype)[:, None],
+        axis=2,
+    )
+    stages = np.arange(prov.shape[1], dtype=np.intp)[:, None]
+    index = np.bitwise_or.reduce(
+        pool.bits[prov[..., None], sub].astype(np.intp) << stages, axis=1
+    )
+    inner = np.bitwise_or.reduce(pool.inner[prov], axis=1)
 
     # Each gate's function as one byte per input combination.
     n_bytes = max(1, (1 << prov.shape[1]) // 8)
@@ -632,12 +669,16 @@ class ConeMemo:
         self.misses = 0
         self.resets = 0
 
-    def lookup(self, exact_key: "HashedKey") -> Optional[Tuple]:
+    def lookup(
+        self, exact_key: "HashedKey", count: int = 1
+    ) -> Optional[Tuple]:
+        """The entry under ``exact_key`` (None if absent), counted as
+        ``count`` lookups: the candidates that share one key."""
         value = self.entries.get(exact_key)
         if value is None:
-            self.misses += 1
+            self.misses += count
         else:
-            self.hits += 1
+            self.hits += count
         return value
 
     def store(

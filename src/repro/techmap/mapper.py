@@ -69,6 +69,7 @@ from repro.techmap.compile import (
     batch_evaluate,
     cut_levels,
     npn_key,
+    table_ints,
 )
 from repro.techmap.cuts import (
     DEFAULT_CUT_CAP,
@@ -265,23 +266,9 @@ def _evaluate_cut(
 # ---------------------------------------------------------------------------
 
 
-class _Candidate:
-    """One prepared (node, cut) evaluation."""
-
-    __slots__ = (
-        "leaf_ids", "table", "depth", "shift", "stats",
-        "exact_key", "value",
-    )
-
-    def __init__(self, leaf_ids, table, depth, shift, stats,
-                 exact_key, value):
-        self.leaf_ids = leaf_ids
-        self.table = table
-        self.depth = depth
-        self.shift = shift
-        self.stats = stats
-        self.exact_key = exact_key
-        self.value = value
+#: Earliest step time of a net without steps (and of the padding
+#: leaf): above every real time, so a row minimum skips it.
+_NO_STEP = np.iinfo(np.int64).max
 
 
 def _map_fast(
@@ -300,153 +287,163 @@ def _map_fast(
     cm = compile_map_netlist(netlist)
     levels = cut_levels(cm, k, cut_cap)
     n_nets = len(cm.names)
+    names = cm.names
 
     waveforms: Dict[str, GlitchWaveform] = {}
     depths: Dict[str, int] = {}
-    wave_of: List[Optional[GlitchWaveform]] = [None] * n_nets
-    depth_of: List[int] = [0] * n_nets
-    sa_flow: List[float] = [0.0] * n_nets
-    area_flow: List[float] = [0.0] * n_nets
-    #: Per-net normalization-ready signature of its waveform:
-    #: (probability, ascending (time, s) tuple, earliest step time,
-    #: interned (probability, steps) pair reused by shift-0 stats).
-    sig_of: List[Optional[Tuple[float, Tuple, int, Tuple]]] = (
-        [None] * n_nets
-    )
+    chosen: Dict[str, Tuple[Tuple[str, ...], TruthTable]] = {}
+    # Per-net arrays, indexed by net id; index n_nets is the padding
+    # leaf of cut rows, which adds nothing to any row reduction.
+    fanout = np.array(cm.fanout + [1], dtype=np.float64)
+    depth_of = np.zeros(n_nets + 1, dtype=np.int64)
+    first_step = np.full(n_nets + 1, _NO_STEP, dtype=np.int64)
+    #: Per net: (SA-flow, area-flow) / fanout.
+    share = np.zeros((n_nets + 1, 2))
+    #: Interned unshifted leaf statistics (equal ids mean equal
+    #: statistics): id -> value, value -> id, and per net its id.
+    sig_values: List[Tuple] = []
+    sig_ids: Dict[Tuple, int] = {}
+    base_sig = np.full(n_nets + 1, -1, dtype=np.int64)
+    #: Per shift: id -> the statistics with every step that much
+    #: earlier.
+    by_shift: Dict[int, Sequence[Tuple]] = {0: sig_values}
 
-    def _settle(net_id: int, wave: GlitchWaveform) -> None:
-        # Steps dicts are constructed in ascending-time order by every
-        # producer below (sources, constants, winner reconstruction),
-        # so no sort is needed.
-        wave_of[net_id] = wave
+    def intern(value: Tuple) -> int:
+        sid = sig_ids.setdefault(value, len(sig_values))
+        if sid == len(sig_values):
+            sig_values.append(value)
+        return sid
+
+    def settle(net_id: int, wave: GlitchWaveform) -> None:
+        # Steps dicts are built in ascending-time order by every
+        # producer (sources, constants, winners), so no sort is needed.
         items = tuple(wave.steps.items())
-        sig_of[net_id] = (
-            wave.probability, items, items[0][0] if items else 0,
-            (wave.probability, items),
-        )
+        name = names[net_id]
+        waveforms[name] = wave
+        depths[name] = wave.depth
+        if glitch_aware:
+            if items:
+                first_step[net_id] = items[0][0]
+            base_sig[net_id] = intern((wave.probability, items))
+        else:
+            # Glitch-blind statistics are the total; no step ever
+            # shifts them.
+            base_sig[net_id] = intern((wave.probability, wave.total()))
 
     for net_id in range(cm.n_sources):
-        name = cm.names[net_id]
+        name = names[net_id]
         prob = (input_probs or {}).get(name, default_probability)
         act = (input_activities or {}).get(name, default_activity)
-        wave = source_waveform(prob, act)
-        _settle(net_id, wave)
-        waveforms[name] = wave
-        depths[name] = 0
+        settle(net_id, source_waveform(prob, act))
 
-    chosen: Dict[str, Tuple[Tuple[str, ...], TruthTable]] = {}
-    fanouts = cm.fanout
     limit = None if exhaustive else max(1, sa_eval_limit)
-    #: (leaf id, shift) -> that leaf's time-shifted signature; shifted
-    #: tuples repeat across the candidates of bit-sliced structures.
-    shifted_sigs: Dict[Tuple[int, int], Tuple] = {}
     # Nodes grouped by structural level: every candidate cut's leaves
-    # sit at strictly lower levels, so one level's nodes can be
-    # prepared, deduplicated and batch-evaluated together — this is
-    # what turns thousands of per-node numpy calls into a handful of
-    # large per-level batches.
+    # sit at strictly lower levels, so one level's candidates are
+    # prepared, deduplicated, evaluated and selected together as array
+    # rows, and Python work runs once per distinct memo key and once
+    # per winner, not once per candidate.
     for level, nodes in cm.by_level.items():
-        # Level 0 holds the constants; every other level's cut lists
-        # are enumerated just before it is mapped.
-        if level:
-            _, candidate_lists = next(levels)
-        else:
-            candidate_lists = [None] * len(nodes)
-        level_nodes: List[Tuple[int, List[_Candidate]]] = []
-        #: exact key -> candidates awaiting the same evaluation (the
-        #: cross-node bit-slice duplicates within this level).
-        pending: Dict[Tuple, List[_Candidate]] = {}
-        jobs_by_arity: Dict[int, List[_Candidate]] = {}
-
-        for net_id, candidates in zip(nodes, candidate_lists):
-            name = cm.names[net_id]
-            if not cm.gate_inputs[net_id]:
+        if not level:
+            for net_id in nodes:  # the constants
                 table = cm.tables[net_id]
                 value = table.is_constant()
                 if value is None:
                     raise MappingError(
-                        f"zero-input non-constant gate {name!r}"
+                        f"zero-input non-constant gate {names[net_id]!r}"
                     )
-                wave = GlitchWaveform(1.0 if value else 0.0, {}, 0)
-                _settle(net_id, wave)
-                waveforms[name] = wave
-                depths[name] = 0
-                chosen[name] = ((), table)
-                continue
-            if not candidates:
-                raise MappingError(_no_cut_message(name, k, cut_cap))
-            if limit is not None:
-                candidates = candidates[:limit]
+                settle(net_id, GlitchWaveform(1.0 if value else 0.0, {}, 0))
+                chosen[names[net_id]] = ((), table)
+            continue
+        cuts = next(levels)
+        count = np.diff(cuts.offsets)
+        if not count.all():
+            empty = cuts.gates[np.argmin(count)]
+            raise MappingError(_no_cut_message(names[empty], k, cut_cap))
+        rows = np.arange(len(cuts.gate))
+        if limit is not None:
+            rows = rows[rows - cuts.offsets[cuts.gate] < limit]
+        gate, leaves = cuts.gate[rows], cuts.leaves[rows]
+        size, table = cuts.size[rows], cuts.table[rows]
+        wide = np.flatnonzero(size > MAX_CONE_LEAVES)
+        if len(wide):
+            raise MappingError(
+                f"cone collapse limited to {MAX_CONE_LEAVES} leaves, "
+                f"got {size[wide[0]]}"
+            )
+        depth = 1 + depth_of[leaves].max(axis=1)
+        # Leaf statistics are shifted so the earliest step over the
+        # leaves that have steps is at time 0.
+        shift = first_step[leaves].min(axis=1)
+        shift[shift == _NO_STEP] = 0
 
-            prepared: List[_Candidate] = []
-            for leaf_ids, table in candidates:
-                if table is None:
-                    raise MappingError(
-                        f"cone collapse limited to {MAX_CONE_LEAVES} "
-                        f"leaves, got {len(leaf_ids)}"
-                    )
-                depth = 1 + max(depth_of[l] for l in leaf_ids)
-                sigs = [sig_of[l] for l in leaf_ids]
-                if glitch_aware:
-                    shift = 0
-                    seen_steps = False
-                    for s in sigs:
-                        if s[1] and (not seen_steps or s[2] < shift):
-                            shift = s[2]
-                            seen_steps = True
-                    if shift == 0:
-                        stats = tuple(s[3] for s in sigs)
-                    else:
-                        stats = tuple(
-                            _shifted_sig(shifted_sigs, l, s, shift)
-                            for s, l in zip(sigs, leaf_ids)
-                        )
+        # Rows with equal (table, arity, leaf statistics ids, shift)
+        # share one memo key (the bit-slice duplicates of a level).
+        # Distinct rows are numbered in first-seen order, so memo
+        # traffic and batch order follow the candidate order.
+        sig = base_sig[leaves]
+        rowkey = np.concatenate(
+            [table.view(np.int64), size[:, None], shift[:, None], sig],
+            axis=1,
+        )
+        _, first, inverse, mult = np.unique(
+            rowkey.view(np.dtype((np.void, rowkey.shape[1] * 8))).ravel(),
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        seen = np.argsort(first)
+        renumber = np.empty_like(seen)
+        renumber[seen] = np.arange(len(seen))
+        distinct = renumber[inverse]
+        heads = first[seen]
+        bits_of = table_ints(table[heads])
+        keys: List[HashedKey] = []
+        values: List[Optional[Tuple]] = []
+        #: Per missed key, the distinct rows that share it (rows that
+        #: differ only in how their statistics were shifted).
+        pending: Dict[HashedKey, List[int]] = {}
+        misses: Dict[int, List[int]] = {}
+        for d, (bits, arity, row_shift, row_sig, m) in enumerate(zip(
+            bits_of, size[heads].tolist(), shift[heads].tolist(),
+            sig[heads].tolist(), mult[seen].tolist(),
+        )):
+            shifted = by_shift.get(row_shift)
+            if shifted is None:
+                shifted = by_shift[row_shift] = _ShiftedStats(
+                    sig_values, row_shift
+                )
+            stats = tuple(map(shifted.__getitem__, row_sig[:arity]))
+            exact_key = HashedKey((bits, arity, glitch_aware, stats))
+            # One lookup per candidate row that shares the key.
+            value = memo.lookup(exact_key, m)
+            keys.append(exact_key)
+            values.append(value)
+            if value is None:
+                sharing = pending.get(exact_key)
+                if sharing is None:
+                    pending[exact_key] = [d]
+                    misses.setdefault(arity, []).append(d)
                 else:
-                    shift = 0
-                    stats = tuple(
-                        (s[0], wave_of[l].total())
-                        for s, l in zip(sigs, leaf_ids)
-                    )
-                exact_key = HashedKey(
-                    (table.bits, len(leaf_ids), glitch_aware, stats)
-                )
-                # The NPN class key is only needed when storing a new
-                # entry; hits skip its computation entirely.
-                entry = _Candidate(
-                    leaf_ids, table, depth, shift, stats,
-                    exact_key, memo.lookup(exact_key),
-                )
-                prepared.append(entry)
-                if entry.value is None:
-                    waiting = pending.get(exact_key)
-                    if waiting is None:
-                        pending[exact_key] = [entry]
-                        jobs_by_arity.setdefault(
-                            len(leaf_ids), []
-                        ).append(entry)
-                    else:
-                        waiting.append(entry)
-            level_nodes.append((net_id, prepared))
+                    sharing.append(d)
 
         # Evaluate this level's distinct misses, one batch per arity.
-        for arity, job_entries in jobs_by_arity.items():
+        for arity, missed in misses.items():
+            tables = [TruthTable(arity, bits_of[d]) for d in missed]
+            stats_of = [keys[d].key[3] for d in missed]
             if glitch_aware:
-                batched = batch_evaluate(
-                    [(e.table, e.stats) for e in job_entries]
-                )
+                batched = batch_evaluate(list(zip(tables, stats_of)))
             else:
-                batched = [None] * len(job_entries)
-            for slot, entry in enumerate(job_entries):
-                table = entry.table
-                probs = tuple(p for p, _ in entry.stats)
-                out_prob = _memo_probability(memo, table, probs)
+                batched = [None] * len(missed)
+            for d, table_fn, stats, steps in zip(
+                missed, tables, stats_of, batched
+            ):
+                probs = tuple(p for p, _ in stats)
+                out_prob = _memo_probability(memo, table_fn, probs)
                 if glitch_aware:
                     # Inlined clamp_activity (raw > 0, so the max(.., 0)
                     # arm is the identity; the conditional is min()).
                     out_bound = 2.0 * min(out_prob, 1.0 - out_prob)
                     steps_norm = tuple(
                         (t, raw if raw < out_bound else out_bound)
-                        for t, raw in batched[slot]
+                        for t, raw in steps
                         if raw > 0.0
                     )
                     # The total is shift-invariant and summed in the
@@ -456,69 +453,77 @@ def _map_fast(
                         float(sum(act for _, act in steps_norm)),
                     )
                 else:
-                    acts = [
-                        clamp_activity(p, total)
-                        for p, total in entry.stats
-                    ]
+                    acts = [clamp_activity(p, total) for p, total in stats]
                     activity = switching_activity(
-                        table, list(probs), acts
+                        table_fn, list(probs), acts
                     )
                     activity = clamp_activity(out_prob, activity)
                     value = (out_prob, activity, None)
-                memo.store(npn_key(table), entry.exact_key, value)
-                for waiting in pending[entry.exact_key]:
-                    waiting.value = value
+                memo.store(npn_key(table_fn), keys[d], value)
+                for sharing in pending[keys[d]]:
+                    values[sharing] = value
 
-        # Select per node, in the reference's candidate order with the
-        # reference's exact cost arithmetic. The waveform itself is
-        # only materialized for the winning cut — its total is the
-        # same left-to-right float sum either way (memo payloads keep
-        # the reference's ascending step order).
-        for net_id, prepared in level_nodes:
-            best = None
-            for entry in prepared:
-                value = entry.value
-                depth = entry.depth
-                if glitch_aware:
-                    total = value[2]
-                else:
-                    payload = value[1]
-                    total = payload if payload > 0.0 else 0.0
-                # sum() seeds at 0 and adds sequentially; this loop
-                # reproduces that association exactly while computing
-                # both flows in one pass.
-                flow_leaves = 0.0
-                af_leaves = 0.0
-                for l in entry.leaf_ids:
-                    fanout = fanouts[l]
-                    flow_leaves = flow_leaves + sa_flow[l] / fanout
-                    af_leaves = af_leaves + area_flow[l] / fanout
-                flow = total + flow_leaves
-                af = 1.0 + af_leaves
-                cost = (flow, depth, af)
-                if best is None or cost < best[0]:
-                    best = (cost, entry)
-            (flow, depth, af), entry = best
-            out_prob, payload = entry.value[0], entry.value[1]
+        # The reference's cost arithmetic per row: leaf shares are
+        # added one leaf column at a time, left to right, as its
+        # sequential sum() does (0.0 + x is x, and padding adds an
+        # exact 0.0).
+        if glitch_aware:
+            total = np.array([value[2] for value in values])
+        else:
+            total = np.array([
+                value[1] if value[1] > 0.0 else 0.0 for value in values
+            ])
+        leaf_shares = share[leaves]
+        leaf_sum = leaf_shares[:, 0].copy()
+        for column in range(1, leaves.shape[1]):
+            leaf_sum += leaf_shares[:, column]
+        flow = total[distinct] + leaf_sum[:, 0]
+        af = 1.0 + leaf_sum[:, 1]
+        # Per gate, the lexicographic (flow, depth, af) minimum; the
+        # stable sort breaks exact ties toward the first candidate, as
+        # the reference's strict "<" scan does.
+        order = np.lexsort((af, depth, flow, gate))
+        taken = np.bincount(gate, minlength=len(cuts.gates))
+        win = order[np.cumsum(taken) - taken]
+
+        depth_of[cuts.gates] = depth[win]
+        share[cuts.gates] = (
+            np.column_stack([flow[win], af[win]]) / fanout[cuts.gates, None]
+        )
+        for net_id, d, row_depth, row_shift, ids, arity in zip(
+            cuts.gates.tolist(), distinct[win].tolist(),
+            depth[win].tolist(), shift[win].tolist(),
+            leaves[win].tolist(), size[win].tolist(),
+        ):
+            out_prob, payload = values[d][0], values[d][1]
             if glitch_aware:
-                shift = entry.shift
-                steps = {t + shift: act for t, act in payload}
+                steps = {t + row_shift: act for t, act in payload}
             else:
-                steps = {entry.depth: payload} if payload > 0.0 else {}
-            wave = GlitchWaveform(out_prob, steps, entry.depth)
-            name = cm.names[net_id]
-            _settle(net_id, wave)
-            depth_of[net_id] = entry.depth
-            sa_flow[net_id] = flow
-            area_flow[net_id] = af
-            waveforms[name] = wave
-            depths[name] = entry.depth
-            chosen[name] = (
-                tuple(cm.names[l] for l in entry.leaf_ids),
-                entry.table,
+                steps = {row_depth: payload} if payload > 0.0 else {}
+            settle(net_id, GlitchWaveform(out_prob, steps, row_depth))
+            chosen[names[net_id]] = (
+                tuple(names[l] for l in ids[:arity]),
+                TruthTable(arity, bits_of[d]),
             )
 
     return _finish(netlist, k, chosen, waveforms, depths)
+
+
+class _ShiftedStats(dict):
+    """Interned statistics id -> those statistics with every step time
+    ``shift`` earlier, built on first use."""
+
+    def __init__(self, unshifted: List[Tuple], shift: int):
+        super().__init__()
+        self.unshifted = unshifted
+        self.shift = shift
+
+    def __missing__(self, sid: int) -> Tuple:
+        prob, steps = self.unshifted[sid]
+        value = self[sid] = (
+            prob, tuple((t - self.shift, s) for t, s in steps)
+        )
+        return value
 
 
 def _no_cut_message(net: str, k: int, cut_cap: int) -> str:
@@ -530,22 +535,6 @@ def _no_cut_message(net: str, k: int, cut_cap: int) -> str:
             f"cut_cap >= 2 is required to map"
         )
     return message
-
-
-def _shifted_sig(
-    cache: Dict[Tuple[int, int], Tuple],
-    leaf_id: int,
-    sig: Tuple[float, Tuple, int],
-    shift: int,
-) -> Tuple[float, Tuple]:
-    key = (leaf_id, shift)
-    shifted = cache.get(key)
-    if shifted is None:
-        shifted = (
-            sig[0], tuple((t - shift, v) for t, v in sig[1])
-        )
-        cache[key] = shifted
-    return shifted
 
 
 def _memo_probability(

@@ -246,6 +246,22 @@ class TestResidentPool:
         assert warm_hits > cold_hits
         assert any(c.schedule_cache_hit for c in second.cells)
 
+    def test_pool_entries_not_new_to_a_later_in_process_run(self):
+        """SA entries the children computed and the parent merged are
+        not reported again by a later in-process (one-cell) submission,
+        which computes none of its own (LOPASS needs no SA value)."""
+        with FlowExecutor(jobs=2) as executor:
+            pooled = executor.run_jobs(small_spec(
+                binders=("hlpower",), baseline="none", widths=(4, 8),
+                vector_seeds=(7,), flow="estimate",
+            ))
+            assert len(pooled.cells) == 2 and pooled.sa_new_entries > 0
+            single = executor.run_jobs(small_spec(
+                binders=("lopass",), vector_seeds=(7,), flow="estimate",
+            ))
+        assert len(single.cells) == 1
+        assert single.sa_new_entries == 0
+
     def test_pool_children_merge_cone_memo_counters(self):
         """jobs>1: each child's cone-memo deltas ship back with its
         chunk and merge into the parent's stats (which child maps which

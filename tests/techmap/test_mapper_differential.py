@@ -14,6 +14,7 @@ import pytest
 import repro.techmap.compile as compile_mod
 from repro import benchmark_spec, BENCHMARK_NAMES
 from repro.cdfg import load_benchmark
+from repro.errors import MappingError
 from repro.flow.cache import ArtifactCache
 from repro.flow.run import (
     FlowConfig,
@@ -21,9 +22,11 @@ from repro.flow.run import (
     compare_binders,
     run_flow,
 )
+from repro.netlist.gates import GateType, Netlist
 from repro.scheduling import list_schedule
 from repro.techmap import map_netlist
 from repro.techmap.compile import ConeMemo
+from repro.techmap.cuts import DEFAULT_CUT_CAP
 from repro.techmap.mapper import _map_reference
 from tests.conftest import oracle_flow_metrics
 
@@ -158,6 +161,67 @@ class TestSmoke:
         """Downstream FlowResults agree metric for metric."""
         assert_flow_matches_oracles("wang")
 
+    @pytest.mark.parametrize("bench_name,width", SMOKE)
+    @pytest.mark.parametrize("glitch_aware", (True, False))
+    def test_exhaustive_equals_reference_without_budget(
+        self, bench_name, width, glitch_aware
+    ):
+        """``effort="exhaustive"`` is the seed mapper with its
+        evaluation budget lifted to every kept cut, cold and warm."""
+        netlist, activities = elaborated(bench_name, width)
+        reference = _map_reference(
+            netlist, input_activities=activities,
+            sa_eval_limit=DEFAULT_CUT_CAP, glitch_aware=glitch_aware,
+        )
+        memo = ConeMemo()
+        for _ in ("cold", "warm"):
+            assert_identical(reference, map_netlist(
+                netlist, input_activities=activities, effort="exhaustive",
+                glitch_aware=glitch_aware, cone_memo=memo,
+            ))
+
+
+class TestSelection:
+    """Directed cases of the per-level array selection."""
+
+    @staticmethod
+    def tied_netlist():
+        """y = AND(p, q), p = AND(a1, a2), q = AND(b1, b2), at k=3.
+
+        y's candidates, in the reference's order, are (p, q), (b1, b2,
+        p) and (a1, a2, q). The last two evaluate the same memo key (an
+        AND3 over two equal sources and one equal AND2 output), so they
+        tie exactly on SA-flow, depth and area-flow, and both beat
+        (p, q) on area-flow.
+        """
+        netlist = Netlist()
+        a1, a2, b1, b2 = (netlist.add_input(n) for n in ("a1", "a2", "b1",
+                                                         "b2"))
+        p = netlist.add_simple(GateType.AND, (a1, a2), "p")
+        q = netlist.add_simple(GateType.AND, (b1, b2), "q")
+        netlist.set_output(netlist.add_simple(GateType.AND, (p, q), "y"))
+        return netlist
+
+    @pytest.mark.parametrize("glitch_aware", (True, False))
+    def test_exact_tie_takes_first_candidate(self, glitch_aware):
+        netlist = self.tied_netlist()
+        reference = _map_reference(netlist, k=3, glitch_aware=glitch_aware)
+        fast = map_netlist(netlist, k=3, glitch_aware=glitch_aware)
+        assert fast.selected_cuts["y"] == ("b1", "b2", "p")
+        assert_identical(reference, fast)
+
+    def test_wide_cone_in_budget_refused_like_reference(self):
+        """A cut wider than MAX_CONE_LEAVES inside the evaluation budget
+        is refused with the reference's error."""
+        netlist = Netlist()
+        inputs = [netlist.add_input(f"i{n:02d}") for n in range(17)]
+        netlist.set_output(netlist.add_simple(GateType.AND, inputs, "y"))
+        message = "cone collapse limited to 16 leaves, got 17"
+        with pytest.raises(MappingError, match=message):
+            _map_reference(netlist, k=17)
+        with pytest.raises(MappingError, match=message):
+            map_netlist(netlist, k=17)
+
 
 #: The netlists one shared memo is pushed through, in order: two binders
 #: of one benchmark, then another benchmark.
@@ -200,6 +264,22 @@ class TestSharedMemo:
                 # what the netlists before them stored.
                 assert hits[1] > 0 and hits[2] > 0, (k, glitch_aware, hits)
         assert memo.stats()["resets"] == 0
+
+    def test_counters_match_recorded(self):
+        """The memo counters stay comparable across mapper changes:
+        chem (HLPower, then LOPASS, width 8) on one memo scores the hits,
+        misses and classes recorded from the per-candidate mapper."""
+        memo = ConeMemo()
+        recorded = [
+            {"npn_classes": 29, "entries": 6086, "hits": 0,
+             "misses": 11199, "resets": 0},
+            {"npn_classes": 29, "entries": 11412, "hits": 5254,
+             "misses": 17896, "resets": 0},
+        ]
+        for binder, expected in zip(("hlpower", "lopass"), recorded):
+            netlist, activities = elaborated("chem", 8, binder)
+            map_netlist(netlist, input_activities=activities, cone_memo=memo)
+            assert memo.stats() == expected, binder
 
     def test_forced_resets_mid_run(self, monkeypatch):
         """A memo that fills up mid-mapping empties itself and carries
