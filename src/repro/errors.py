@@ -52,6 +52,10 @@ class SimulationError(ReproError):
     """Gate-level simulation failure (X propagation, missing driver)."""
 
 
+class WorkerLostError(ReproError):
+    """A process-pool worker died running sweep cells, also on retry."""
+
+
 class ConfigError(ReproError, ValueError):
     """Invalid configuration value (alpha out of range, K too large...).
 

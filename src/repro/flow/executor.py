@@ -35,21 +35,28 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.binding import SATable
 from repro.cdfg import benchmark_spec, load_benchmark
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerLostError
 from repro.flow.cache import ArtifactCache, CacheStats, encode
 from repro.flow.grid import SweepCell, SweepJob, SweepSpec, expand_grid
 from repro.flow.knobs import CONFIG_KNOBS
-from repro.flow.pipeline import batch_simulate_pipelines, flow_input_token
+from repro.flow.pipeline import (
+    Pipeline,
+    batch_simulate_pipelines,
+    flow_input_token,
+)
 from repro.flow.run import (
     FlowConfig,
     build_pipeline,
-    execute_flow,
+    estimate_result,
+    flow_result,
     prepare_flow_inputs,
 )
 from repro.scheduling import force_directed_schedule, list_schedule
@@ -79,7 +86,6 @@ def _fresh_state(payload: _WorkerPayload) -> Dict[str, Any]:
         "sa_table": payload.sa_table,
         "sa_known": set(payload.sa_table.snapshot()),
         "memo": {},
-        "prefetch_misses": set(),
         "cache": (
             ArtifactCache(payload.cache_entries, payload.cache_dir)
             if payload.use_cache
@@ -99,8 +105,8 @@ def _init_worker(payload: _WorkerPayload) -> None:
     _WORKER.update(_fresh_state(payload))
 
 
-def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
-               prefetch: bool = False) -> Tuple[Tuple, bool]:
+def _elaborate(state: Dict[str, Any], benchmark: str,
+               spec: SweepSpec) -> Tuple[Tuple, bool]:
     """Memoized schedule + registers + ports for one benchmark.
 
     Keyed by the content that determines them: benchmark name,
@@ -109,11 +115,6 @@ def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
     whether this call was a hit. The flow-input token is encoded once,
     when the entry is filled: the memoized inputs never change, so
     every later flow over them skips re-encoding the design.
-
-    ``prefetch=True`` marks a call from the batched-simulation
-    prefetch pass: a miss it fills is billed to the *first per-cell
-    consumer* instead, so the sweep's hit/miss accounting reads the
-    same whether or not batching ran first.
 
     With the list scheduler the Table 2 constraints drive the
     schedule; with the force-directed scheduler the binding
@@ -129,7 +130,6 @@ def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
         tuple(sorted(bench.constraints.items())),
     )
     memo: Dict[Any, Any] = state["memo"]
-    unbilled: set = state["prefetch_misses"]
     hit = key in memo
     if not hit:
         cdfg = load_benchmark(benchmark)
@@ -143,17 +143,11 @@ def _elaborate(state: Dict[str, Any], benchmark: str, spec: SweepSpec,
         token = encode(flow_input_token(schedule, constraints, registers,
                                         ports))
         memo[key] = (schedule, constraints, registers, ports, token)
-        if prefetch:
-            unbilled.add(key)
-    if not prefetch and key in unbilled:
-        unbilled.discard(key)
-        hit = False
     return memo[key], hit
 
 
 def _flow_config(job: SweepJob, spec: SweepSpec, table: SATable) -> FlowConfig:
-    """The FlowConfig of one job — shared by execution and prefetch, so
-    batched pipelines fingerprint identically to the per-cell flows.
+    """The FlowConfig of one job.
 
     Swept knobs take the job's grid coordinate, the spec's scalar
     knobs apply to every cell, and the rest keep their defaults.
@@ -211,20 +205,31 @@ def _execute_design(state: Dict[str, Any], job: SweepJob,
     return _cell(job, result, hit, 0), result, {}
 
 
-def _execute(state: Dict[str, Any], job: SweepJob,
-             spec: SweepSpec) -> Tuple[SweepCell, Any, Dict[Any, float]]:
-    """Run one job against a worker's shared state."""
+def _prepare(state: Dict[str, Any], job: SweepJob,
+             spec: SweepSpec) -> Tuple[Optional[Pipeline], bool]:
+    """The job's pipeline over a worker's shared state (``None`` for an
+    external design), and whether its inputs were memoized."""
     if job.design is not None:
-        return _execute_design(state, job, spec)
-    table: SATable = state["sa_table"]
+        return None, False
     (schedule, constraints, registers, ports, token), hit = _elaborate(
         state, job.benchmark, spec
     )
-    config = _flow_config(job, spec, table)
-    result = execute_flow(
-        schedule, constraints, job.config.binder, config, registers, ports,
+    return build_pipeline(
+        schedule, constraints, job.config.binder,
+        _flow_config(job, spec, state["sa_table"]), registers, ports,
         cache=state["cache"], input_token=token,
-    )
+    ), hit
+
+
+def _execute(state: Dict[str, Any], job: SweepJob, spec: SweepSpec,
+             pipe: Optional[Pipeline],
+             hit: bool) -> Tuple[SweepCell, Any, Dict[Any, float]]:
+    """Run one job's flow to its end on its pipeline."""
+    if pipe is None:
+        return _execute_design(state, job, spec)
+    table: SATable = state["sa_table"]
+    result = flow_result(pipe) if spec.flow == "full" else \
+        estimate_result(pipe)
     # The table only ever grows, so an unchanged size means no new
     # entries and no copy of the table.
     known: set = state["sa_known"]
@@ -239,69 +244,6 @@ def _execute(state: Dict[str, Any], job: SweepJob,
     return _cell(job, result, hit, len(new_entries)), result, new_entries
 
 
-def _batch_key(job: SweepJob, spec: SweepSpec) -> Optional[Tuple]:
-    """Grouping key for batched simulation, or None if ineligible.
-
-    Jobs sharing a key share everything upstream of the simulate stage
-    (same benchmark, binder config, width and mapper effort), so their
-    techmap fingerprints coincide and they can ride one batched kernel
-    pass. Only full-flow cells qualify.
-    """
-    if spec.flow != "full":
-        return None
-    return (job.benchmark, job.config.label, job.width, job.map_effort)
-
-
-def _prefetch_batches(
-    state: Dict[str, Any],
-    chunk: Sequence[SweepJob],
-    spec: SweepSpec,
-) -> Tuple[Dict[int, Tuple[int, float]], Dict[str, Any]]:
-    """Run batched simulation passes for a chunk of jobs.
-
-    Groups the chunk's eligible jobs by :func:`_batch_key`, builds one
-    pipeline per job over the worker's shared cache, and lets
-    :func:`~repro.flow.pipeline.batch_simulate_pipelines` store their
-    simulate artifacts; the per-job flows then hit the cache instead of
-    running the solo kernel. Returns per-job-index ``(batch size,
-    kernel-wall share)`` annotations plus chunk-level batching stats.
-    """
-    annotations: Dict[int, Tuple[int, float]] = {}
-    stats = {"batches": 0, "batched_cells": 0, "batch_wall_s": 0.0}
-    cache: Optional[ArtifactCache] = state["cache"]
-    if cache is None or spec.sim_batch <= 1 or spec.flow != "full":
-        return annotations, stats
-    table: SATable = state["sa_table"]
-    groups: Dict[Tuple, List[SweepJob]] = {}
-    for job in chunk:
-        key = _batch_key(job, spec)
-        if key is not None:
-            groups.setdefault(key, []).append(job)
-    for group_jobs in groups.values():
-        if len(group_jobs) < 2:
-            continue
-        pipes = []
-        for job in group_jobs:
-            (schedule, constraints, registers, ports, token), _ = \
-                _elaborate(state, job.benchmark, spec, prefetch=True)
-            pipes.append(build_pipeline(
-                schedule, constraints, job.config.binder,
-                _flow_config(job, spec, table), registers, ports,
-                cache=cache, input_token=token,
-            ))
-        passes = batch_simulate_pipelines(pipes, max_batch=spec.sim_batch)
-        for member_indices, wall in passes:
-            share = wall / len(member_indices)
-            for member in member_indices:
-                annotations[group_jobs[member].index] = (
-                    len(member_indices), share,
-                )
-            stats["batches"] += 1
-            stats["batched_cells"] += len(member_indices)
-            stats["batch_wall_s"] += wall
-    return annotations, stats
-
-
 def _cone_memo_counts(cache: Optional[ArtifactCache]) -> Dict[str, int]:
     stats = cache.cone_memo.stats() if cache is not None else {}
     return {name: stats.get(name, 0) for name in _CONE_MEMO_COUNTERS}
@@ -314,7 +256,9 @@ def _run_chunk(
     keep_results: bool = False,
     progress: Optional[Callable[[SweepCell], None]] = None,
 ) -> Tuple[List[Tuple[SweepCell, Any, Dict[Any, float]]], Dict[str, Any]]:
-    """Batched prefetch + per-job flows for one chunk of jobs.
+    """The flows of one chunk of jobs, ``spec.sim_batch`` at a time: a
+    window's pipelines simulate in batched passes, then each job's flow
+    finishes on its own pipeline.
 
     Alongside the batching stats the returned dict carries a
     ``"cache"`` :class:`CacheStats` delta covering exactly this chunk's
@@ -325,16 +269,35 @@ def _run_chunk(
     cache: Optional[ArtifactCache] = state["cache"]
     before = cache.stats_typed() if cache is not None else None
     memo_before = _cone_memo_counts(cache)
-    annotations, stats = _prefetch_batches(state, chunk, spec)
+    stats: Dict[str, Any] = {
+        "batches": 0, "batched_cells": 0, "batch_wall_s": 0.0,
+    }
+    batching = (cache is not None and spec.sim_batch > 1
+                and spec.flow == "full")
     out = []
-    for job in chunk:
-        cell, result, new_entries = _execute(state, job, spec)
-        note = annotations.get(job.index)
-        if note is not None:
-            cell.sim_batch, cell.sim_batch_s = note
-        out.append((cell, result if keep_results else None, new_entries))
-        if progress is not None:
-            progress(cell)
+    # One window per batched pass, so only its pipelines are held.
+    for start in range(0, len(chunk), spec.sim_batch):
+        window = [(job, *_prepare(state, job, spec))
+                  for job in chunk[start:start + spec.sim_batch]]
+        pipes = [(job, pipe) for job, pipe, _ in window if pipe is not None]
+        notes: Dict[int, Tuple[int, float]] = {}
+        passes = batch_simulate_pipelines(
+            [pipe for _, pipe in pipes], max_batch=spec.sim_batch
+        ) if batching else []
+        for members, wall in passes:
+            for member in members:
+                notes[pipes[member][0].index] = (len(members),
+                                                 wall / len(members))
+            stats["batches"] += 1
+            stats["batched_cells"] += len(members)
+            stats["batch_wall_s"] += wall
+        for job, pipe, hit in window:
+            cell, result, new_entries = _execute(state, job, spec, pipe, hit)
+            if job.index in notes:
+                cell.sim_batch, cell.sim_batch_s = notes[job.index]
+            out.append((cell, result if keep_results else None, new_entries))
+            if progress is not None:
+                progress(cell)
     stats["cache"] = (
         cache.stats_typed().since(before) if cache is not None
         else CacheStats()
@@ -504,6 +467,59 @@ class FlowExecutor:
         """Lifetime artifact-cache traffic (in-process + pool deltas)."""
         return self.stats.cache
 
+    def _respawn(self) -> None:
+        """Replace a broken pool with fresh, cold workers."""
+        assert self._pool is not None
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._pool = None
+        self.start()
+
+    def _map_chunks(
+        self, chunks: List[Tuple[SweepSpec, List[SweepJob]]]
+    ) -> Iterator[Tuple[List[Tuple[SweepCell, Dict[Any, float]]],
+                        Dict[str, Any]]]:
+        """Each chunk's pool result, in chunk order.
+
+        A dead worker breaks the pool and every unfinished chunk. The
+        pool respawns and those chunks run once more (cells are pure,
+        so the metrics are the same); a second break respawns it for
+        the next submission and raises :class:`WorkerLostError`.
+        """
+        assert self._pool is not None
+        futures = [self._pool.submit(_execute_chunk_remote, chunk)
+                   for chunk in chunks]
+        retried = False
+        index = 0
+        while index < len(chunks):
+            try:
+                result = futures[index].result()
+            except BrokenProcessPool:
+                # Every chunk not finished yet fails with the pool.
+                lost = [
+                    later for later in range(index, len(chunks))
+                    if isinstance(futures[later].exception(),
+                                  BrokenProcessPool)
+                ]
+                self._respawn()
+                if retried:
+                    raise WorkerLostError(
+                        "a pool worker died again on retry; lost cells: "
+                        + ", ".join(
+                            f"{job.design or job.benchmark}/"
+                            f"{job.config.label} w{job.width} seed "
+                            f"{job.vector_seed}"
+                            for later in lost for job in chunks[later][1]
+                        )
+                    ) from None
+                retried = True
+                for later in lost:
+                    futures[later] = self._pool.submit(
+                        _execute_chunk_remote, chunks[later]
+                    )
+                continue
+            index += 1
+            yield result
+
     # -- submission --------------------------------------------------------
 
     def run_jobs(
@@ -578,9 +594,7 @@ class FlowExecutor:
                 # The in-process state shares this table: entries merged
                 # here are not new to a later in-process submission.
                 known: set = self._state["sa_known"]
-                for executed, stats in self._pool.map(
-                    _execute_chunk_remote, chunks, chunksize=1
-                ):
+                for executed, stats in self._map_chunks(chunks):
                     for key in batch_stats:
                         batch_stats[key] += stats[key]
                     cache_delta.merge(stats["cache"])

@@ -79,7 +79,7 @@ from repro.binding.sa_table import SATableConfig
 from repro.binding.weights import DEFAULT_ALPHA
 from repro.cdfg.schedule import Schedule
 from repro.flow.cache import ArtifactCache, Encoded, fingerprint
-from repro.flow.knobs import CONFIG_KNOBS
+from repro.flow.knobs import CONFIG_KNOBS, KNOBS
 from repro.fpga.compile import elaborate_design
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.power import PowerReport, power_report
@@ -621,17 +621,17 @@ def _stage(name: str) -> Stage:
 
 
 def batch_simulate_pipelines(
-    pipes: List[Pipeline], max_batch: int = 16
+    pipes: List[Pipeline], max_batch: int = KNOBS["sim_batch"].default
 ) -> List[Tuple[List[int], float]]:
     """Materialize missing simulate artifacts in batched kernel passes.
 
-    Groups the given pipelines by their ``techmap`` stage fingerprint —
-    equal fingerprints mean a byte-identical mapped design — and runs
-    each group of two or more through :func:`simulate_batch` in chunks
-    of at most ``max_batch`` configurations, storing one
-    :class:`SimulatedDesign` per pipeline under its own ``simulate``
-    fingerprint. A pipeline whose ``artifact("simulate")`` is asked for
-    afterwards gets a cache hit instead of a solo kernel run.
+    Runs the pipelines through :func:`simulate_batch` in passes of at
+    most ``max_batch`` configurations, whatever their designs (equal
+    ``techmap`` fingerprints share one design object, so one union
+    member). Stores one :class:`SimulatedDesign` per pipeline under its
+    own ``simulate`` fingerprint, and adds its share of the kernel wall
+    clock to its ``simulate`` timing; a later ``artifact("simulate")``
+    gets a cache hit instead of a solo kernel run.
 
     Only full-flow pipelines with a cacheable simulate stage
     participate; ones whose artifact is already cached, or that share a
@@ -645,7 +645,7 @@ def batch_simulate_pipelines(
     """
     if max_batch < 1:
         raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-    groups: Dict[str, List[Tuple[int, str, Pipeline]]] = {}
+    todo: List[Tuple[int, str, Pipeline]] = []
     seen: set = set()
     for index, pipe in enumerate(pipes):
         if pipe.cfg.flow != "full":
@@ -654,33 +654,34 @@ def batch_simulate_pipelines(
         if sim_fp is None or sim_fp in seen or sim_fp in pipe.cache:
             continue
         seen.add(sim_fp)
-        techmap_fp = pipe.stage_fingerprint("techmap")
-        groups.setdefault(techmap_fp, []).append((index, sim_fp, pipe))
+        todo.append((index, sim_fp, pipe))
 
     passes: List[Tuple[List[int], float]] = []
-    for members in groups.values():
-        for start in range(0, len(members), max_batch):
-            batch = members[start:start + max_batch]
-            if len(batch) < 2:
-                continue  # a solo run is no better than the plain stage
-            design = batch[0][2].artifact("techmap").design
-            configs = [
-                BatchConfig(
-                    vectors=pipe.artifact("vectors"),
-                    idle_selects=pipe.cfg.idle_selects,
-                    delay_jitter=pipe.cfg.delay_jitter,
-                )
-                for _, _, pipe in batch
-            ]
-            started = time.perf_counter()
-            results = simulate_batch(design, configs)
-            wall = time.perf_counter() - started
-            for (index, sim_fp, pipe), result in zip(batch, results):
-                artifact = SimulatedDesign(result=result, checked=False)
-                _check_simulation(pipe, artifact)
-                # Pinned: the consumer flow may run many cells later
-                # in the chunk, after enough cache traffic to evict an
-                # unprotected entry (the pin drops on first lookup).
-                pipe.cache.store(sim_fp, artifact, persist=False, pin=True)
-            passes.append(([index for index, _, _ in batch], wall))
+    for start in range(0, len(todo), max_batch):
+        batch = todo[start:start + max_batch]
+        if len(batch) < 2:
+            continue  # a solo run is no better than the plain stage
+        designs = [pipe.artifact("techmap").design for _, _, pipe in batch]
+        configs = [
+            BatchConfig(
+                vectors=pipe.artifact("vectors"),
+                idle_selects=pipe.cfg.idle_selects,
+                delay_jitter=pipe.cfg.delay_jitter,
+            )
+            for _, _, pipe in batch
+        ]
+        started = time.perf_counter()
+        results = simulate_batch(designs, configs)
+        wall = time.perf_counter() - started
+        for (index, sim_fp, pipe), result in zip(batch, results):
+            artifact = SimulatedDesign(result=result, checked=False)
+            _check_simulation(pipe, artifact)
+            # Pinned: the consumer flow may run many cells later
+            # in the chunk, after enough cache traffic to evict an
+            # unprotected entry (the pin drops on first lookup).
+            pipe.cache.store(sim_fp, artifact, persist=False, pin=True)
+            pipe.timings["simulate"] = (
+                pipe.timings.get("simulate", 0.0) + wall / len(batch)
+            )
+        passes.append(([index for index, _, _ in batch], wall))
     return passes

@@ -37,7 +37,12 @@ from repro.binding import (
 from repro.cdfg.schedule import Schedule
 from repro.flow.cache import ArtifactCache, Encoded
 from repro.flow.knobs import CONFIG_KNOBS, check_knob, knob_fields
-from repro.flow.pipeline import ESTIMATE_STAGES, Binder, Pipeline
+from repro.flow.pipeline import (
+    ESTIMATE_STAGES,
+    Binder,
+    Pipeline,
+    batch_simulate_pipelines,
+)
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.power import PowerReport
 from repro.fpga.simulate import SimulationResult
@@ -240,17 +245,22 @@ def run_flow(
     Pass a shared ``cache`` to reuse stage artifacts across calls;
     results are byte-identical with and without one.
     """
-    started = time.perf_counter()
-    cfg = config or FlowConfig()
-    if cfg.flow == "estimate":
+    return flow_result(build_pipeline(
+        schedule, constraints, binder, config, registers, ports, cache,
+        input_token,
+    ))
+
+
+def flow_result(pipe: Pipeline) -> FlowResult:
+    """The full flow's result over ``pipe``, reusing (and counting in
+    ``runtime_s``) the stages it already holds, e.g. from a batched
+    simulate pass over many pipelines."""
+    started = time.perf_counter() - sum(pipe.timings.values())
+    if pipe.cfg.flow == "estimate":
         raise ConfigError(
             "run_flow executes the full flow; use run_estimate for "
             "FlowConfig(flow='estimate')"
         )
-    pipe = build_pipeline(
-        schedule, constraints, binder, cfg, registers, ports, cache,
-        input_token,
-    )
     solution = pipe.artifact("bind")
     mapped = pipe.artifact("techmap")
     timing = pipe.artifact("timing")
@@ -292,11 +302,15 @@ def run_estimate(
     screening entry point for wide sweeps (``repro estimate``,
     ``repro sweep --flow estimate``).
     """
-    started = time.perf_counter()
-    pipe = build_pipeline(
+    return estimate_result(build_pipeline(
         schedule, constraints, binder, config, registers, ports, cache,
         input_token,
-    )
+    ))
+
+
+def estimate_result(pipe: Pipeline) -> EstimateResult:
+    """The estimate flow's result over ``pipe`` (see :func:`flow_result`)."""
+    started = time.perf_counter() - sum(pipe.timings.values())
     pipe.run_stages(ESTIMATE_STAGES)
     solution = pipe.artifact("bind")
     mapped = pipe.artifact("techmap")
@@ -346,7 +360,9 @@ def compare_binders(
     Default comparison is the paper's: ``lopass`` vs ``hlpower``. The
     caller's ``config`` is never mutated; when it carries no SA table
     a fresh one is shared across the compared binders via
-    :func:`dataclasses.replace`.
+    :func:`dataclasses.replace`. The binders' designs simulate together
+    in one batched kernel pass (see
+    :func:`~repro.flow.pipeline.batch_simulate_pipelines`).
     """
     cfg = config or FlowConfig()
     registers, ports = prepare_flow_inputs(schedule)
@@ -355,8 +371,10 @@ def compare_binders(
     if binders is None:
         binders = {"lopass": "lopass", "hlpower": "hlpower"}
     shared_cache = cache if cache is not None else ArtifactCache()
-    return {
-        name: run_flow(schedule, constraints, binder, cfg, registers, ports,
-                       shared_cache)
+    pipes = {
+        name: build_pipeline(schedule, constraints, binder, cfg, registers,
+                             ports, shared_cache)
         for name, binder in binders.items()
     }
+    batch_simulate_pipelines(list(pipes.values()))
+    return {name: flow_result(pipe) for name, pipe in pipes.items()}

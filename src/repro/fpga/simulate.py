@@ -28,9 +28,9 @@ time wheel one tick at a time, and a tick is processed in bulk: the
 gates triggered at that tick read ``state`` (which only the wheel
 changes), so they are independent and evaluate as one
 ``(n_gates, n_words)`` array per truth table. :func:`simulate_batch`
-runs many (stimulus x idle policy x jitter) configurations of one
-design in a single pass, one lane block each; :func:`simulate_design`
-is a batch of one.
+runs many (stimulus x idle policy x jitter) configurations of one or
+several designs in a single pass, one lane block each;
+:func:`simulate_design` is a batch of one.
 
 The original timed-waveform implementation stays verbatim as
 :func:`_simulate_reference`, the differential-testing oracle: the
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -269,9 +269,11 @@ class CompiledNetlist:
     gate_fanins: np.ndarray
     #: Per gate position: propagation delay in ticks.
     gate_delays: np.ndarray
-    #: Per evaluator class: the flat evaluator and its arity.
+    #: Per evaluator class: the flat evaluator, its arity and its
+    #: truth-table key ``(n_inputs, bits)``.
     class_evals: List[Callable]
     class_arity: List[int]
+    class_keys: List[Tuple[int, int]]
     #: ``n_classes + 1`` bounds: class ``c`` holds positions
     #: ``class_start[c] .. class_start[c + 1] - 1``.
     class_start: np.ndarray
@@ -371,6 +373,7 @@ def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
         ),
         class_evals=class_evals,
         class_arity=class_arity,
+        class_keys=list(class_of),
         class_start=np.searchsorted(
             classes, np.arange(len(class_evals) + 1)
         ),
@@ -478,18 +481,18 @@ def _block_mask(words: int, start: int, lanes: int) -> np.ndarray:
 
 
 def _delay_plan(
-    delays: np.ndarray, group_words: List[Tuple[int, int]]
+    delays: np.ndarray, segments: List[Tuple[int, int]]
 ) -> Tuple[List[Tuple[int, Optional[List[Tuple[int, int]]]]],
            Optional[np.ndarray]]:
-    """Wheel entries and per-gate membership for the delay groups.
+    """Wheel entries and per-gate membership for the word segments.
 
-    ``delays`` is ``(n_groups, n_gates)``; group ``g`` owns the words
-    ``group_words[g]`` (a ``[start, end)`` range, groups laid out in
-    order). Per gate, groups whose delay coincides merge into one entry
-    ``(delay, word runs)``; runs of ``None`` cover every group. Returns
-    the distinct entries and an ``(n_gates, n_entries)`` membership
-    matrix (``None`` when there is one entry, which every gate then
-    has).
+    ``delays`` is ``(n_segments, n_gates)``; segment ``s`` owns the
+    words ``segments[s]`` (a ``[start, end)`` range, laid out in
+    order). Per gate, segments whose delay coincides merge into one
+    entry ``(delay, word runs)``; runs of ``None`` cover every segment.
+    Returns the distinct entries and an ``(n_gates, n_entries)``
+    membership matrix (``None`` when there is one entry, which every
+    gate then has).
     """
     plans, inverse = np.unique(delays, axis=1, return_inverse=True)
     entry_of: Dict[Tuple[int, Tuple[int, ...]], int] = {}
@@ -503,10 +506,10 @@ def _delay_plan(
     entries = []
     for delay, groups in entry_of:
         runs = None
-        if len(groups) < len(group_words):
+        if len(groups) < len(segments):
             runs = []
             for group in groups:
-                start, end = group_words[group]
+                start, end = segments[group]
                 if runs and runs[-1][1] == start:
                     start = runs.pop()[0]
                 runs.append((start, end))
@@ -519,67 +522,157 @@ def _delay_plan(
     return entries, member[inverse.reshape(-1)]
 
 
+def _union(
+    members: List[CompiledNetlist],
+) -> Tuple[CompiledNetlist, np.ndarray, np.ndarray]:
+    """Disjoint union of compiled netlists, for one kernel pass over all.
+
+    Member ``m``'s net ``i`` is union net ``offsets[m] + i``; classes
+    merge by truth-table key and gates re-sort class-major, in numpy.
+    Returns the union, the net offsets and the gate order (union
+    position ``p`` holds gate ``order[p]`` of the members' gates laid
+    end to end). Names repeat across members, so a union has no name
+    map, jitter or version. One member is its own union.
+    """
+    offsets = np.cumsum([0] + [m.n_nets for m in members])
+    if len(members) == 1:
+        return members[0], offsets, np.arange(members[0].n_gates)
+    evaluators: Dict[Tuple[int, int], Tuple[Callable, int]] = {}
+    for m in members:
+        for key, evaluate, arity in zip(m.class_keys, m.class_evals,
+                                        m.class_arity):
+            evaluators.setdefault(key, (evaluate, arity))
+    class_of = {key: index for index, key in enumerate(evaluators)}
+    classes = np.concatenate([
+        np.repeat(np.array([class_of[key] for key in m.class_keys],
+                           dtype=np.intp), np.diff(m.class_start))
+        for m in members
+    ])
+    order = np.argsort(classes, kind="stable")
+    position = np.argsort(order)  # the inverse permutation
+    gate_base = np.cumsum([0] + [m.n_gates for m in members])
+    fanout_base = np.cumsum([0] + [len(m.fanout_gates) for m in members])
+    width = max(m.gate_fanins.shape[1] for m in members)
+    pairs = list(zip(members, offsets))
+    union = CompiledNetlist(
+        jitter=-1,
+        n_nets=int(offsets[-1]),
+        net_id={},
+        net_names=[name for m in members for name in m.net_names],
+        gate_out=np.concatenate([m.gate_out + o for m, o in pairs])[order],
+        gate_fanins=np.concatenate([
+            np.pad(m.gate_fanins + o,
+                   ((0, 0), (0, width - m.gate_fanins.shape[1])))
+            for m, o in pairs
+        ])[order],
+        gate_delays=np.concatenate([m.gate_delays for m in members])[order],
+        class_evals=[evaluate for evaluate, _ in evaluators.values()],
+        class_arity=[arity for _, arity in evaluators.values()],
+        class_keys=list(evaluators),
+        class_start=np.searchsorted(
+            classes[order], np.arange(len(evaluators) + 1)
+        ),
+        fanout_ptr=np.concatenate(
+            [m.fanout_ptr[:-1] + b for m, b in zip(members, fanout_base)]
+            + [fanout_base[-1:]]
+        ),
+        fanout_gates=np.concatenate(
+            [position[b + m.fanout_gates] for m, b in zip(members, gate_base)]
+        ),
+        latch_q=np.concatenate([m.latch_q + o for m, o in pairs]),
+        latch_d=np.concatenate([m.latch_d + o for m, o in pairs]),
+        power_on=np.concatenate([m.power_on for m in members]),
+        version=-1,
+    )
+    return union, offsets, order
+
+
 def simulate_batch(
-    design: ElaboratedDesign,
+    design: Union[ElaboratedDesign, Sequence[ElaboratedDesign]],
     configs: List[BatchConfig],
     collect_per_net: bool = False,
 ) -> List[SimulationResult]:
     """Simulate every configuration in one kernel pass.
 
-    Returns one :class:`SimulationResult` per configuration, in order,
-    byte-identical to a solo run of that configuration (the
+    ``design`` is every configuration's design, or one per
+    configuration. Returns one :class:`SimulationResult` per
+    configuration, in order, byte-identical to a solo run of it (the
     differential suite pins this against :func:`_simulate_reference`).
 
-    Layout: configuration ``c`` owns a block of ``n_words(lanes_c)``
-    words of every net's state row. Bitwise ops never move bits across
-    lanes, so one evaluation serves every configuration; the lanes past
-    a block's last vector are pinned at their power-on value and never
-    toggle. Configurations sharing a ``delay_jitter`` form a *delay
-    group* with one per-gate delay vector, and their blocks are laid
-    out next to each other; per gate, groups whose delay coincides
-    share one wheel entry (see :func:`_delay_plan`), and a transition
-    lands only on its entry's words. Idle conventions differ only in
-    the per-step control words, composed per mode with the block lane
-    masks. Toggles accumulate per net and word; the per-configuration
-    sums and the four categories (pad, control, latch and gate-output
-    nets) are taken once at the end.
+    The distinct designs (*members*) run over the disjoint union of
+    their compiled netlists (:func:`_union`). Their nets are disjoint,
+    so they share words: each member lays its configurations' lane
+    blocks out from word 0, grouped by ``delay_jitter`` (a *delay
+    group* has one per-gate delay vector). Bitwise ops never move bits
+    across lanes, so one evaluation serves every configuration; lanes
+    outside a member's blocks stay at power-on and never toggle. The
+    groups of all members cut the words into segments; per gate,
+    segments whose delay (its own member's) coincides share one wheel
+    entry (see :func:`_delay_plan`). Each member drives its own pads
+    and control bits under its own lane masks, composed per idle mode;
+    a member with fewer control steps goes quiet after its last one
+    while the other members' latches keep clocking together. Toggles
+    accumulate per net and word and are summed per configuration and
+    category (pad, control, latch, gate output) at the end.
     """
     if not configs:
         return []
-    for config in configs:
-        _check_stimulus(design, config.vectors)
-
-    compiled_by_jitter = {
-        config.delay_jitter: compile_netlist(
-            design.netlist, config.delay_jitter
-        )
-        for config in configs
-    }
-    compiled = compiled_by_jitter[configs[0].delay_jitter]
-    net_id = compiled.net_id
-
-    # Lane blocks, grouped by delay jitter so each group's words form
-    # one contiguous range.
-    starts = [0] * len(configs)
-    group_words: List[Tuple[int, int]] = []
-    total_words = 0
-    for jitter in compiled_by_jitter:
-        begin = total_words
-        for ci, config in enumerate(configs):
-            if config.delay_jitter == jitter:
-                starts[ci] = total_words
-                total_words += n_words(config.vectors.lanes)
-        group_words.append((begin, total_words))
-    entries, member = _delay_plan(
-        np.stack([c.gate_delays for c in compiled_by_jitter.values()]),
-        group_words,
+    designs = (
+        [design] * len(configs) if isinstance(design, ElaboratedDesign)
+        else list(design)
     )
+    if len(designs) != len(configs):
+        raise SimulationError(
+            f"{len(designs)} designs for {len(configs)} configurations"
+        )
+    index: Dict[int, int] = {}
+    member_of = [index.setdefault(id(each), len(index)) for each in designs]
+    members = list({id(each): each for each in designs}.values())
+    for each, config in zip(designs, configs):
+        _check_stimulus(each, config.vectors)
+
+    # Lane blocks, per member and grouped by jitter (in order of first
+    # appearance) so each delay group's words form one range.
+    first: Dict[Tuple[int, int], int] = {}
+    for ci, config in enumerate(configs):
+        first.setdefault((member_of[ci], config.delay_jitter), ci)
+    starts = [0] * len(configs)
+    widths = [0] * len(members)
+    for ci in sorted(range(len(configs)), key=lambda ci: first[
+            member_of[ci], configs[ci].delay_jitter]):
+        starts[ci] = widths[member_of[ci]]
+        widths[member_of[ci]] += n_words(configs[ci].vectors.lanes)
+    compiled_by_jitter = [
+        {jitter: compile_netlist(each.netlist, jitter)
+         for owner, jitter in first if owner == m}
+        for m, each in enumerate(members)
+    ]
+    bases = [next(iter(by_jitter.values())) for by_jitter in compiled_by_jitter]
+    compiled, offsets, order = _union(bases)
+
+    # Per member and word, its delay group's jitter; past the member's
+    # last block its gates never change, so any delay serves: the last
+    # block's. Segments end wherever some member's jitter changes.
+    total_words = max(widths)
+    word_jitter = np.zeros((len(members), total_words), dtype=np.int64)
+    for ci in np.argsort(starts, kind="stable"):
+        word_jitter[member_of[ci], starts[ci]:] = configs[ci].delay_jitter
+    cuts = np.flatnonzero((np.diff(word_jitter, axis=1) != 0).any(axis=0))
+    bounds = [0, *(cuts + 1).tolist(), total_words]
+    segments = list(zip(bounds, bounds[1:]))
+    entries, member = _delay_plan(np.concatenate([
+        np.stack([by_jitter[int(word_jitter[owner, begin])].gate_delays
+                  for begin, _ in segments])
+        for owner, by_jitter in enumerate(compiled_by_jitter)
+    ], axis=1)[:, order], segments)
 
     block_masks = [
         _block_mask(total_words, start, config.vectors.lanes)
         for start, config in zip(starts, configs)
     ]
-    real = np.bitwise_or.reduce(block_masks)
+    real = np.zeros((len(members), total_words), dtype=np.uint64)
+    for owner, mask in zip(member_of, block_masks):
+        real[owner] |= mask
     padded = bool((real != _ALL_LANES).any())
     ones = np.full(total_words, _ALL_LANES)
 
@@ -592,11 +685,16 @@ def simulate_batch(
     # Per net and word: toggles so far.
     toggles = np.zeros((compiled.n_nets, total_words), dtype=np.int64)
 
-    def drive(nets: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """Set source rows; returns the ids that changed."""
+    def drive(nets: np.ndarray, owners: np.ndarray, new: np.ndarray,
+              live: np.ndarray) -> np.ndarray:
+        """Set live members' source rows; returns the changed ids."""
+        if not live.all():
+            take = live[owners]
+            nets, owners, new = nets[take], owners[take], new[take]
         old = state[nets]
         if padded:
-            new = (new & real) | (old & ~real)
+            keep = real[owners]
+            new = (new & keep) | (old & ~keep)
         delta = old ^ new
         hit = delta.any(axis=1)
         nets = nets[hit]
@@ -608,90 +706,100 @@ def simulate_batch(
         _settle(compiled, state, pending, toggles, changed, ones, entries,
                 member)
 
+    # Every member's pad and control bits: (member, bus key, bit, id).
+    pads: List[Tuple[int, object, int, int]] = []
+    controls: List[Tuple[int, object, int, int]] = []
+    for owner, (each, base) in enumerate(zip(members, bases)):
+        for rows, buses in ((pads, each.pad_nets),
+                            (controls, each.control_nets)):
+            rows += [(owner, key, bit, offsets[owner] + base.net_id[net])
+                     for key, nets in buses.items()
+                     for bit, net in enumerate(nets)]
+    pad_owner, pad_ids, control_owner, control_ids = (
+        np.array([row[field] for row in rows], dtype=np.intp)
+        for rows in (pads, controls) for field in (0, 3)
+    )
+    latch_owner = np.repeat(np.arange(len(members)),
+                            [len(base.latch_q) for base in bases])
+
     # Pads present every configuration's vector at the load step.
-    pad_nets = [
-        (position, bit, net_id[net])
-        for position, nets in design.pad_nets.items()
-        for bit, net in enumerate(nets)
-    ]
-    pad_ids = np.array([net for _, _, net in pad_nets], dtype=np.intp)
-    pad_rows = np.zeros((len(pad_nets), total_words), dtype=np.uint64)
-    for start, config in zip(starts, configs):
-        if pad_nets:
-            pad_rows[:, start:start + n_words(config.vectors.lanes)] = [
-                config.vectors.pad_words(position, bit)
-                for position, bit, _ in pad_nets
+    pad_rows = np.zeros((len(pads), total_words), dtype=np.uint64)
+    for owner, start, config in zip(member_of, starts, configs):
+        rows = np.flatnonzero(pad_owner == owner)
+        if len(rows):
+            pad_rows[rows, start:start + n_words(config.vectors.lanes)] = [
+                config.vectors.pad_words(pads[row][1], pads[row][2])
+                for row in rows
             ]
 
-    # Control signals, composed per idle mode: a mode that does not
-    # drive a signal (resolved() has no entry) keeps its lanes as they
-    # are; the modes that do set theirs to the step's bit.
-    controller = build_controller(design.datapath)
-    mode_masks: Dict[str, np.ndarray] = {}
-    for config, mask in zip(configs, block_masks):
-        mode = config.idle_selects
-        mode_masks[mode] = mode_masks.get(mode, 0) | mask
-    control_nets = [
-        (name, bit, net_id[net])
-        for name, nets in design.control_nets.items()
-        for bit, net in enumerate(nets)
-    ]
-    control_ids = np.array([net for _, _, net in control_nets], dtype=np.intp)
-    n_steps = len(design.datapath.control)
-    control_keep = np.tile(ones, (len(control_nets), 1))
+    # Control signals, composed per member and idle mode: a mode that
+    # does not drive a signal (resolved() has no entry) keeps its lanes
+    # as they are; the modes that do set theirs to the step's bit.
+    steps = np.array([len(each.datapath.control) for each in members])
+    mode_masks: Dict[Tuple[int, str], np.ndarray] = {}
+    for owner, config, mask in zip(member_of, configs, block_masks):
+        key = (owner, config.idle_selects)
+        mode_masks[key] = mode_masks.get(key, 0) | mask
+    control_keep = np.tile(ones, (len(controls), 1))
     control_bits = []
-    for mode, mask in mode_masks.items():
-        values = controller.resolved(mode)
-        bits = np.zeros((n_steps, len(control_nets)), dtype=bool)
-        for column, (name, bit, _) in enumerate(control_nets):
+    for (owner, mode), mask in mode_masks.items():
+        values = build_controller(members[owner].datapath).resolved(mode)
+        bits = np.zeros((int(steps.max()), len(controls)), dtype=bool)
+        for column in np.flatnonzero(control_owner == owner):
+            _, name, bit, _ = controls[column]
             value = values.get(name)
             if value is not None:
                 control_keep[column] &= ~mask
-                bits[:, column] = [(word >> bit) & 1 for word in value]
+                bits[:len(value), column] = [(word >> bit) & 1
+                                             for word in value]
         control_bits.append((bits, mask))
 
-    for step in range(n_steps):
-        changed = [drive(pad_ids, pad_rows)] if step == 0 else []
+    for step in range(int(steps.max())):
+        live = steps > step
+        changed = (
+            [drive(pad_ids, pad_owner, pad_rows, live)] if step == 0 else []
+        )
         control_rows = state[control_ids] & control_keep
         for bits, mask in control_bits:
             control_rows[bits[step]] |= mask
-        changed.append(drive(control_ids, control_rows))
+        changed.append(drive(control_ids, control_owner, control_rows, live))
         settle(np.concatenate(changed))
 
         # Clock edge: all flip-flops load their data nets at once, then
         # the network settles again (counted — the paper's simulator
         # sees these transitions too, including after the final edge).
-        settle(drive(compiled.latch_q, state[compiled.latch_d]))
+        settle(drive(compiled.latch_q, latch_owner,
+                     state[compiled.latch_d], live))
 
-    block_starts = sorted(starts)
-    per_block = np.add.reduceat(toggles, block_starts, axis=1)
-    categories = [
-        per_block[ids].sum(axis=0)
-        for ids in (compiled.gate_out, compiled.latch_q, pad_ids, control_ids)
-    ]
-    names = compiled.net_names
     results: List[SimulationResult] = []
-    for start, config in zip(starts, configs):
-        block = block_starts.index(start)
+    for owner, start, config in zip(member_of, starts, configs):
+        base, offset = bases[owner], offsets[owner]
         lanes = config.vectors.lanes
         end = start + n_words(lanes)
+        rows = state[offset:offset + base.n_nets, start:end]
         outputs = {
             position: [
                 int(value) for value in unpack_lane_values(
-                    [state[net_id[net], start:end] for net in nets], lanes
+                    [rows[base.net_id[net]] for net in nets], lanes
                 )
             ]
-            for position, nets in design.output_nets.items()
+            for position, nets in members[owner].output_nets.items()
         }
+        column = toggles[offset:offset + base.n_nets, start:end].sum(axis=1)
         per_net: Dict[str, int] = {}
         if collect_per_net:
-            column = per_block[:, block]
-            for index in np.flatnonzero(column):
-                per_net[names[index]] = int(column[index])
-        comb, reg, pad, control = (int(total[block]) for total in categories)
+            for net in np.flatnonzero(column):
+                per_net[base.net_names[net]] = int(column[net])
+        comb, reg, pad, control = (
+            int(column[ids].sum()) for ids in (
+                base.gate_out, base.latch_q,
+                pad_ids[pad_owner == owner] - offset,
+                control_ids[control_owner == owner] - offset,
+            )
+        )
         results.append(SimulationResult(
             lanes=lanes,
-            steps=n_steps,
+            steps=int(steps[owner]),
             comb_toggles=comb,
             register_toggles=reg,
             pad_toggles=pad,

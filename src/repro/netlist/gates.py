@@ -427,7 +427,11 @@ class Netlist:
 
         Sources (primary inputs, latch outputs) are not included. Raises
         :class:`NetlistError` if the combinational logic has a cycle.
+        Memoized per :attr:`version`; every call returns a fresh list.
         """
+        cached = getattr(self, "_topo", None)
+        if cached is not None and cached[0] == self.version:
+            return list(cached[1])
         order: List[str] = []
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done
 
@@ -458,6 +462,7 @@ class Netlist:
                     state[net] = 1
                     if net in self.gates:
                         order.append(net)
+        self._topo = (self.version, tuple(order))
         return order
 
     def depth(self) -> int:

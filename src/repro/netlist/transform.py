@@ -37,8 +37,8 @@ def propagate_constants(netlist: Netlist) -> int:
                 netlist.gates[net] = new_gate
                 rewrites += 1
                 changed = True
-    if rewrites:
-        netlist.touch()
+        if changed:
+            netlist.touch()
     return rewrites
 
 

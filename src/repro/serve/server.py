@@ -16,7 +16,7 @@ Endpoints (see docs/serving.md):
 * ``POST /flow`` — one cell of the full measurement chain.
 * ``POST /sweep`` — a full :class:`~repro.flow.grid.SweepSpec` grid;
   the response streams one NDJSON line per cell as it lands (the
-  executor's fingerprint-grouped simulation batching applies), then a
+  executor's cross-design simulation batching applies), then a
   summary line.
 * ``GET /metrics`` — JSON counters: per-endpoint request counts,
   queue depth, in-flight dedup hits, executor and artifact-cache

@@ -1,6 +1,8 @@
 """Sweep engine tests: grid expansion, parallel determinism, caching,
 and (de)serialization of the result store."""
 
+import dataclasses
+import json
 import os
 
 import pytest
@@ -420,7 +422,7 @@ class TestSimOnlyAxes:
 
 
 class TestBatchedSimulate:
-    """Fingerprint-grouped batched dispatch of the simulate stage."""
+    """Batched dispatch of the simulate stage, across designs."""
 
     @staticmethod
     def _knob_spec(**overrides):
@@ -453,6 +455,20 @@ class TestBatchedSimulate:
         assert solo.sim_batches == 0
         assert all(cell.sim_batch == 0 for cell in solo.cells)
         assert cold.sim_batches == 0
+
+    def test_mixed_benchmark_pass_matches_per_cell(self):
+        """Cells of two benchmarks and two binders (four designs) share
+        one union pass; every metric equals per-cell dispatch."""
+        spec = self._knob_spec(benchmarks=["pr", "wang"],
+                               binders=("lopass", "hlpower"),
+                               vector_seeds=(7,), idle_modes=("zero",))
+        batched = run_sweep(spec, jobs=1)
+        solo = run_sweep(dataclasses.replace(spec, sim_batch=1), jobs=1)
+        assert batched.sim_batches == 1
+        assert batched.sim_batched_cells == len(batched.cells) == 8
+        assert [json.dumps(c.metrics, sort_keys=True)
+                for c in batched.cells] == \
+            [json.dumps(c.metrics, sort_keys=True) for c in solo.cells]
 
     def test_batch_size_limit_respected(self):
         sweep = run_sweep(self._knob_spec(sim_batch=2), jobs=1)

@@ -1,14 +1,18 @@
 """Resident-executor tests: warm state across submissions, byte-identical
 results versus transient sweeps, stats accounting, and lifecycle."""
 
+import json
+import os
+import signal
 from collections import Counter
 
 import pytest
 
+import repro.flow.executor as executor_mod
 import repro.flow.pipeline as pipeline_mod
 import repro.flow.run as run_mod
 from repro.binding import SATable
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerLostError
 from repro.flow import CacheStats, FlowExecutor, SweepSpec, run_sweep
 from repro.flow.executor import DEFAULT_CACHE_ENTRIES
 from repro.flow.grid import expand_grid
@@ -273,3 +277,62 @@ class TestResidentPool:
             assert executor._state["cache"].cone_memo.misses == 0
         assert counts["misses"] > 0
         assert counts["resets"] == 0
+
+
+class TestDeadWorker:
+    """A pool worker killed mid-chunk: the pool respawns and the lost
+    chunks run again, or the cells are named in a WorkerLostError; the
+    next submission succeeds either way."""
+
+    @staticmethod
+    def _dying_execute(monkeypatch, should_die):
+        """Patch the per-job runner the forked children inherit: a pool
+        worker SIGKILLs itself when ``should_die()``."""
+        real = executor_mod._execute
+        parent = os.getpid()
+
+        def execute(*args, **kwargs):
+            if os.getpid() != parent and should_die():
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "_execute", execute)
+
+    def test_killed_worker_recovers_byte_identical(self, monkeypatch,
+                                                   tmp_path):
+        marker = str(tmp_path / "killed-once")
+
+        def first_caller():
+            try:  # exactly one worker claims the marker, and dies
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return False
+            return True
+
+        self._dying_execute(monkeypatch, first_caller)
+        spec = small_spec()
+        direct = run_sweep(spec, jobs=1)
+        with FlowExecutor(jobs=2) as executor:
+            recovered = executor.run_jobs(spec)
+            again = executor.run_jobs(spec)
+        assert os.path.exists(marker)
+        expected = [json.dumps(c.metrics, sort_keys=True)
+                    for c in direct.cells]
+        for submission in (recovered, again):
+            assert [json.dumps(c.metrics, sort_keys=True)
+                    for c in submission.cells] == expected
+
+    def test_worker_dying_on_retry_names_the_lost_cells(self, monkeypatch,
+                                                         tmp_path):
+        doom = tmp_path / "doom"
+        doom.touch()
+        self._dying_execute(monkeypatch, doom.exists)
+        spec = small_spec()
+        with FlowExecutor(jobs=2) as executor:
+            with pytest.raises(WorkerLostError,
+                               match=r"lost cells: .*pr/lopass w4 seed 7"):
+                executor.run_jobs(spec)
+            doom.unlink()
+            after = executor.run_jobs(spec)
+        assert [c.metrics for c in after.cells] == \
+            [c.metrics for c in run_sweep(spec, jobs=1).cells]

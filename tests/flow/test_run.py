@@ -1,11 +1,15 @@
 """End-to-end flow tests."""
 
+import json
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.binding import SATable, bind_lopass
 from repro.binding.sa_table import SATableConfig
+from repro.cdfg import benchmark_spec, load_benchmark
 from repro.flow import FlowConfig, compare_binders, run_flow
+from repro.scheduling import list_schedule
 
 
 @pytest.fixture()
@@ -128,6 +132,20 @@ class TestCompareBinders:
             binders={"only": "lopass"},
         )
         assert set(results) == {"only"}
+
+    def test_batched_pair_matches_solo_flows(self):
+        """Both binders' designs simulate in one union pass, and every
+        metric equals a solo run_flow of that binder, byte for byte."""
+        spec = benchmark_spec("wang")
+        schedule = list_schedule(load_benchmark("wang"), spec.constraints)
+        cfg = FlowConfig(width=4, n_vectors=48, delay_jitter=1)
+        results = compare_binders(schedule, spec.constraints, cfg)
+        for binder, result in results.items():
+            assert "simulate" in result.cache_hits  # served by the pass
+            solo = run_flow(schedule, spec.constraints, binder, cfg)
+            assert "simulate" not in solo.cache_hits
+            assert json.dumps(result.metrics(), sort_keys=True) == \
+                json.dumps(solo.metrics(), sort_keys=True)
 
     def test_caller_config_never_mutated(self, figure1_schedule):
         """A table-less config stays table-less after the comparison."""

@@ -390,3 +390,72 @@ def test_narrow_pad_bus_is_named_error():
     with pytest.raises(SimulationError, match=rf"pad 0: .*takes {WIDTH} "
                        rf"bits.* has {WIDTH - 1} bits"):
         simulate_batch(design, [BatchConfig(vectors), BatchConfig(narrow)])
+
+
+# ---------------------------------------------------------------------------
+# Union passes: several designs in one kernel pass, each member's configs
+# byte-identical to its solo run and to the reference.
+# ---------------------------------------------------------------------------
+
+def _assert_members_match(designs, configs):
+    results = simulate_batch(designs, configs, collect_per_net=True)
+    assert len(results) == len(configs)
+    for design, config, result in zip(designs, configs, results):
+        [solo] = simulate_batch(design, [config], collect_per_net=True)
+        assert result == solo == _solo_reference(design, config)
+
+
+def test_union_of_benchmarks_matches_solo_and_reference():
+    """pr (17 control steps) and wang (19) in one pass: different
+    designs, step counts, per-member jitters and lane counts, with
+    multi-config members interleaved in the config list."""
+    pr, pr_vectors = build_mapped("pr")
+    wang, wang_vectors = build_mapped("wang")
+    assert len(pr.datapath.control) != len(wang.datapath.control)
+    wide = random_vectors(_n_pads(pr), WIDTH, 130, seed=SEED + 7)
+    designs = [pr, wang, pr, wang]
+    configs = [
+        BatchConfig(pr_vectors, "zero", 0),
+        BatchConfig(wang_vectors, "hold", 1),
+        BatchConfig(wide, "hold", 2),
+        BatchConfig(wang_vectors, "zero", 1),
+    ]
+    _assert_members_match(designs, configs)
+
+
+def test_union_one_design_equals_plain_batch():
+    """A design given once per config is one member: the same pass as
+    the single-design call."""
+    design, vectors = build_mapped("pr")
+    alt = random_vectors(_n_pads(design), WIDTH, 65, seed=SEED + 2)
+    configs = [BatchConfig(vectors, "zero", 1), BatchConfig(alt, "hold", 0)]
+    assert simulate_batch([design, design], configs, collect_per_net=True) \
+        == simulate_batch(design, configs, collect_per_net=True)
+
+
+def test_union_needs_one_design_per_config():
+    design, vectors = build_mapped("pr")
+    with pytest.raises(SimulationError, match="1 designs for 2"):
+        simulate_batch([design], [BatchConfig(vectors), BatchConfig(vectors)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_random_netlist_unions_match_reference(seed):
+    """Property: two random netlists (and a third member, pr itself)
+    in one pass, each with its own lane counts, idle modes and jitters,
+    every config byte-identical to its solo and reference runs."""
+    rng = random.Random(seed)
+    members = [_random_design(seed), _random_design(seed + 1),
+               build_mapped("pr")[0]]
+    designs = [rng.choice(members) for _ in range(rng.randint(2, 5))]
+    configs = [
+        BatchConfig(
+            random_vectors(_n_pads(design), WIDTH,
+                           rng.choice([1, 63, 65, 200]),
+                           seed=rng.randrange(2**16)),
+            rng.choice(["zero", "hold"]), rng.choice([0, 1, 2]),
+        )
+        for design in designs
+    ]
+    _assert_members_match(designs, configs)

@@ -90,6 +90,29 @@ class TestTraversal:
         with pytest.raises(NetlistError):
             netlist.topological_order()
 
+    def test_topological_order_memoized_per_version(self):
+        from repro.netlist.gates import Gate
+
+        buf = TruthTable.for_type(GateType.BUF, 1)
+        netlist = Netlist()
+        a = netlist.add_input("a")
+        x = netlist.add_gate(buf, (a,), "x")
+        y = netlist.add_gate(buf, (a,), "y")
+        order = netlist.topological_order()
+        assert order == [x, y]
+        order.append("junk")  # the caller's list is its own
+        assert netlist.topological_order() == [x, y]
+        # An in-place rewrite that bumps the version: x now reads y.
+        netlist.gates[x] = Gate(x, (y,), buf, GateType.BUF)
+        netlist.touch()
+        assert netlist.topological_order() == [y, x]
+        # Closing a cycle raises on every call, not only the first.
+        netlist.gates[y] = Gate(y, (x,), buf, GateType.BUF)
+        netlist.touch()
+        for _ in range(2):
+            with pytest.raises(NetlistError, match="cycle"):
+                netlist.topological_order()
+
     def test_levels_and_depth(self):
         netlist = Netlist()
         a = netlist.add_input("a")
