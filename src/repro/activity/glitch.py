@@ -17,30 +17,40 @@ contribute their ``(P, s_t)`` pair law; quiescent fanins are held
 The *effective* switching activity of a node is the sum of its per-step
 activities, and the netlist total (Equation (3)) is the sum over all
 nodes — computed in :mod:`repro.activity.estimator`.
+
+One numpy kernel, :func:`batch_evaluate`, evaluates that step for many
+gates at once, for :func:`propagate_waveforms` and the tech mapper
+alike. It equals the per-gate evaluation (one
+:func:`~repro.activity.transition.mixed_joint_matrix` per trigger time,
+summed over the "output differs" pairs) to the bit, because it keeps
+every floating-point operation, in order: each joint-matrix element is
+``((J_0 * J_1) * J_2) * ...`` in input order (a Kronecker broadcast,
+one leaf law at a time); each activity is the pairwise sum of the same
+elements, gathered into the rows of one C-contiguous 2-D array whose
+last axis numpy reduces as it sums a 1-D array (a strided array may
+block the sum differently; ``tests/activity/test_batch_evaluate.py``
+pins the contiguous case); each total is ``np.add.accumulate``, a
+left-to-right recurrence, over the steps in ascending time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EstimationError
 from repro.activity.probability import (
     DEFAULT_INPUT_PROBABILITY,
-    gate_output_probability,
     propagate_probabilities,
 )
 from repro.activity.transition import (
     MAX_EXACT_INPUTS,
     clamp_activity,
-    held_distribution,
-    mixed_joint_matrix,
     najm_density,
-    pair_distribution,
 )
-from repro.netlist.gates import Netlist
+from repro.netlist.gates import Netlist, TruthTable
 
 #: Default per-cycle switching activity of primary inputs.
 DEFAULT_INPUT_ACTIVITY = 0.5
@@ -97,6 +107,20 @@ def source_waveform(
     return GlitchWaveform(probability, steps, time)
 
 
+def clamped_steps(
+    out_prob: float, times: Sequence[int], raws: Sequence[float],
+    shift: int = 0,
+) -> Dict[int, float]:
+    """The waveform steps of raw kernel activities: the positive ones,
+    clamped as ``clamp_activity(out_prob, raw)``, ``shift`` later."""
+    bound = 2.0 * min(out_prob, 1.0 - out_prob)
+    return {
+        t + shift: (raw if raw < bound else bound)
+        for t, raw in zip(times, raws)
+        if raw > 0.0
+    }
+
+
 def propagate_waveforms(
     netlist: Netlist,
     input_probs: Optional[Mapping[str, float]] = None,
@@ -113,6 +137,10 @@ def propagate_waveforms(
     node's depth (no glitch decomposition) — the structural library and
     the 4-LUT mapper never produce such gates, but imported netlists
     might.
+
+    The gates of one structural depth and arity are one
+    :func:`batch_evaluate` call; gates reading the same fanins share a
+    row of leaf statistics.
     """
     probs = propagate_probabilities(netlist, input_probs, default_probability)
     waves: Dict[str, GlitchWaveform] = {}
@@ -120,37 +148,52 @@ def propagate_waveforms(
         activity = (input_activities or {}).get(net, default_activity)
         waves[net] = source_waveform(probs[net], activity)
 
+    depth_of = dict.fromkeys(waves, 0)
+    by_depth: Dict[int, Dict[int, List[str]]] = {}
     for net in netlist.topological_order():
         gate = netlist.gates[net]
-        out_prob = probs[net]
+        # Every gate takes its place now: the order of ``waves`` is the
+        # topological order, which the estimator's totals sum in.
+        waves[net] = GlitchWaveform(probs[net], {}, 0)
         if not gate.inputs:
-            waves[net] = GlitchWaveform(out_prob, {}, 0)
+            depth_of[net] = 0
             continue
-        fanin_waves = [waves[name] for name in gate.inputs]
-        depth = 1 + max(wave.depth for wave in fanin_waves)
-        if gate.table.n_inputs > MAX_EXACT_INPUTS:
-            waves[net] = _wide_gate_waveform(gate, fanin_waves, out_prob)
-            continue
-        steps: Dict[int, float] = {}
-        trigger_times = sorted(
-            {t for wave in fanin_waves for t in wave.steps}
-        )
-        column = np.array(gate.table.output_column(), dtype=np.float64)
-        differs = column[:, None] != column[None, :]
-        for t in trigger_times:
-            joints = []
-            for wave in fanin_waves:
-                s_t = wave.steps.get(t, 0.0)
-                if s_t > 0.0:
-                    s_t = clamp_activity(wave.probability, s_t)
-                    joints.append(pair_distribution(wave.probability, s_t))
-                else:
-                    joints.append(held_distribution(wave.probability))
-            matrix = mixed_joint_matrix(gate.table.n_inputs, joints)
-            activity = float(matrix[differs].sum())
-            if activity > 0.0:
-                steps[t + 1] = clamp_activity(out_prob, activity)
-        waves[net] = GlitchWaveform(out_prob, steps, depth)
+        depth = depth_of[net] = 1 + max(map(depth_of.__getitem__, gate.inputs))
+        by_depth.setdefault(depth, {}).setdefault(
+            gate.table.n_inputs, []
+        ).append(net)
+
+    for depth in sorted(by_depth):
+        for arity, nets in by_depth[depth].items():
+            gates = [netlist.gates[net] for net in nets]
+            if arity > MAX_EXACT_INPUTS:
+                for net, gate in zip(nets, gates):
+                    waves[net] = _wide_gate_waveform(
+                        gate, [waves[name] for name in gate.inputs],
+                        probs[net],
+                    )
+                continue
+            rows: Dict[Tuple[str, ...], int] = {}
+            job_row = [
+                rows.setdefault(gate.inputs, len(rows)) for gate in gates
+            ]
+            leaves = [waves[name] for fanins in rows for name in fanins]
+            out_probs = [probs[net] for net in nets]
+            result = batch_evaluate(
+                arity, [gate.table.bits for gate in gates], job_row,
+                [wave.probability for wave in leaves],
+                [len(wave.steps) for wave in leaves],
+                [t for wave in leaves for t in wave.steps],
+                [s for wave in leaves for s in wave.steps.values()],
+                out_probs,
+            )
+            ptr, times, raws = (array.tolist() for array in result[:3])
+            for net, out_prob, lo, hi in zip(nets, out_probs, ptr, ptr[1:]):
+                waves[net] = GlitchWaveform(
+                    out_prob,
+                    clamped_steps(out_prob, times[lo:hi], raws[lo:hi]),
+                    depth,
+                )
     return waves
 
 
@@ -167,3 +210,139 @@ def _wide_gate_waveform(
     depth = 1 + max(wave.depth for wave in fanin_waves)
     steps = {depth: activity} if activity > 0.0 else {}
     return GlitchWaveform(out_prob, steps, depth)
+
+
+# ---------------------------------------------------------------------------
+# The batched glitch-step kernel.
+# ---------------------------------------------------------------------------
+
+
+class GlitchSteps(NamedTuple):
+    """Per job ``j``: entries ``ptr[j]:ptr[j + 1]`` of ``time`` (trigger
+    time + 1, ascending) and ``raw`` (the unclamped activity), and
+    ``total[j]``, the sum of its :func:`clamped_steps`."""
+
+    ptr: np.ndarray
+    time: np.ndarray
+    raw: np.ndarray
+    total: np.ndarray
+
+
+#: Per ``(n_inputs, bits)``: flat indices of the "output differs" pairs
+#: of the ``2**n x 2**n`` joint matrix.
+_TABLE_EVAL: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _differs_index(n: int, bits: int) -> np.ndarray:
+    cached = _TABLE_EVAL.get((n, bits))
+    if cached is None:
+        column = np.array(TruthTable(n, bits).output_column())
+        cached = np.flatnonzero(column[:, None] != column[None, :])
+        _TABLE_EVAL[(n, bits)] = cached
+    return cached
+
+
+def batch_evaluate(
+    n: int,
+    bits: Sequence[int],
+    job_row: Sequence[int],
+    probs: Sequence[float],
+    counts: Sequence[int],
+    times: Sequence[int],
+    acts: Sequence[float],
+    out_prob: Sequence[float],
+) -> GlitchSteps:
+    """The glitch step of many ``n``-input gates (*jobs*) at once.
+
+    Job ``j`` is table ``bits[j]`` over row ``job_row[j]`` of leaf
+    statistics, with output probability ``out_prob[j]``. Leaf ``i`` of
+    row ``r`` has probability ``probs[r * n + i]`` and the next
+    ``counts[r * n + i]`` of the ``(times, acts)`` steps, ascending in
+    time. Like the reference, refuses ``n`` above
+    :data:`MAX_EXACT_INPUTS` (``EstimationError``) once a leaf has a
+    step.
+    """
+    n_jobs = len(bits)
+    times = np.asarray(times, dtype=np.int64)
+    if not len(times):
+        return GlitchSteps(
+            np.zeros(n_jobs + 1, dtype=np.int64), times,
+            np.zeros(0), np.zeros(n_jobs),
+        )
+    if n > MAX_EXACT_INPUTS:
+        raise EstimationError(
+            f"exact pair computation limited to {MAX_EXACT_INPUTS} inputs"
+        )
+    n_rows = len(counts) // n
+    row, position = np.divmod(np.repeat(np.arange(n_rows * n), counts), n)
+    # One evaluation *unit* per (row, trigger time), numbered row-major
+    # and ascending in time by an occupancy map (times are small ints).
+    span = int(times.max()) + 1
+    step_key = row * span + times
+    occupied = np.zeros(n_rows * span, dtype=bool)
+    occupied[step_key] = True
+    keys = occupied.nonzero()[0]
+    n_units = len(keys)
+    unit_row = keys // span
+    n_triggers = np.bincount(unit_row, minlength=n_rows)
+    first_unit = np.cumsum(n_triggers) - n_triggers
+
+    # Per (leaf, unit): the step activity, 0 (for which the pair law
+    # is the held law) without a step; units run along the last axis.
+    s_t = np.zeros((n, n_units))
+    s_t[position, (np.cumsum(occupied) - 1)[step_key]] = acts
+    p = np.asarray(probs, dtype=np.float64).reshape(n_rows, n).T[:, unit_row]
+    # clamp_activity, then pair_distribution's [[(1 - p) - h, h], [h,
+    # p - h]] with h = s / 2, in the reference's exact expressions.
+    half = np.minimum(np.maximum(s_t, 0.0), 2.0 * np.minimum(p, 1.0 - p))
+    half /= 2.0
+    laws = np.empty((n, 2, 2, n_units))
+    laws[:, 0, 0] = (1.0 - p) - half
+    laws[:, 0, 1] = half
+    laws[:, 1, 0] = half
+    laws[:, 1, 1] = p - half
+    # The Kronecker product, left-associated in input order as the
+    # reference's ``ones *= J_0 ... *= J_{n-1}``; leaf i is bit i.
+    matrices = laws[0]
+    width = 2
+    for leaf in range(1, n):
+        matrices = (
+            matrices.reshape(1, width, 1, width, n_units)
+            * laws[leaf][:, None, :, None, :]
+        ).reshape(2 * width, 2 * width, n_units)
+        width *= 2
+    flat = matrices.reshape(-1)
+
+    # Per output step: its job, its position in the job and its unit.
+    job_row = np.asarray(job_row, dtype=np.int64)
+    steps_of = n_triggers[job_row]
+    ptr = np.zeros(n_jobs + 1, dtype=np.int64)
+    np.cumsum(steps_of, out=ptr[1:])
+    job = np.repeat(np.arange(n_jobs), steps_of)
+    column = np.arange(len(job)) - ptr[job]
+    unit = first_unit[job_row[job]] + column
+    # The steps of the jobs with one count of "output differs" pairs
+    # gather their elements into one C-contiguous array (``take``
+    # returns one; the guard keeps that a contract), reduced in one call.
+    differs = [_differs_index(n, b) for b in bits]
+    sizes = np.array([len(index) for index in differs])
+    raw = np.empty(len(job))
+    for size in set(sizes.tolist()):
+        members = sizes == size
+        at = members[job]
+        picks = np.array([d for d, m in zip(differs, members) if m]) * n_units
+        picks = picks[(np.cumsum(members) - 1)[job[at]]]
+        picks += unit[at, None]
+        picked = np.ascontiguousarray(flat.take(picks))
+        raw[at] = np.add.reduce(picked, axis=-1)
+
+    out_prob = np.asarray(out_prob, dtype=np.float64)
+    bound = 2.0 * np.minimum(out_prob, 1.0 - out_prob)
+    padded = np.zeros((n_jobs, int(steps_of.max()) + 1))
+    padded[job, column] = np.where(
+        raw > 0.0, np.minimum(raw, bound[job]), 0.0
+    )
+    return GlitchSteps(
+        ptr, keys[unit] % span + 1, raw,
+        np.add.accumulate(padded, axis=1)[:, -1],
+    )

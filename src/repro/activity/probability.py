@@ -70,9 +70,10 @@ def propagate_probabilities(
     ``input_probs`` overrides individual sources (primary inputs or
     latch outputs); everything else defaults to ``default``. Gate
     outputs are computed in topological order under the independence
-    assumption.
+    assumption, once per distinct ``(table, fanin probabilities)``.
     """
     _check_probability(default, "default probability")
+    memo: Dict[tuple, float] = {}
     probs: Dict[str, float] = {}
     for net in netlist.inputs:
         probs[net] = _check_probability(
@@ -84,6 +85,10 @@ def propagate_probabilities(
         )
     for net in netlist.topological_order():
         gate = netlist.gates[net]
-        fanin = [probs[name] for name in gate.inputs]
-        probs[net] = gate_output_probability(gate.table, fanin)
+        fanin = tuple(probs[name] for name in gate.inputs)
+        key = (gate.table.bits, gate.table.n_inputs, fanin)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = gate_output_probability(gate.table, fanin)
+        probs[net] = value
     return probs

@@ -28,7 +28,7 @@ combinations, so it is restricted to ``MAX_EXACT_INPUTS`` inputs
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -84,14 +84,9 @@ def joint_input_matrix(
         raise EstimationError(
             f"exact pair computation limited to {MAX_EXACT_INPUTS} inputs"
         )
-    size = 1 << n_inputs
-    matrix = np.ones((size, size), dtype=np.float64)
-    combos = np.arange(size)
-    for i in range(n_inputs):
-        joint = pair_distribution(probs[i], activities[i])
-        bits = (combos >> i) & 1
-        matrix *= joint[np.ix_(bits, bits)]
-    return matrix
+    return mixed_joint_matrix(n_inputs, [
+        pair_distribution(probs[i], activities[i]) for i in range(n_inputs)
+    ])
 
 
 def switching_activity(
@@ -177,8 +172,19 @@ def mixed_joint_matrix(
         )
     size = 1 << n_inputs
     matrix = np.ones((size, size), dtype=np.float64)
-    combos = np.arange(size)
     for i, joint in enumerate(joints):
-        bits = (combos >> i) & 1
-        matrix *= joint[np.ix_(bits, bits)]
+        matrix *= joint[_bit_grid(n_inputs, i)]
     return matrix
+
+
+#: Per ``(n_inputs, input position)``: the ``np.ix_`` grid that spreads
+#: one input's 2x2 law over the ``2**n x 2**n`` pair space.
+_BIT_GRIDS: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _bit_grid(n_inputs: int, position: int) -> Tuple[np.ndarray, np.ndarray]:
+    grid = _BIT_GRIDS.get((n_inputs, position))
+    if grid is None:
+        bits = (np.arange(1 << n_inputs) >> position) & 1
+        grid = _BIT_GRIDS[(n_inputs, position)] = np.ix_(bits, bits)
+    return grid

@@ -45,7 +45,7 @@ semantics (modular add/sub/mult) via :func:`golden_outputs`.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -302,20 +302,30 @@ def compile_netlist(netlist: Netlist, delay_jitter: int = 0) -> CompiledNetlist:
 
     Cached on the netlist instance, keyed by ``delay_jitter``; any edit
     after compilation (see :meth:`Netlist.touch`) invalidates the
-    cached entry, so stale lowerings are never reused.
+    cached entries, so stale lowerings are never reused. The netlist is
+    lowered once per version (as jitter 0); every other delay spread
+    shares that lowering's arrays and computes only its gate delays.
     """
     cache = getattr(netlist, "_sim_compiled", None)
     if cache is None:
         cache = {}
         netlist._sim_compiled = cache
+    base = cache.get(0)
+    if base is None or base.version != netlist.version:
+        cache.clear()
+        base = cache[0] = _lower_netlist(netlist)
     compiled = cache.get(delay_jitter)
-    if compiled is None or compiled.version != netlist.version:
-        compiled = _lower_netlist(netlist, delay_jitter)
-        cache[delay_jitter] = compiled
+    if compiled is None:
+        compiled = cache[delay_jitter] = replace(
+            base, jitter=delay_jitter, gate_delays=np.array(
+                [_gate_delay(base.net_names[out], delay_jitter)
+                 for out in base.gate_out.tolist()], dtype=np.int64,
+            ),
+        )
     return compiled
 
 
-def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
+def _lower_netlist(netlist: Netlist) -> CompiledNetlist:
     topo = netlist.topological_order()
     net_names = list(netlist.inputs) + list(netlist.latches) + topo
     net_id = {name: index for index, name in enumerate(net_names)}
@@ -362,15 +372,13 @@ def _lower_netlist(netlist: Netlist, jitter: int) -> CompiledNetlist:
     order = np.argsort(readers, kind="stable")
     latches = list(netlist.latches.values())
     compiled = CompiledNetlist(
-        jitter=jitter,
+        jitter=0,
         n_nets=len(net_names),
         net_id=net_id,
         net_names=net_names,
         gate_out=gate_out,
         gate_fanins=gate_fanins,
-        gate_delays=np.array(
-            [_gate_delay(row[2], jitter) for row in rows], dtype=np.int64
-        ),
+        gate_delays=np.ones(n_gates, dtype=np.int64),
         class_evals=class_evals,
         class_arity=class_arity,
         class_keys=list(class_of),

@@ -16,6 +16,7 @@ whose truth table has K inputs).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -82,8 +83,10 @@ class TruthTable:
         return cls(n_inputs, bits)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def for_type(cls, gate_type: GateType, n_inputs: int) -> "TruthTable":
-        """Truth table for a named gate type with ``n_inputs`` inputs."""
+        """Truth table for a named gate type with ``n_inputs`` inputs
+        (tables are immutable, so each one is built once)."""
         if gate_type is GateType.CONST0:
             return cls.constant(False)
         if gate_type is GateType.CONST1:

@@ -24,11 +24,11 @@ This module removes both without changing a single output bit:
   the concrete ``(bits, leaf statistics)`` and grouped by
   NPN-canonical truth table (:func:`npn_key`); the flow keeps one
   memo per artifact cache, shared by every netlist mapped through it;
-* cache misses are evaluated in numpy batches: every distinct miss of
-  one structural level and arity is one job of :func:`batch_evaluate`,
-  which builds one ``2**n x 2**n`` joint matrix per (distinct leaf
-  statistics, trigger time) as a Kronecker broadcast over the leaves
-  and reduces all jobs' "output differs" pairs in a few calls.
+* cache misses are evaluated in numpy batches: the distinct misses of
+  one structural level and arity are one call of the glitch-step
+  kernel :func:`repro.activity.glitch.batch_evaluate`, which also
+  serves the gate-level estimator, and the memo keeps its outputs as
+  rows of flat arrays.
 
 Bit-exactness contract
 ----------------------
@@ -49,18 +49,7 @@ dictates three implementation rules:
    a uniform time shift), which is what makes bit slice ``i`` of a
    ripple structure hit the entry written by bit slice ``i - 1``;
 3. batched evaluation keeps every floating-point operation of the
-   reference and its order: each joint-matrix element is the product
-   ``((J_0 * J_1) * J_2) * ...`` in input order (the Kronecker
-   broadcast multiplies the running product by one leaf law at a
-   time, exactly like ``mixed_joint_matrix``), and each (job, trigger
-   time) activity is the pairwise sum of the same elements in the same
-   order. The kernel gathers those elements into the rows of one
-   C-contiguous 2-D array and reduces its last axis: numpy then runs
-   the 1-D pairwise summation per row, which is what ``.sum()`` does
-   on the reference's 1-D array. A reduction over a non-contiguous
-   (e.g. freshly fancy-indexed, strided) array may block the sum
-   differently; ``tests/techmap/test_batch_evaluate.py`` pins the
-   contiguous case so a numpy change shows there first.
+   reference and its order (see :mod:`repro.activity.glitch`).
 """
 
 from __future__ import annotations
@@ -72,8 +61,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import EstimationError, MappingError
-from repro.activity.transition import MAX_EXACT_INPUTS
+from repro.errors import MappingError
 from repro.netlist.gates import Netlist, TruthTable
 from repro.techmap.cuts import cone_function
 
@@ -648,10 +636,12 @@ class ConeMemo:
     ``(table bits, arity, glitch_aware, per-leaf statistics)`` inner
     key (see the module docstring for why reuse must be exact; lookups
     go through the flat ``entries`` dict so the hot path pays one
-    cached hash instead of two hops). Glitch-aware values are
-    ``(out_prob, ((out_time, activity), ...), total)`` with times
-    normalized so the earliest leaf trigger is 0 — callers shift them
-    back; glitch-blind values are ``(out_prob, activity, None)``.
+    cached hash instead of two hops). Glitch-aware values are rows of
+    one kernel call's flat outputs, ``(out_prob, total, times, raws,
+    lo, hi)``: the steps are ``times[lo:hi]`` (normalized so the
+    earliest leaf trigger is 0 — callers shift them back) with their
+    unclamped activities ``raws[lo:hi]``; glitch-blind values are
+    ``(out_prob, activity)``.
 
     Every value is a pure function of its key, whatever netlist it
     came from, so one memo serves any number of netlists: the flow
@@ -705,177 +695,3 @@ class ConeMemo:
             "misses": self.misses,
             "resets": self.resets,
         }
-
-
-# ---------------------------------------------------------------------------
-# Batched SA evaluation.
-# ---------------------------------------------------------------------------
-
-#: Cached per-table evaluation scaffolding: flat indices of the
-#: "output differs" pairs of the ``2**n x 2**n`` joint matrix.
-_TABLE_EVAL: Dict[Tuple[int, int], np.ndarray] = {}
-
-
-def _differs_index(table: TruthTable) -> np.ndarray:
-    key = (table.n_inputs, table.bits)
-    cached = _TABLE_EVAL.get(key)
-    if cached is None:
-        column = np.array(table.output_column(), dtype=np.float64)
-        differs = column[:, None] != column[None, :]
-        cached = np.flatnonzero(differs.ravel())
-        _TABLE_EVAL[key] = cached
-    return cached
-
-
-def batch_evaluate(
-    jobs: Sequence[Tuple[TruthTable, Tuple]],
-) -> List[Tuple[Tuple[int, float], ...]]:
-    """Evaluate several same-arity glitch-aware cuts in one numpy batch.
-
-    Each job is ``(table, leaf_stats)`` where ``leaf_stats`` is the
-    normalized per-leaf ``(probability, ((time, s_t), ...))`` tuple.
-    Returns, per job, the normalized output steps
-    ``((time + 1, raw_activity), ...)`` — *unclamped*, ascending by
-    time; the caller applies the output clamp (it depends on the
-    output probability, which the caller already knows).
-
-    Bit-exactness: the per-element joint products run in the same
-    input order as the reference, and every final reduction is a
-    last-axis pairwise sum of a C-contiguous array over exactly the
-    elements the reference sums (see module docstring).
-    """
-    n = jobs[0][0].n_inputs
-    # Jobs with identical leaf statistics share one joint-matrix row
-    # (e.g. the sum and carry cones of one adder slice): dedup them
-    # before any numpy work. Trigger times are a function of the
-    # statistics, so they are per-row too.
-    row_of: Dict[Tuple, int] = {}
-    job_row: List[int] = []
-    row_stats: List[Tuple] = []
-    for _, leaf_stats in jobs:
-        row = row_of.get(leaf_stats)
-        if row is None:
-            row = len(row_stats)
-            row_of[leaf_stats] = row
-            row_stats.append(leaf_stats)
-        job_row.append(row)
-    n_rows = len(row_stats)
-
-    # Every (row, leaf, step) flattened once, in row-major leaf order.
-    step_counts = [
-        len(steps) for leaf_stats in row_stats for _, steps in leaf_stats
-    ]
-    step_times = [
-        t
-        for leaf_stats in row_stats
-        for _, steps in leaf_stats
-        for t, _ in steps
-    ]
-    if not step_times:
-        return [() for _ in jobs]
-    if n > MAX_EXACT_INPUTS:
-        # Mirror the reference path: mixed_joint_matrix refuses cones
-        # wider than the exact pair computation the moment a trigger
-        # time must be evaluated (trigger-free wide cones pass, above).
-        raise EstimationError(
-            f"exact pair computation limited to {MAX_EXACT_INPUTS} inputs"
-        )
-    step_acts = [
-        activity
-        for leaf_stats in row_stats
-        for _, steps in leaf_stats
-        for _, activity in steps
-    ]
-    times = np.array(step_times, dtype=np.int64)
-    slot = np.repeat(np.arange(n_rows * n), step_counts)
-    # One evaluation *unit* per (row, trigger time), numbered row-major
-    # and ascending in time, so a row's units are contiguous and in the
-    # reference's order. Times are small non-negative ints (normalized
-    # unit-delay depths): an occupancy map over (row, time) numbers
-    # them without a sort.
-    span = int(times.max()) + 1
-    step_key = (slot // n) * span + times
-    occupied = np.zeros(n_rows * span, dtype=bool)
-    occupied[step_key] = True
-    keys = np.flatnonzero(occupied)
-    step_unit = (np.cumsum(occupied) - 1)[step_key]
-    unit_row = keys // span
-    n_units = len(keys)
-    n_triggers = np.bincount(unit_row, minlength=n_rows)
-    first_unit = np.cumsum(n_triggers) - n_triggers
-    unit_time = (keys % span + 1).tolist()
-
-    # Per (leaf, unit): the step activity; leaves without a step at
-    # the unit's time hold 0, for which the pair law below equals the
-    # held law. Units run along the last axis so every element-wise
-    # pass below is one long contiguous loop.
-    s_t = np.zeros((n, n_units), dtype=np.float64)
-    s_t[slot % n, step_unit] = step_acts
-    probs = np.array(
-        [[prob for prob, _ in leaf_stats] for leaf_stats in row_stats],
-        dtype=np.float64,
-    ).T[:, unit_row]
-    # clamp_activity, vectorized with the reference's exact expression:
-    # min(max(s, 0), 2 * min(p, 1 - p)); only applied where s > 0 (the
-    # reference uses the held law otherwise, which equals the pair law
-    # at s == 0).
-    bound = 2.0 * np.minimum(probs, 1.0 - probs)
-    half = np.minimum(np.maximum(s_t, 0.0), bound) / 2.0
-    # pair_distribution(p, s): [[1-p-h, h], [h, p-h]] with the same
-    # left-to-right arithmetic ((1.0 - p) - h); shape (leaf, 2, 2, unit).
-    laws = np.empty((n, 2, 2, n_units), dtype=np.float64)
-    laws[:, 0, 0] = (1.0 - probs) - half
-    laws[:, 0, 1] = half
-    laws[:, 1, 0] = half
-    laws[:, 1, 1] = probs - half
-
-    # The Kronecker product over leaves, element-wise and left-associated
-    # in input order exactly as the reference's ``ones *= J_0 ... *=
-    # J_{n-1}`` (``1.0 * x == x``): leaf i becomes bit i of the
-    # combination index.
-    matrices = laws[0]
-    width = 2
-    for leaf_pos in range(1, n):
-        matrices = (
-            matrices.reshape(1, width, 1, width, n_units)
-            * laws[leaf_pos][:, None, :, None, :]
-        ).reshape(2 * width, 2 * width, n_units)
-        width *= 2
-    flat = matrices.reshape(-1)
-
-    # Jobs grouped by how many output pairs differ: each group's
-    # (job, trigger time) rows are gathered into one C-contiguous
-    # array and reduced in one call.
-    groups: Dict[int, List[int]] = {}
-    differs: List[np.ndarray] = []
-    for j, (table, _) in enumerate(jobs):
-        index = _differs_index(table)
-        differs.append(index)
-        groups.setdefault(len(index), []).append(j)
-    results: List[Tuple[Tuple[int, float], ...]] = [()] * len(jobs)
-    for indices in groups.values():
-        rows = np.array([job_row[j] for j in indices])
-        counts = n_triggers[rows]
-        ends = np.cumsum(counts)
-        if not ends[-1]:
-            continue
-        starts = first_unit[rows]
-        units = np.repeat(starts - (ends - counts), counts)
-        units += np.arange(int(ends[-1]))
-        columns = np.repeat(
-            np.array([differs[j] for j in indices]), counts, axis=0
-        )
-        columns *= n_units
-        columns += units[:, None]
-        # A last-axis reduce of a C-contiguous array runs the same
-        # pairwise summation per row as a 1-D ``.sum()`` (``take``
-        # already returns one; the guard keeps that a contract).
-        picked = np.ascontiguousarray(flat.take(columns))
-        sums = np.add.reduce(picked, axis=-1).tolist()
-        start = 0
-        for j, end, unit in zip(indices, ends.tolist(), starts.tolist()):
-            results[j] = tuple(
-                zip(unit_time[unit:unit + end - start], sums[start:end])
-            )
-            start = end
-    return results

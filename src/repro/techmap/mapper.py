@@ -38,6 +38,7 @@ differential-testing oracle of ``"fast"``.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,6 +48,8 @@ from repro.errors import MappingError
 from repro.activity.glitch import (
     DEFAULT_INPUT_ACTIVITY,
     GlitchWaveform,
+    batch_evaluate,
+    clamped_steps,
     source_waveform,
 )
 from repro.activity.probability import (
@@ -62,11 +65,11 @@ from repro.activity.transition import (
 )
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.techmap.compile import (
+    _NPN_KEYS,
     MAX_CONE_LEAVES,
     ConeMemo,
     HashedKey,
     compile_map_netlist,
-    batch_evaluate,
     cut_levels,
     npn_key,
     table_ints,
@@ -139,12 +142,22 @@ def map_netlist(
         raise MappingError(
             f"unknown mapper effort {effort!r}; choose from {MAP_EFFORTS}"
         )
-    return _map_fast(
-        netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
-        input_activities, default_probability, default_activity,
-        exhaustive=(effort == "exhaustive"),
-        memo=cone_memo if cone_memo is not None else ConeMemo(),
-    )
+    # Mapping makes ~10 tracked containers per node and no reference
+    # cycles, so the cyclic collector's full passes over the caller's
+    # heap are pure cost (a fifth of a cold paper-scale mapping); it is
+    # paused meanwhile, and reference counting still frees everything.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _map_fast(
+            netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
+            input_activities, default_probability, default_activity,
+            exhaustive=(effort == "exhaustive"),
+            memo=cone_memo if cone_memo is not None else ConeMemo(),
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -424,42 +437,51 @@ def _map_fast(
                 else:
                     sharing.append(d)
 
-        # Evaluate this level's distinct misses, one batch per arity.
+        # Evaluate this level's distinct misses, one kernel call per
+        # arity. Glitch-aware values are rows of the call's flat output
+        # arrays: (out_prob, total, times, raws, lo, hi).
         for arity, missed in misses.items():
-            tables = [TruthTable(arity, bits_of[d]) for d in missed]
             stats_of = [keys[d].key[3] for d in missed]
+            rows: Dict[Tuple, int] = {}
+            job_row = [rows.setdefault(stats, len(rows)) for stats in stats_of]
+            leaf_stats = [leaf for stats in rows for leaf in stats]
+            probs = [prob for prob, _ in leaf_stats]
+            out_probs = [
+                _memo_probability(
+                    memo, bits_of[d], arity,
+                    tuple(probs[r * arity:(r + 1) * arity]),
+                )
+                for d, r in zip(missed, job_row)
+            ]
             if glitch_aware:
-                batched = batch_evaluate(list(zip(tables, stats_of)))
+                result = batch_evaluate(
+                    arity, [bits_of[d] for d in missed], job_row, probs,
+                    [len(steps) for _, steps in leaf_stats],
+                    [t for _, steps in leaf_stats for t, _ in steps],
+                    [s for _, steps in leaf_stats for _, s in steps],
+                    out_probs,
+                )
+                ptr = result.ptr.tolist()
+                times = tuple(result.time.tolist())
+                raws = tuple(result.raw.tolist())
+                batch = [
+                    (out_prob, total, times, raws, lo, hi)
+                    for out_prob, total, lo, hi in zip(
+                        out_probs, result.total.tolist(), ptr, ptr[1:]
+                    )
+                ]
             else:
-                batched = [None] * len(missed)
-            for d, table_fn, stats, steps in zip(
-                missed, tables, stats_of, batched
-            ):
-                probs = tuple(p for p, _ in stats)
-                out_prob = _memo_probability(memo, table_fn, probs)
-                if glitch_aware:
-                    # Inlined clamp_activity (raw > 0, so the max(.., 0)
-                    # arm is the identity; the conditional is min()).
-                    out_bound = 2.0 * min(out_prob, 1.0 - out_prob)
-                    steps_norm = tuple(
-                        (t, raw if raw < out_bound else out_bound)
-                        for t, raw in steps
-                        if raw > 0.0
-                    )
-                    # The total is shift-invariant and summed in the
-                    # reference's ascending-step order.
-                    value = (
-                        out_prob, steps_norm,
-                        float(sum(act for _, act in steps_norm)),
-                    )
-                else:
+                batch = []
+                for d, stats, out_prob in zip(missed, stats_of, out_probs):
                     acts = [clamp_activity(p, total) for p, total in stats]
                     activity = switching_activity(
-                        table_fn, list(probs), acts
+                        TruthTable(arity, bits_of[d]),
+                        [p for p, _ in stats], acts,
                     )
                     activity = clamp_activity(out_prob, activity)
-                    value = (out_prob, activity, None)
-                memo.store(npn_key(table_fn), keys[d], value)
+                    batch.append((out_prob, activity))
+            for d, value in zip(missed, batch):
+                memo.store(_npn_class(arity, bits_of[d]), keys[d], value)
                 for sharing in pending[keys[d]]:
                     values[sharing] = value
 
@@ -467,12 +489,9 @@ def _map_fast(
         # added one leaf column at a time, left to right, as its
         # sequential sum() does (0.0 + x is x, and padding adds an
         # exact 0.0).
-        if glitch_aware:
-            total = np.array([value[2] for value in values])
-        else:
-            total = np.array([
-                value[1] if value[1] > 0.0 else 0.0 for value in values
-            ])
+        total = np.array([
+            value[1] if value[1] > 0.0 else 0.0 for value in values
+        ])
         leaf_shares = share[leaves]
         leaf_sum = leaf_shares[:, 0].copy()
         for column in range(1, leaves.shape[1]):
@@ -495,11 +514,15 @@ def _map_fast(
             depth[win].tolist(), shift[win].tolist(),
             leaves[win].tolist(), size[win].tolist(),
         ):
-            out_prob, payload = values[d][0], values[d][1]
+            value = values[d]
+            out_prob = value[0]
             if glitch_aware:
-                steps = {t + row_shift: act for t, act in payload}
+                _, _, times, raws, lo, hi = value
+                steps = clamped_steps(
+                    out_prob, times[lo:hi], raws[lo:hi], row_shift
+                )
             else:
-                steps = {row_depth: payload} if payload > 0.0 else {}
+                steps = {row_depth: value[1]} if value[1] > 0.0 else {}
             settle(net_id, GlitchWaveform(out_prob, steps, row_depth))
             chosen[names[net_id]] = (
                 tuple(names[l] for l in ids[:arity]),
@@ -538,14 +561,19 @@ def _no_cut_message(net: str, k: int, cut_cap: int) -> str:
 
 
 def _memo_probability(
-    memo: ConeMemo, table: TruthTable, probs: Tuple[float, ...]
+    memo: ConeMemo, bits: int, arity: int, probs: Tuple[float, ...]
 ) -> float:
-    key = (table.bits, table.n_inputs, probs)
+    key = (bits, arity, probs)
     cached = memo.prob_cache.get(key)
     if cached is None:
-        cached = gate_output_probability(table, list(probs))
+        cached = gate_output_probability(TruthTable(arity, bits), probs)
         memo.prob_cache[key] = cached
     return cached
+
+
+def _npn_class(arity: int, bits: int) -> Tuple:
+    """:func:`npn_key` of a table, without building it when known."""
+    return _NPN_KEYS.get((arity, bits)) or npn_key(TruthTable(arity, bits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
-"""Exactness of the batched cone-evaluation kernel.
+"""Exactness of the batched glitch-step kernel.
 
-:func:`repro.techmap.compile.batch_evaluate` must return, per job, the
-very floats the seed mapper computes for one cut: one
-:func:`~repro.activity.transition.mixed_joint_matrix` per trigger time
-and a 1-D sum over the "output differs" pairs. The kernel builds the
-joint matrices as a Kronecker broadcast and sums every (job, time) row
-in one last-axis reduction; the tests here pin both against the
-reference arithmetic, and pin the numpy reduction property the kernel
-relies on, so a numpy upgrade that changes it fails here first.
+:func:`repro.activity.glitch.batch_evaluate` must return, per job, the
+very floats the seed mapper and the seed estimator compute for one cut
+or gate: one :func:`~repro.activity.transition.mixed_joint_matrix` per
+trigger time and a 1-D sum over the "output differs" pairs. The kernel
+builds the joint matrices as a Kronecker broadcast and sums every
+(job, time) row in one last-axis reduction; the tests here pin both
+against the reference arithmetic, and pin the numpy reduction property
+the kernel relies on, so a numpy upgrade that changes it fails here
+first. The job totals must equal the reference's sequential ``sum()``
+over the clamped positive steps.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.activity.glitch import GlitchSteps, batch_evaluate
 from repro.activity.transition import (
     MAX_EXACT_INPUTS,
     clamp_activity,
@@ -23,7 +26,24 @@ from repro.activity.transition import (
 )
 from repro.errors import EstimationError
 from repro.netlist.gates import TruthTable
-from repro.techmap.compile import batch_evaluate
+
+
+def evaluate_jobs(jobs, out_probs=None):
+    """``batch_evaluate`` over ``(table, leaf_stats)`` jobs, one row of
+    leaf statistics per job: per job, its ``((time, raw), ...)`` steps
+    (and the kernel's result for the totals)."""
+    n = jobs[0][0].n_inputs
+    leaves = [leaf for _, stats in jobs for leaf in stats]
+    result = batch_evaluate(
+        n, [table.bits for table, _ in jobs], list(range(len(jobs))),
+        [prob for prob, _ in leaves], [len(steps) for _, steps in leaves],
+        [t for _, steps in leaves for t, _ in steps],
+        [s for _, steps in leaves for _, s in steps],
+        [0.5] * len(jobs) if out_probs is None else out_probs,
+    )
+    ptr = result.ptr.tolist()
+    steps = list(zip(result.time.tolist(), result.raw.tolist()))
+    return [tuple(steps[lo:hi]) for lo, hi in zip(ptr, ptr[1:])], result
 
 
 def reference_steps(table, leaf_stats):
@@ -87,7 +107,7 @@ def job_batches(draw):
 @given(job_batches())
 @settings(max_examples=150, deadline=None)
 def test_batch_matches_reference_per_job(jobs):
-    results = batch_evaluate(jobs)
+    results, _ = evaluate_jobs(jobs)
     assert len(results) == len(jobs)
     for (table, leaf_stats), result in zip(jobs, results):
         expected = reference_steps(table, leaf_stats)
@@ -107,7 +127,7 @@ def test_mixed_trigger_counts_and_shared_rows():
     three = ((0.5, ((0, 0.4), (2, 0.1))), (0.3, ((1, 0.2),)))
     jobs = [(and2, three), (xor2, quiet), (xor2, three), (and2, one),
             (xor2, one)]
-    results = batch_evaluate(jobs)
+    results, _ = evaluate_jobs(jobs)
     assert results[1] == ()
     assert [len(r) for r in results] == [3, 0, 3, 1, 1]
     for (table, stats), result in zip(jobs, results):
@@ -117,10 +137,79 @@ def test_mixed_trigger_counts_and_shared_rows():
 def test_wide_cone_with_triggers_is_refused():
     wide = TruthTable(MAX_EXACT_INPUTS + 1, 1)
     quiet = tuple((0.5, ()) for _ in range(MAX_EXACT_INPUTS + 1))
-    assert batch_evaluate([(wide, quiet)]) == [()]
+    assert evaluate_jobs([(wide, quiet)])[0] == [()]
     busy = ((0.5, ((0, 0.2),)),) + quiet[1:]
     with pytest.raises(EstimationError):
-        batch_evaluate([(wide, busy)])
+        evaluate_jobs([(wide, busy)])
+
+
+@given(job_batches(), st.lists(probabilities, min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_totals_are_the_sequential_sum_of_clamped_steps(jobs, out_probs):
+    """``total[j]`` is the waveform total the estimator and the mapper
+    compute: ``sum()`` over the positive steps, each clamped to the
+    output's bound, in ascending time."""
+    out_probs = out_probs[:len(jobs)]
+    _, result = evaluate_jobs(jobs, out_probs)
+    for (table, leaf_stats), out_prob, total in zip(
+        jobs, out_probs, result.total.tolist()
+    ):
+        expected = float(sum(
+            clamp_activity(out_prob, raw)
+            for _, raw in reference_steps(table, leaf_stats) if raw > 0.0
+        ))
+        assert np.float64(total).tobytes() == \
+            np.float64(expected).tobytes()
+
+
+def test_jobs_sharing_a_row_equal_jobs_with_their_own():
+    and2, xor2 = TruthTable(2, 0b1000), TruthTable(2, 0b0110)
+    stats = ((0.5, ((0, 0.4), (2, 0.1))), (0.3, ((1, 0.2),)))
+    shared = batch_evaluate(
+        2, [and2.bits, xor2.bits], [0, 0], [0.5, 0.3], [2, 1],
+        [0, 2, 1], [0.4, 0.1, 0.2], [0.25, 0.5],
+    )
+    _, separate = evaluate_jobs([(and2, stats), (xor2, stats)], [0.25, 0.5])
+    for a, b in zip(shared, separate):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestArrayInterface:
+    def test_single_job(self):
+        xor2 = TruthTable(2, 0b0110)
+        result = batch_evaluate(
+            2, [xor2.bits], [0], [0.5, 0.3], [1, 1], [0, 1], [0.4, 0.2],
+            [0.5],
+        )
+        assert isinstance(result, GlitchSteps)
+        assert result.ptr.tolist() == [0, 2]
+        assert result.time.tolist() == [1, 2]
+        stats = ((0.5, ((0, 0.4),)), (0.3, ((1, 0.2),)))
+        assert tuple(zip(result.time.tolist(), result.raw.tolist())) == \
+            reference_steps(xor2, stats)
+        assert result.total.tolist() == [sum(result.raw.tolist())]
+
+    def test_no_steps(self):
+        and2 = TruthTable(2, 0b1000)
+        result = batch_evaluate(
+            2, [and2.bits, and2.bits], [0, 1], [0.5] * 4, [0] * 4, [], [],
+            [0.25, 0.25],
+        )
+        assert result.ptr.tolist() == [0, 0, 0]
+        assert len(result.time) == len(result.raw) == 0
+        assert result.total.tolist() == [0.0, 0.0]
+
+    def test_wide_cone_refused(self):
+        n = MAX_EXACT_INPUTS + 1
+        quiet = batch_evaluate(
+            n, [1], [0], [0.5] * n, [0] * n, [], [], [0.0]
+        )
+        assert quiet.ptr.tolist() == [0, 0]
+        with pytest.raises(EstimationError):
+            batch_evaluate(
+                n, [1], [0], [0.5] * n, [1] + [0] * (n - 1), [0], [0.2],
+                [0.0],
+            )
 
 
 @pytest.mark.parametrize("length", [

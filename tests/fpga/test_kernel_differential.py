@@ -35,6 +35,7 @@ from repro.fpga import (
     simulate_design,
 )
 from repro.errors import SimulationError
+import repro.fpga.simulate as simulate_mod
 from repro.fpga.simulate import _gate_delay, _simulate_reference
 from repro.fpga.vectors import VectorSet
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
@@ -115,6 +116,54 @@ def test_compiled_netlist_is_cached(mapped_design):
     jittered = compile_netlist(design.netlist, 2)
     assert jittered is not first
     assert compile_netlist(design.netlist, 2) is jittered
+
+
+def test_jitters_share_one_lowering(monkeypatch):
+    """Every delay spread of one netlist version shares one lowering
+    (only the gate delays differ) and still simulates as the reference
+    does; an in-place rewrite lowers the netlist again for all of
+    them."""
+    design, vectors = build_mapped("pr")
+    netlist = rebuilt(design.netlist)
+    design = dataclasses.replace(design, netlist=netlist)
+    lowered = []
+    lower = simulate_mod._lower_netlist
+    monkeypatch.setattr(
+        simulate_mod, "_lower_netlist",
+        lambda netlist: lowered.append(netlist) or lower(netlist),
+    )
+
+    def check_both_jitters():
+        for jitter in (0, 2):
+            assert simulate_design(
+                design, vectors, collect_per_net=True, delay_jitter=jitter
+            ) == _simulate_reference(
+                design, vectors, collect_per_net=True, delay_jitter=jitter
+            )
+
+    check_both_jitters()
+    assert len(lowered) == 1
+    zero, two = compile_netlist(netlist, 0), compile_netlist(netlist, 2)
+    assert two.gate_fanins is zero.gate_fanins
+    assert two.gate_delays.tolist() == [
+        _gate_delay(zero.net_names[out], 2) for out in zero.gate_out
+    ]
+    # Constant-fold one LUT input in place: same net counts, new
+    # version, so both delay spreads are rebuilt from one new lowering.
+    name, gate = next(
+        (name, gate) for name, gate in netlist.gates.items()
+        if len(gate.inputs) == 2
+    )
+    one = netlist.add_const(True, "one_for_folding")
+    netlist.gates[name] = Gate(
+        name, gate.inputs + (one,),
+        TruthTable(3, gate.table.bits << 4), GateType.LUT,
+    )
+    netlist.touch()
+    assert propagate_constants(netlist) == 1
+    check_both_jitters()
+    assert len(lowered) == 2
+    assert compile_netlist(netlist, 2) is not two
 
 
 def test_compiled_netlist_invalidated_on_mutation(mapped_design):
