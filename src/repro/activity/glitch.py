@@ -29,8 +29,9 @@ one leaf law at a time); each activity is the pairwise sum of the same
 elements, gathered into the rows of one C-contiguous 2-D array whose
 last axis numpy reduces as it sums a 1-D array (a strided array may
 block the sum differently; ``tests/activity/test_batch_evaluate.py``
-pins the contiguous case); each total is ``np.add.accumulate``, a
-left-to-right recurrence, over the steps in ascending time.
+pins the contiguous case). :func:`clamped_totals` adds a job's clamped
+steps with ``np.add.accumulate``, a left-to-right recurrence, in
+ascending time.
 """
 
 from __future__ import annotations
@@ -185,9 +186,8 @@ def propagate_waveforms(
                 [len(wave.steps) for wave in leaves],
                 [t for wave in leaves for t in wave.steps],
                 [s for wave in leaves for s in wave.steps.values()],
-                out_probs,
             )
-            ptr, times, raws = (array.tolist() for array in result[:3])
+            ptr, times, raws = (array.tolist() for array in result)
             for net, out_prob, lo, hi in zip(nets, out_probs, ptr, ptr[1:]):
                 waves[net] = GlitchWaveform(
                     out_prob,
@@ -219,13 +219,11 @@ def _wide_gate_waveform(
 
 class GlitchSteps(NamedTuple):
     """Per job ``j``: entries ``ptr[j]:ptr[j + 1]`` of ``time`` (trigger
-    time + 1, ascending) and ``raw`` (the unclamped activity), and
-    ``total[j]``, the sum of its :func:`clamped_steps`."""
+    time + 1, ascending) and ``raw`` (the unclamped activity)."""
 
     ptr: np.ndarray
     time: np.ndarray
     raw: np.ndarray
-    total: np.ndarray
 
 
 #: Per ``(n_inputs, bits)``: flat indices of the "output differs" pairs
@@ -250,24 +248,21 @@ def batch_evaluate(
     counts: Sequence[int],
     times: Sequence[int],
     acts: Sequence[float],
-    out_prob: Sequence[float],
 ) -> GlitchSteps:
     """The glitch step of many ``n``-input gates (*jobs*) at once.
 
     Job ``j`` is table ``bits[j]`` over row ``job_row[j]`` of leaf
-    statistics, with output probability ``out_prob[j]``. Leaf ``i`` of
-    row ``r`` has probability ``probs[r * n + i]`` and the next
-    ``counts[r * n + i]`` of the ``(times, acts)`` steps, ascending in
-    time. Like the reference, refuses ``n`` above
-    :data:`MAX_EXACT_INPUTS` (``EstimationError``) once a leaf has a
-    step.
+    statistics. Leaf ``i`` of row ``r`` has probability
+    ``probs[r * n + i]`` and the next ``counts[r * n + i]`` of the
+    ``(times, acts)`` steps, ascending in time. Like the reference,
+    refuses ``n`` above :data:`MAX_EXACT_INPUTS` (``EstimationError``)
+    once a leaf has a step.
     """
     n_jobs = len(bits)
     times = np.asarray(times, dtype=np.int64)
     if not len(times):
         return GlitchSteps(
-            np.zeros(n_jobs + 1, dtype=np.int64), times,
-            np.zeros(0), np.zeros(n_jobs),
+            np.zeros(n_jobs + 1, dtype=np.int64), times, np.zeros(0)
         )
     if n > MAX_EXACT_INPUTS:
         raise EstimationError(
@@ -336,13 +331,20 @@ def batch_evaluate(
         picked = np.ascontiguousarray(flat.take(picks))
         raw[at] = np.add.reduce(picked, axis=-1)
 
+    return GlitchSteps(ptr, keys[unit] % span + 1, raw)
+
+
+def clamped_totals(
+    steps: GlitchSteps, out_prob: Sequence[float]
+) -> np.ndarray:
+    """Per job, the total of its :func:`clamped_steps`: one step column
+    at a time in ascending time, as the reference ``sum()`` adds them."""
     out_prob = np.asarray(out_prob, dtype=np.float64)
+    counts = np.diff(steps.ptr)
+    job = np.repeat(np.arange(len(counts)), counts)
     bound = 2.0 * np.minimum(out_prob, 1.0 - out_prob)
-    padded = np.zeros((n_jobs, int(steps_of.max()) + 1))
-    padded[job, column] = np.where(
-        raw > 0.0, np.minimum(raw, bound[job]), 0.0
+    padded = np.zeros((len(counts), int(counts.max(initial=0)) + 1))
+    padded[job, np.arange(len(job)) - steps.ptr[job]] = np.where(
+        steps.raw > 0.0, np.minimum(steps.raw, bound[job]), 0.0
     )
-    return GlitchSteps(
-        ptr, keys[unit] % span + 1, raw,
-        np.add.accumulate(padded, axis=1)[:, -1],
-    )
+    return np.add.accumulate(padded, axis=1)[:, -1]

@@ -102,8 +102,8 @@ def _npn_transforms(n: int) -> np.ndarray:
     return matrix
 
 
-def npn_key(table: TruthTable) -> Tuple:
-    """A deterministic NPN-class key for ``table``.
+def npn_key(n: int, bits: int) -> Tuple:
+    """A deterministic NPN-class key for the ``n``-input table ``bits``.
 
     Exact for up to :data:`NPN_EXACT_MAX` inputs (the minimum packed
     table over all input permutations, input negations and output
@@ -113,10 +113,10 @@ def npn_key(table: TruthTable) -> Tuple:
     class into a few keys. Either way the key only organizes the
     :class:`ConeMemo`; correctness never depends on its canonicity.
     """
-    n = table.n_inputs
-    cached = _NPN_KEYS.get((n, table.bits))
+    cached = _NPN_KEYS.get((n, bits))
     if cached is not None:
         return cached
+    table = TruthTable(n, bits)
     if n <= NPN_EXACT_MAX:
         size = 1 << n
         column = np.array(table.output_column(), dtype=np.int64)
@@ -129,8 +129,7 @@ def npn_key(table: TruthTable) -> Tuple:
     else:
         size = 1 << n
         full = (1 << size) - 1
-        bits = min(table.bits, full ^ table.bits)
-        norm = TruthTable(n, bits)
+        norm = TruthTable(n, min(bits, full ^ bits))
         signature = tuple(
             sorted(
                 (
@@ -140,8 +139,8 @@ def npn_key(table: TruthTable) -> Tuple:
                 for v in range(n)
             )
         )
-        key = ("npn-semi", n, bits, signature)
-    _NPN_KEYS[(n, table.bits)] = key
+        key = ("npn-semi", n, norm.bits, signature)
+    _NPN_KEYS[(n, bits)] = key
     return key
 
 

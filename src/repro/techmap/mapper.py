@@ -38,7 +38,6 @@ differential-testing oracle of ``"fast"``.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,6 +49,7 @@ from repro.activity.glitch import (
     GlitchWaveform,
     batch_evaluate,
     clamped_steps,
+    clamped_totals,
     source_waveform,
 )
 from repro.activity.probability import (
@@ -65,7 +65,6 @@ from repro.activity.transition import (
 )
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.techmap.compile import (
-    _NPN_KEYS,
     MAX_CONE_LEAVES,
     ConeMemo,
     HashedKey,
@@ -142,22 +141,12 @@ def map_netlist(
         raise MappingError(
             f"unknown mapper effort {effort!r}; choose from {MAP_EFFORTS}"
         )
-    # Mapping makes ~10 tracked containers per node and no reference
-    # cycles, so the cyclic collector's full passes over the caller's
-    # heap are pure cost (a fifth of a cold paper-scale mapping); it is
-    # paused meanwhile, and reference counting still frees everything.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _map_fast(
-            netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
-            input_activities, default_probability, default_activity,
-            exhaustive=(effort == "exhaustive"),
-            memo=cone_memo if cone_memo is not None else ConeMemo(),
-        )
-    finally:
-        if collecting:
-            gc.enable()
+    return _map_fast(
+        netlist, k, cut_cap, sa_eval_limit, glitch_aware, input_probs,
+        input_activities, default_probability, default_activity,
+        exhaustive=(effort == "exhaustive"),
+        memo=cone_memo if cone_memo is not None else ConeMemo(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +448,6 @@ def _map_fast(
                     [len(steps) for _, steps in leaf_stats],
                     [t for _, steps in leaf_stats for t, _ in steps],
                     [s for _, steps in leaf_stats for _, s in steps],
-                    out_probs,
                 )
                 ptr = result.ptr.tolist()
                 times = tuple(result.time.tolist())
@@ -467,7 +455,8 @@ def _map_fast(
                 batch = [
                     (out_prob, total, times, raws, lo, hi)
                     for out_prob, total, lo, hi in zip(
-                        out_probs, result.total.tolist(), ptr, ptr[1:]
+                        out_probs, clamped_totals(result, out_probs).tolist(),
+                        ptr, ptr[1:],
                     )
                 ]
             else:
@@ -481,7 +470,7 @@ def _map_fast(
                     activity = clamp_activity(out_prob, activity)
                     batch.append((out_prob, activity))
             for d, value in zip(missed, batch):
-                memo.store(_npn_class(arity, bits_of[d]), keys[d], value)
+                memo.store(npn_key(arity, bits_of[d]), keys[d], value)
                 for sharing in pending[keys[d]]:
                     values[sharing] = value
 
@@ -569,11 +558,6 @@ def _memo_probability(
         cached = gate_output_probability(TruthTable(arity, bits), probs)
         memo.prob_cache[key] = cached
     return cached
-
-
-def _npn_class(arity: int, bits: int) -> Tuple:
-    """:func:`npn_key` of a table, without building it when known."""
-    return _NPN_KEYS.get((arity, bits)) or npn_key(TruthTable(arity, bits))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ builds the joint matrices as a Kronecker broadcast and sums every
 (job, time) row in one last-axis reduction; the tests here pin both
 against the reference arithmetic, and pin the numpy reduction property
 the kernel relies on, so a numpy upgrade that changes it fails here
-first. The job totals must equal the reference's sequential ``sum()``
-over the clamped positive steps.
+first. :func:`clamped_totals` must equal the reference's sequential
+``sum()`` over the clamped positive steps.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.activity.glitch import GlitchSteps, batch_evaluate
+from repro.activity.glitch import GlitchSteps, batch_evaluate, clamped_totals
 from repro.activity.transition import (
     MAX_EXACT_INPUTS,
     clamp_activity,
@@ -28,18 +28,20 @@ from repro.errors import EstimationError
 from repro.netlist.gates import TruthTable
 
 
-def evaluate_jobs(jobs, out_probs=None):
-    """``batch_evaluate`` over ``(table, leaf_stats)`` jobs, one row of
-    leaf statistics per job: per job, its ``((time, raw), ...)`` steps
-    (and the kernel's result for the totals)."""
+def evaluate_jobs(jobs):
+    """``batch_evaluate`` over ``(table, leaf_stats)`` jobs, jobs with
+    equal leaf statistics sharing one row (as the mapper and
+    ``propagate_waveforms`` send them): per job, its
+    ``((time, raw), ...)`` steps, and the kernel's result."""
     n = jobs[0][0].n_inputs
-    leaves = [leaf for _, stats in jobs for leaf in stats]
+    rows = {}
+    job_row = [rows.setdefault(stats, len(rows)) for _, stats in jobs]
+    leaves = [leaf for stats in rows for leaf in stats]
     result = batch_evaluate(
-        n, [table.bits for table, _ in jobs], list(range(len(jobs))),
+        n, [table.bits for table, _ in jobs], job_row,
         [prob for prob, _ in leaves], [len(steps) for _, steps in leaves],
         [t for _, steps in leaves for t, _ in steps],
         [s for _, steps in leaves for _, s in steps],
-        [0.5] * len(jobs) if out_probs is None else out_probs,
     )
     ptr = result.ptr.tolist()
     steps = list(zip(result.time.tolist(), result.raw.tolist()))
@@ -150,9 +152,9 @@ def test_totals_are_the_sequential_sum_of_clamped_steps(jobs, out_probs):
     compute: ``sum()`` over the positive steps, each clamped to the
     output's bound, in ascending time."""
     out_probs = out_probs[:len(jobs)]
-    _, result = evaluate_jobs(jobs, out_probs)
+    _, result = evaluate_jobs(jobs)
     for (table, leaf_stats), out_prob, total in zip(
-        jobs, out_probs, result.total.tolist()
+        jobs, out_probs, clamped_totals(result, out_probs).tolist()
     ):
         expected = float(sum(
             clamp_activity(out_prob, raw)
@@ -164,12 +166,14 @@ def test_totals_are_the_sequential_sum_of_clamped_steps(jobs, out_probs):
 
 def test_jobs_sharing_a_row_equal_jobs_with_their_own():
     and2, xor2 = TruthTable(2, 0b1000), TruthTable(2, 0b0110)
-    stats = ((0.5, ((0, 0.4), (2, 0.1))), (0.3, ((1, 0.2),)))
     shared = batch_evaluate(
         2, [and2.bits, xor2.bits], [0, 0], [0.5, 0.3], [2, 1],
-        [0, 2, 1], [0.4, 0.1, 0.2], [0.25, 0.5],
+        [0, 2, 1], [0.4, 0.1, 0.2],
     )
-    _, separate = evaluate_jobs([(and2, stats), (xor2, stats)], [0.25, 0.5])
+    separate = batch_evaluate(
+        2, [and2.bits, xor2.bits], [0, 1], [0.5, 0.3] * 2, [2, 1] * 2,
+        [0, 2, 1] * 2, [0.4, 0.1, 0.2] * 2,
+    )
     for a, b in zip(shared, separate):
         assert a.tobytes() == b.tobytes()
 
@@ -179,7 +183,6 @@ class TestArrayInterface:
         xor2 = TruthTable(2, 0b0110)
         result = batch_evaluate(
             2, [xor2.bits], [0], [0.5, 0.3], [1, 1], [0, 1], [0.4, 0.2],
-            [0.5],
         )
         assert isinstance(result, GlitchSteps)
         assert result.ptr.tolist() == [0, 2]
@@ -187,28 +190,25 @@ class TestArrayInterface:
         stats = ((0.5, ((0, 0.4),)), (0.3, ((1, 0.2),)))
         assert tuple(zip(result.time.tolist(), result.raw.tolist())) == \
             reference_steps(xor2, stats)
-        assert result.total.tolist() == [sum(result.raw.tolist())]
+        assert clamped_totals(result, [0.5]).tolist() == \
+            [sum(result.raw.tolist())]
 
     def test_no_steps(self):
         and2 = TruthTable(2, 0b1000)
         result = batch_evaluate(
             2, [and2.bits, and2.bits], [0, 1], [0.5] * 4, [0] * 4, [], [],
-            [0.25, 0.25],
         )
         assert result.ptr.tolist() == [0, 0, 0]
         assert len(result.time) == len(result.raw) == 0
-        assert result.total.tolist() == [0.0, 0.0]
+        assert clamped_totals(result, [0.25, 0.25]).tolist() == [0.0, 0.0]
 
     def test_wide_cone_refused(self):
         n = MAX_EXACT_INPUTS + 1
-        quiet = batch_evaluate(
-            n, [1], [0], [0.5] * n, [0] * n, [], [], [0.0]
-        )
+        quiet = batch_evaluate(n, [1], [0], [0.5] * n, [0] * n, [], [])
         assert quiet.ptr.tolist() == [0, 0]
         with pytest.raises(EstimationError):
             batch_evaluate(
                 n, [1], [0], [0.5] * n, [1] + [0] * (n - 1), [0], [0.2],
-                [0.0],
             )
 
 
