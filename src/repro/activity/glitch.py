@@ -51,6 +51,7 @@ from repro.activity.transition import (
     clamp_activity,
     najm_density,
 )
+from repro.netlist.compile import net_arrays
 from repro.netlist.gates import Netlist, TruthTable
 
 #: Default per-cycle switching activity of primary inputs.
@@ -143,31 +144,27 @@ def propagate_waveforms(
     :func:`batch_evaluate` call; gates reading the same fanins share a
     row of leaf statistics.
     """
+    arrays = net_arrays(netlist)
+    names = arrays.names
     probs = propagate_probabilities(netlist, input_probs, default_probability)
     waves: Dict[str, GlitchWaveform] = {}
-    for net in list(netlist.inputs) + list(netlist.latches):
+    for net in names[:arrays.n_sources]:
         activity = (input_activities or {}).get(net, default_activity)
         waves[net] = source_waveform(probs[net], activity)
-
-    depth_of = dict.fromkeys(waves, 0)
-    by_depth: Dict[int, Dict[int, List[str]]] = {}
-    for net in netlist.topological_order():
-        gate = netlist.gates[net]
-        # Every gate takes its place now: the order of ``waves`` is the
-        # topological order, which the estimator's totals sum in.
+    # Every gate takes its place now: the order of ``waves`` is the
+    # topological order, which the estimator's totals sum in.
+    for net in names[arrays.n_sources:]:
         waves[net] = GlitchWaveform(probs[net], {}, 0)
-        if not gate.inputs:
-            depth_of[net] = 0
-            continue
-        depth = depth_of[net] = 1 + max(map(depth_of.__getitem__, gate.inputs))
-        by_depth.setdefault(depth, {}).setdefault(
-            gate.table.n_inputs, []
-        ).append(net)
 
-    for depth in sorted(by_depth):
-        for arity, nets in by_depth[depth].items():
+    for depth, level in enumerate(arrays.by_level[1:], 1):
+        arity = arrays.arity[level]
+        # Arities in order of first appearance, as the level's gates.
+        _, first = np.unique(arity, return_index=True)
+        for n_inputs in arity[np.sort(first)].tolist():
+            nets = [names[arrays.n_sources + g]
+                    for g in level[arity == n_inputs].tolist()]
             gates = [netlist.gates[net] for net in nets]
-            if arity > MAX_EXACT_INPUTS:
+            if n_inputs > MAX_EXACT_INPUTS:
                 for net, gate in zip(nets, gates):
                     waves[net] = _wide_gate_waveform(
                         gate, [waves[name] for name in gate.inputs],
@@ -181,7 +178,7 @@ def propagate_waveforms(
             leaves = [waves[name] for fanins in rows for name in fanins]
             out_probs = [probs[net] for net in nets]
             result = batch_evaluate(
-                arity, [gate.table.bits for gate in gates], job_row,
+                n_inputs, [gate.table.bits for gate in gates], job_row,
                 [wave.probability for wave in leaves],
                 [len(wave.steps) for wave in leaves],
                 [t for wave in leaves for t in wave.steps],

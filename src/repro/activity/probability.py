@@ -54,10 +54,14 @@ def minterm_probabilities(
 def gate_output_probability(
     table: TruthTable, probs: Sequence[float]
 ) -> float:
-    """``P(out)`` of a gate given independent input probabilities."""
+    """``P(out)`` of a gate given independent input probabilities.
+
+    The dot product of non-negative terms can round past 1.0 (never
+    below 0.0), so it is capped there.
+    """
     weights = minterm_probabilities(table.n_inputs, probs)
     column = np.array(table.output_column(), dtype=np.float64)
-    return float(np.dot(weights, column))
+    return min(1.0, float(np.dot(weights, column)))
 
 
 def propagate_probabilities(

@@ -20,9 +20,10 @@ Model:
   output toggles are the register power contribution).
 
 The flow runs one event-driven kernel over a *compiled netlist*
-(:func:`compile_netlist`, cached on the netlist object): every net has
-a dense integer id, and the fanin matrix, evaluator classes, fanout
-CSR and power-on state are numpy arrays built once per netlist. Lane
+(:func:`compile_netlist`, derived from the netlist's one array view,
+:class:`~repro.netlist.compile.NetArrays`): every net has a dense
+integer id, and the fanin matrix, evaluator classes, fanout CSR and
+power-on state are numpy arrays built once per netlist. Lane
 state is one ``(n_nets, n_words)`` ``uint64`` array. Settling walks a
 time wheel one tick at a time, and a tick is processed in bulk: the
 gates triggered at that tick read ``state`` (which only the wheel
@@ -59,6 +60,7 @@ from repro.fpga.vectors import (
     popcount,
     unpack_lane_values,
 )
+from repro.netlist.compile import NetArrays, net_arrays
 from repro.netlist.gates import Netlist, TruthTable
 from repro.rtl.controller import build_controller
 
@@ -239,9 +241,9 @@ _ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 # ---------------------------------------------------------------------------
 # Compiled netlist: the integer-indexed array form the kernel operates on.
-# Built once per (netlist, jitter) and cached on the netlist object itself,
-# so repeated simulations of the same design (differential tests, sweeps,
-# benches) skip the lowering entirely.
+# Derived once per netlist version from its NetArrays view and cached there
+# per jitter, so repeated simulations of the same design (differential
+# tests, sweeps, benches) skip the lowering entirely.
 # ---------------------------------------------------------------------------
 
 
@@ -256,7 +258,6 @@ class CompiledNetlist:
     positions is already grouped by class.
     """
 
-    jitter: int
     n_nets: int
     #: Net name -> dense id.
     net_id: Dict[str, int]
@@ -269,10 +270,9 @@ class CompiledNetlist:
     gate_fanins: np.ndarray
     #: Per gate position: propagation delay in ticks.
     gate_delays: np.ndarray
-    #: Per evaluator class: the flat evaluator, its arity and its
-    #: truth-table key ``(n_inputs, bits)``.
+    #: Per evaluator class: the flat evaluator and its truth-table key
+    #: ``(n_inputs, bits)``.
     class_evals: List[Callable]
-    class_arity: List[int]
     class_keys: List[Tuple[int, int]]
     #: ``n_classes + 1`` bounds: class ``c`` holds positions
     #: ``class_start[c] .. class_start[c + 1] - 1``.
@@ -288,9 +288,6 @@ class CompiledNetlist:
     #: Per net: its value after the power-on settle of the all-zero
     #: sources (every lane alike), evaluated level by level.
     power_on: np.ndarray
-    #: The netlist version it was lowered from (the cache's
-    #: staleness guard).
-    version: int
 
     @property
     def n_gates(self) -> int:
@@ -300,24 +297,32 @@ class CompiledNetlist:
 def compile_netlist(netlist: Netlist, delay_jitter: int = 0) -> CompiledNetlist:
     """Compiled form of ``netlist`` for the given delay spread.
 
-    Cached on the netlist instance, keyed by ``delay_jitter``; any edit
-    after compilation (see :meth:`Netlist.touch`) invalidates the
-    cached entries, so stale lowerings are never reused. The netlist is
-    lowered once per version (as jitter 0); every other delay spread
-    shares that lowering's arrays and computes only its gate delays.
+    Hangs off the netlist's :class:`~repro.netlist.compile.NetArrays`,
+    keyed by ``delay_jitter``, so any edit (see :meth:`Netlist.touch`)
+    drops every cached lowering. The view is lowered once (as jitter
+    0); every other delay spread shares that lowering's arrays and
+    computes only its gate delays.
     """
-    cache = getattr(netlist, "_sim_compiled", None)
-    if cache is None:
-        cache = {}
-        netlist._sim_compiled = cache
+    arrays = net_arrays(netlist)
+    cache = arrays.lowered
     base = cache.get(0)
-    if base is None or base.version != netlist.version:
-        cache.clear()
-        base = cache[0] = _lower_netlist(netlist)
+    if base is None:
+        base, order = _lower([arrays])
+        # Power-on settle of the all-zero sources: every lane is alike,
+        # so one word per net suffices; each level only reads earlier
+        # ones, so a level evaluates as one batch.
+        position = np.argsort(order)
+        state = np.zeros((base.n_nets, 1), dtype=np.uint64)
+        ones = np.full(1, _ALL_LANES)
+        for gates in arrays.by_level:
+            gates = np.sort(position[gates])
+            state[base.gate_out[gates]] = _evaluate(base, gates, state, ones)
+        base.power_on = state[:, 0] != 0
+        cache[0] = base
     compiled = cache.get(delay_jitter)
     if compiled is None:
         compiled = cache[delay_jitter] = replace(
-            base, jitter=delay_jitter, gate_delays=np.array(
+            base, gate_delays=np.array(
                 [_gate_delay(base.net_names[out], delay_jitter)
                  for out in base.gate_out.tolist()], dtype=np.int64,
             ),
@@ -325,93 +330,66 @@ def compile_netlist(netlist: Netlist, delay_jitter: int = 0) -> CompiledNetlist:
     return compiled
 
 
-def _lower_netlist(netlist: Netlist) -> CompiledNetlist:
-    topo = netlist.topological_order()
-    net_names = list(netlist.inputs) + list(netlist.latches) + topo
-    net_id = {name: index for index, name in enumerate(net_names)}
-    if len(net_id) != len(net_names):
-        raise SimulationError(
-            f"{netlist.name}: net driven by more than one of "
-            f"input/latch/gate"
-        )
+def _lower(
+    views: Sequence[NetArrays],
+) -> Tuple[CompiledNetlist, np.ndarray]:
+    """The disjoint union of the views' netlists, lowered for one kernel
+    pass (one view: its netlist), with unit delays and an all-zero
+    power-on state.
 
+    View ``v``'s net ``i`` is net ``offsets[v] + i`` (the offsets are
+    the running net counts); names repeat across views, so a union has
+    no name map. Classes merge by truth-table key and gates sort
+    class-major, stably: position ``p`` holds gate ``order[p]``
+    (returned) of the views' gates laid end to end.
+    """
+    offsets = np.cumsum([0] + [view.n_nets for view in views])
     class_of: Dict[Tuple[int, int], int] = {}
-    class_evals: List[Callable] = []
-    class_arity: List[int] = []
-    net_level = [0] * len(net_names)
-    rows = []  # (class, topological index, name, fanin ids, level)
-    for index, name in enumerate(topo):
-        gate = netlist.gates[name]
-        try:
-            fanins = [net_id[fanin] for fanin in gate.inputs]
-        except KeyError as exc:
-            raise SimulationError(
-                f"{netlist.name}: gate {name!r} reads undriven net {exc}"
-            ) from None
-        key = (gate.table.n_inputs, gate.table.bits)
-        if key not in class_of:
-            class_of[key] = len(class_evals)
-            class_evals.append(_compile_table_int(gate.table))
-            class_arity.append(len(fanins))
-        level = 1 + max((net_level[i] for i in fanins), default=0)
-        net_level[net_id[name]] = level
-        rows.append((class_of[key], index, name, fanins, level))
-    rows.sort(key=lambda row: row[:2])
-
-    n_gates = len(rows)
-    gate_fanins = np.zeros(
-        (n_gates, max(class_arity, default=0)), dtype=np.intp
-    )
-    for position, (_, _, _, fanins, _) in enumerate(rows):
-        gate_fanins[position, :len(fanins)] = fanins
-    gate_out = np.array([net_id[row[2]] for row in rows], dtype=np.intp)
-    classes = np.array([row[0] for row in rows], dtype=np.intp)
-    readers = np.array(
-        [net for row in rows for net in row[3]], dtype=np.intp
-    )
-    order = np.argsort(readers, kind="stable")
-    latches = list(netlist.latches.values())
-    compiled = CompiledNetlist(
-        jitter=0,
-        n_nets=len(net_names),
-        net_id=net_id,
-        net_names=net_names,
-        gate_out=gate_out,
-        gate_fanins=gate_fanins,
-        gate_delays=np.ones(n_gates, dtype=np.int64),
-        class_evals=class_evals,
-        class_arity=class_arity,
+    classes = np.array([
+        class_of.setdefault((table.n_inputs, table.bits), len(class_of))
+        for view in views for table in view.tables
+    ], dtype=np.intp)
+    order = np.argsort(classes, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    width = max(view.fanin.shape[1] for view in views)
+    gate_base = np.cumsum([0] + [len(view.tables) for view in views])
+    port_base = np.cumsum([0] + [len(view.fanout_gates) for view in views])
+    parts = list(zip(views, offsets))
+    latches = np.array([
+        (o + view.ids[latch.output], o + view.ids[latch.data])
+        for view, o in parts for latch in view.netlist.latches.values()
+    ], dtype=np.intp).reshape(-1, 2)
+    return CompiledNetlist(
+        n_nets=int(offsets[-1]),
+        net_id=views[0].ids if len(views) == 1 else {},
+        net_names=[name for view in views for name in view.names],
+        gate_out=np.concatenate([
+            o + view.n_sources + np.arange(len(view.tables))
+            for view, o in parts
+        ])[order],
+        gate_fanins=np.concatenate([
+            np.pad(np.where(view.fanin == view.n_nets, 0, o + view.fanin),
+                   ((0, 0), (0, width - view.fanin.shape[1])))
+            for view, o in parts
+        ])[order],
+        gate_delays=np.ones(len(order), dtype=np.int64),
+        class_evals=[_compile_table_int(TruthTable(*key)) for key in class_of],
         class_keys=list(class_of),
         class_start=np.searchsorted(
-            classes, np.arange(len(class_evals) + 1)
+            classes[order], np.arange(len(class_of) + 1)
         ),
-        fanout_ptr=np.searchsorted(
-            readers[order], np.arange(len(net_names) + 1)
+        fanout_ptr=np.concatenate(
+            [view.fanout_ptr[:-1] + b for view, b in zip(views, port_base)]
+            + [port_base[-1:]]
         ),
-        fanout_gates=np.repeat(
-            np.arange(n_gates), [len(row[3]) for row in rows]
-        )[order],
-        latch_q=np.array(
-            [net_id[latch.output] for latch in latches], dtype=np.intp
-        ),
-        latch_d=np.array(
-            [net_id[latch.data] for latch in latches], dtype=np.intp
-        ),
-        power_on=np.zeros(len(net_names), dtype=bool),
-        version=netlist.version,
-    )
-
-    # Power-on settle of the all-zero sources: every lane is alike, so
-    # one word per net suffices; each topological level only reads
-    # earlier ones, so a level evaluates as one batch.
-    levels = np.array([row[4] for row in rows], dtype=np.int64)
-    state = np.zeros((len(net_names), 1), dtype=np.uint64)
-    ones = np.full(1, _ALL_LANES)
-    for level in range(1, int(levels.max(initial=0)) + 1):
-        gates = np.flatnonzero(levels == level)
-        state[gate_out[gates]] = _evaluate(compiled, gates, state, ones)
-    compiled.power_on = state[:, 0] != 0
-    return compiled
+        fanout_gates=position[np.concatenate(
+            [b + view.fanout_gates for view, b in zip(views, gate_base)]
+        )],
+        latch_q=latches[:, 0],
+        latch_d=latches[:, 1],
+        power_on=np.zeros(int(offsets[-1]), dtype=bool),
+    ), order
 
 
 # ---------------------------------------------------------------------------
@@ -530,71 +508,6 @@ def _delay_plan(
     return entries, member[inverse.reshape(-1)]
 
 
-def _union(
-    members: List[CompiledNetlist],
-) -> Tuple[CompiledNetlist, np.ndarray, np.ndarray]:
-    """Disjoint union of compiled netlists, for one kernel pass over all.
-
-    Member ``m``'s net ``i`` is union net ``offsets[m] + i``; classes
-    merge by truth-table key and gates re-sort class-major, in numpy.
-    Returns the union, the net offsets and the gate order (union
-    position ``p`` holds gate ``order[p]`` of the members' gates laid
-    end to end). Names repeat across members, so a union has no name
-    map, jitter or version. One member is its own union.
-    """
-    offsets = np.cumsum([0] + [m.n_nets for m in members])
-    if len(members) == 1:
-        return members[0], offsets, np.arange(members[0].n_gates)
-    evaluators: Dict[Tuple[int, int], Tuple[Callable, int]] = {}
-    for m in members:
-        for key, evaluate, arity in zip(m.class_keys, m.class_evals,
-                                        m.class_arity):
-            evaluators.setdefault(key, (evaluate, arity))
-    class_of = {key: index for index, key in enumerate(evaluators)}
-    classes = np.concatenate([
-        np.repeat(np.array([class_of[key] for key in m.class_keys],
-                           dtype=np.intp), np.diff(m.class_start))
-        for m in members
-    ])
-    order = np.argsort(classes, kind="stable")
-    position = np.argsort(order)  # the inverse permutation
-    gate_base = np.cumsum([0] + [m.n_gates for m in members])
-    fanout_base = np.cumsum([0] + [len(m.fanout_gates) for m in members])
-    width = max(m.gate_fanins.shape[1] for m in members)
-    pairs = list(zip(members, offsets))
-    union = CompiledNetlist(
-        jitter=-1,
-        n_nets=int(offsets[-1]),
-        net_id={},
-        net_names=[name for m in members for name in m.net_names],
-        gate_out=np.concatenate([m.gate_out + o for m, o in pairs])[order],
-        gate_fanins=np.concatenate([
-            np.pad(m.gate_fanins + o,
-                   ((0, 0), (0, width - m.gate_fanins.shape[1])))
-            for m, o in pairs
-        ])[order],
-        gate_delays=np.concatenate([m.gate_delays for m in members])[order],
-        class_evals=[evaluate for evaluate, _ in evaluators.values()],
-        class_arity=[arity for _, arity in evaluators.values()],
-        class_keys=list(evaluators),
-        class_start=np.searchsorted(
-            classes[order], np.arange(len(evaluators) + 1)
-        ),
-        fanout_ptr=np.concatenate(
-            [m.fanout_ptr[:-1] + b for m, b in zip(members, fanout_base)]
-            + [fanout_base[-1:]]
-        ),
-        fanout_gates=np.concatenate(
-            [position[b + m.fanout_gates] for m, b in zip(members, gate_base)]
-        ),
-        latch_q=np.concatenate([m.latch_q + o for m, o in pairs]),
-        latch_d=np.concatenate([m.latch_d + o for m, o in pairs]),
-        power_on=np.concatenate([m.power_on for m in members]),
-        version=-1,
-    )
-    return union, offsets, order
-
-
 def simulate_batch(
     design: Union[ElaboratedDesign, Sequence[ElaboratedDesign]],
     configs: List[BatchConfig],
@@ -608,7 +521,7 @@ def simulate_batch(
     differential suite pins this against :func:`_simulate_reference`).
 
     The distinct designs (*members*) run over the disjoint union of
-    their compiled netlists (:func:`_union`). Their nets are disjoint,
+    their netlists (:func:`_lower`). Their nets are disjoint,
     so they share words: each member lays its configurations' lane
     blocks out from word 0, grouped by ``delay_jitter`` (a *delay
     group* has one per-gate delay vector). Bitwise ops never move bits
@@ -656,7 +569,16 @@ def simulate_batch(
         for m, each in enumerate(members)
     ]
     bases = [next(iter(by_jitter.values())) for by_jitter in compiled_by_jitter]
-    compiled, offsets, order = _union(bases)
+    views = [net_arrays(each.netlist) for each in members]
+    offsets = np.cumsum([0] + [view.n_nets for view in views])
+    # Position ``p`` of the pass holds gate ``order[p]`` of the members'
+    # topological orders laid end to end; one member runs on its cached
+    # lowering.
+    if len(members) == 1:
+        compiled, order = bases[0], bases[0].gate_out - views[0].n_sources
+    else:
+        compiled, order = _lower(views)
+        compiled.power_on = np.concatenate([base.power_on for base in bases])
 
     # Per member and word, its delay group's jitter; past the member's
     # last block its gates never change, so any delay serves: the last
@@ -668,9 +590,11 @@ def simulate_batch(
     cuts = np.flatnonzero((np.diff(word_jitter, axis=1) != 0).any(axis=0))
     bounds = [0, *(cuts + 1).tolist(), total_words]
     segments = list(zip(bounds, bounds[1:]))
+    # Per member, its gate positions in topological order.
+    topological = [np.argsort(base.gate_out) for base in bases]
     entries, member = _delay_plan(np.concatenate([
         np.stack([by_jitter[int(word_jitter[owner, begin])].gate_delays
-                  for begin, _ in segments])
+                  for begin, _ in segments])[:, topological[owner]]
         for owner, by_jitter in enumerate(compiled_by_jitter)
     ], axis=1)[:, order], segments)
 
@@ -829,7 +753,7 @@ def _evaluate(
     new = np.empty((len(gates), state.shape[1]), dtype=np.uint64)
     values = state[compiled.gate_fanins[gates].T]
     bounds = np.searchsorted(gates, compiled.class_start).tolist()
-    for cls, arity in enumerate(compiled.class_arity):
+    for cls, (arity, _) in enumerate(compiled.class_keys):
         lo, hi = bounds[cls], bounds[cls + 1]
         if lo < hi:
             new[lo:hi] = compiled.class_evals[cls](values[:arity, lo:hi], ones)

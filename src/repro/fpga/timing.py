@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
+from repro.netlist.compile import net_arrays
 from repro.netlist.gates import Netlist
 
 
@@ -31,5 +32,5 @@ def timing_report(
     mapped: Netlist, device: DeviceModel = CYCLONE_II_LIKE
 ) -> TimingReport:
     """Clock period of a mapped netlist under ``device``'s delays."""
-    depth = mapped.depth()
+    depth = int(net_arrays(mapped).level.max(initial=0))
     return TimingReport(depth, device.clock_period_ns(depth))

@@ -1,4 +1,9 @@
-"""Worklist netlist cleanup (the compiled elaboration's clean pass).
+"""Compiled netlist views: the one array view per netlist, and the
+worklist cleanup (the compiled elaboration's clean pass).
+
+:class:`NetArrays` is the array form of a netlist that the tech mapper,
+the simulator, the glitch estimator and timing all read, built once per
+:attr:`~repro.netlist.gates.Netlist.version` (:func:`net_arrays`).
 
 :func:`repro.netlist.transform.propagate_constants` re-walks the whole
 netlist once per folding pass: every pass rebuilds the constant-net
@@ -26,12 +31,114 @@ netlist byte-identical to :func:`~repro.netlist.transform.clean`
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import functools
+from collections import Counter
+from itertools import chain
+from typing import Any, Dict, List, Tuple
 
-from repro.netlist.gates import Gate, GateType, Netlist
+import numpy as np
+
+from repro.errors import NetlistError
+from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.netlist.transform import _fold_gate
 
 _CONST_TYPES = (GateType.CONST0, GateType.CONST1)
+
+
+class NetArrays:
+    """Dense-id array view of one :class:`Netlist` version.
+
+    Nets are numbered sources first (primary inputs, then latch
+    outputs), then gate outputs in topological order: gate ``g`` (an
+    index into the per-gate arrays) drives net ``n_sources + g``.
+    ``n_nets`` pads ``fanin`` rows past a gate's arity. Sources and
+    zero-input gates are at level 0, any other gate one above its
+    deepest fanin. Raises :class:`NetlistError` when a net has two
+    drivers or a gate reads an undriven net.
+    """
+
+    def __init__(self, netlist: Netlist):
+        #: The netlist and the version this view was built from.
+        self.netlist = netlist
+        self.version = netlist.version
+        order = netlist.topological_order()
+        #: Net id -> name, and name -> net id.
+        self.names = names = [*netlist.inputs, *netlist.latches, *order]
+        self.ids = ids = {name: index for index, name in enumerate(names)}
+        if len(ids) != len(names):
+            twice = next(n for n, c in Counter(names).items() if c > 1)
+            raise NetlistError(
+                f"{netlist.name}: net {twice!r} has two drivers"
+            )
+        n_nets = self.n_nets = len(names)
+        n_sources = self.n_sources = n_nets - len(order)
+        n_gates = len(order)
+        gates = list(map(netlist.gates.__getitem__, order))
+        #: Per gate: its truth table and its input count.
+        self.tables: List[TruthTable] = [gate.table for gate in gates]
+        inputs = [gate.inputs for gate in gates]
+        self.arity = np.fromiter(map(len, inputs), np.intp, n_gates)
+        try:
+            flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(
+                inputs)), np.intp, int(self.arity.sum()))
+        except KeyError as exc:
+            gate = next(g for g in gates if exc.args[0] in g.inputs)
+            raise NetlistError(
+                f"{netlist.name}: gate {gate.output!r} reads undriven "
+                f"net {exc.args[0]!r}"
+            ) from None
+        width = int(self.arity.max(initial=0))
+        #: ``(n_gates, max arity)`` fanin net ids in port order.
+        self.fanin = np.full((n_gates, width), n_nets, dtype=np.intp)
+        self.fanin[np.arange(width) < self.arity[:, None]] = flat
+        #: Fanout CSR: the gates reading net ``n``, one per reading
+        #: port, are ``fanout_gates[fanout_ptr[n]:fanout_ptr[n + 1]]``.
+        reader = np.repeat(np.arange(n_gates), self.arity)
+        by_net = np.argsort(flat, kind="stable")
+        self.fanout_gates = reader[by_net]
+        self.fanout_ptr = np.searchsorted(
+            flat[by_net], np.arange(n_nets + 1)
+        )
+
+        # Levels as Kahn waves: a gate is ready once every fanin above
+        # level 0 is settled, so wave ``L`` is level ``L``.
+        ground = np.concatenate([np.ones(n_sources, bool), self.arity == 0])
+        pending = np.bincount(reader[~ground[flat]], minlength=n_gates)
+        #: Per level (0 first), its gates in topological order.
+        self.by_level = [np.flatnonzero(self.arity == 0)]
+        wave = np.flatnonzero(~ground[n_sources:] & (pending == 0))
+        while len(wave):
+            self.by_level.append(wave)
+            begin = self.fanout_ptr[n_sources + wave]
+            sizes = self.fanout_ptr[n_sources + wave + 1] - begin
+            ends = np.cumsum(sizes)
+            readers, counts = np.unique(self.fanout_gates[
+                np.arange(ends[-1]) + np.repeat(begin - ends + sizes, sizes)
+            ], return_counts=True)
+            pending[readers] -= counts
+            wave = readers[pending[readers] == 0]
+        #: Per net: its unit-delay level.
+        self.level = np.zeros(n_nets, dtype=np.int64)
+        for level, gates_at in enumerate(self.by_level):
+            self.level[n_sources + gates_at] = level
+        #: Per delay jitter: the simulator's lowering of this view
+        #: (see :func:`repro.fpga.simulate.compile_netlist`).
+        self.lowered: Dict[int, Any] = {}
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """Per net: the rank of its name among all net names."""
+        by_name = sorted(range(self.n_nets), key=self.names.__getitem__)
+        return np.argsort(by_name)
+
+
+def net_arrays(netlist: Netlist) -> NetArrays:
+    """The :class:`NetArrays` of ``netlist``'s current version, cached
+    on the netlist until an edit (see :meth:`Netlist.touch`)."""
+    cached = getattr(netlist, "_arrays", None)
+    if cached is None or cached.version != netlist.version:
+        cached = netlist._arrays = NetArrays(netlist)
+    return cached
 
 
 def make_gate(

@@ -17,7 +17,6 @@ oracle. ``effort="exhaustive"`` lifts the per-node evaluation budget.
 
 from repro.techmap.compile import (
     ConeMemo,
-    compile_map_netlist,
     enumerate_cuts_ids,
     npn_key,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Cut",
     "MAP_EFFORTS",
     "MapResult",
-    "compile_map_netlist",
     "cone_function",
     "enumerate_cuts",
     "enumerate_cuts_ids",

@@ -12,9 +12,9 @@ almost all of its time in two places:
 
 This module removes both without changing a single output bit:
 
-* nets are interned to dense int ids once per netlist
-  (:func:`compile_map_netlist`, cached on the netlist object exactly
-  like the simulator's ``compile_netlist``), and the cut sets of one
+* nets are dense int ids of the netlist's one array view
+  (:func:`repro.netlist.compile.net_arrays`, which the simulator,
+  the estimator and timing read too), and the cut sets of one
   structural level are enumerated together as padded int arrays
   (:func:`enumerate_cuts_ids` mirrors the reference enumeration
   decision for decision, so the candidate lists are element-wise
@@ -62,7 +62,8 @@ from typing import (
 import numpy as np
 
 from repro.errors import MappingError
-from repro.netlist.gates import Netlist, TruthTable
+from repro.netlist.compile import NetArrays
+from repro.netlist.gates import TruthTable
 from repro.techmap.cuts import cone_function
 
 #: Widest table for which the exact NPN canonical form is computed;
@@ -145,84 +146,6 @@ def npn_key(n: int, bits: int) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# Compiled netlist view.
-# ---------------------------------------------------------------------------
-
-
-class CompiledMapNetlist:
-    """Dense-int view of a netlist for the fast mapper.
-
-    ``names``/``ids`` intern nets (sources first, then gates in
-    topological order); ``rank`` maps an id to the lexicographic rank
-    of its name, so sorting leaf ids by rank reproduces the reference
-    mapper's ``sorted(cut)`` leaf ordering exactly. ``by_level`` lists
-    the gates of each structural level in topological order.
-    """
-
-    def __init__(self, netlist: Netlist):
-        self.netlist = netlist
-        order = netlist.topological_order()
-        sources = list(netlist.inputs) + list(netlist.latches)
-        names: List[str] = []
-        ids: Dict[str, int] = {}
-        for name in sources + order:
-            ids[name] = len(names)
-            names.append(name)
-        self.names = names
-        self.ids = ids
-        self.n_sources = len(sources)
-        self.order = [ids[name] for name in order]
-        by_name = sorted(range(len(names)), key=lambda i: names[i])
-        rank = [0] * len(names)
-        for position, net_id in enumerate(by_name):
-            rank[net_id] = position
-        self.rank = rank
-
-        self.gate_inputs: List[Optional[Tuple[int, ...]]] = (
-            [None] * len(names)
-        )
-        self.tables: List[Optional[TruthTable]] = [None] * len(names)
-        for name in order:
-            gate = netlist.gates[name]
-            net_id = ids[name]
-            self.gate_inputs[net_id] = tuple(ids[i] for i in gate.inputs)
-            self.tables[net_id] = gate.table
-
-        fanout = [0] * len(names)
-        for gate in netlist.gates.values():
-            for name in gate.inputs:
-                fanout[ids[name]] += 1
-        self.fanout = [max(1, count) for count in fanout]
-
-        levels = [0] * len(names)
-        by_level: Dict[int, List[int]] = {}
-        for net_id in self.order:
-            inputs = self.gate_inputs[net_id]
-            if inputs:
-                levels[net_id] = 1 + max(levels[i] for i in inputs)
-            by_level.setdefault(levels[net_id], []).append(net_id)
-        self.levels = levels
-        self.by_level = {
-            level: by_level[level] for level in sorted(by_level)
-        }
-
-
-def compile_map_netlist(netlist: Netlist) -> CompiledMapNetlist:
-    """Compile (or fetch the cached compilation of) ``netlist``.
-
-    Cached on the netlist object, like the simulator's
-    ``compile_netlist``, for the :attr:`Netlist.version` it was built
-    from: any edit since then recompiles.
-    """
-    cached = getattr(netlist, "_map_compiled", None)
-    if cached is not None and cached[0] == netlist.version:
-        return cached[1]
-    compiled = CompiledMapNetlist(netlist)
-    netlist._map_compiled = (netlist.version, compiled)
-    return compiled
-
-
-# ---------------------------------------------------------------------------
 # Array cut sets with carried truth tables.
 # ---------------------------------------------------------------------------
 
@@ -251,8 +174,8 @@ class _CutPool:
     ``id & 63``) over a superset of the cone's gates.
     """
 
-    def __init__(self, cm: CompiledMapNetlist, k: int):
-        n = len(cm.names)
+    def __init__(self, cm: NetArrays, k: int):
+        n = cm.n_nets
         self.sentinel = n
         #: Net id of each leaf rank (the padding rank maps to itself),
         #: and the Bloom bit of that net (none for padding).
@@ -268,7 +191,7 @@ class _CutPool:
         self.leaves = np.full((2 * n + 1, k), n, dtype=np.int32)
         self.leaves[:n, 0] = cm.rank
         self.depth = np.zeros(2 * n + 1, dtype=np.int32)
-        self.depth[:n] = cm.levels
+        self.depth[:n] = cm.level
         self.bits = np.zeros((2 * n + 1, 2), dtype=np.uint8)
         self.bits[:n, 1] = 1
         self.inner = np.zeros(2 * n + 1, dtype=np.uint64)
@@ -317,7 +240,7 @@ class LevelCuts(NamedTuple):
     Gate ``gates[g]``'s candidates are rows ``offsets[g]`` to
     ``offsets[g + 1]``, in the reference's candidate order; ``gate``
     holds ``g`` per row. ``leaves`` holds each cut's leaf ids in
-    ``sorted(cut)`` order, padded with ``len(cm.names)``, and
+    ``sorted(cut)`` order, padded with ``cm.n_nets``, and
     ``table`` the cone function over them as little-endian ``uint64``
     words (bit ``c`` of the table is word ``c // 64``, bit ``c % 64``;
     one word for ``k <= 6``; all zero past :data:`MAX_CONE_LEAVES`
@@ -343,7 +266,7 @@ def table_ints(words: np.ndarray) -> List[int]:
 
 
 def enumerate_cuts_ids(
-    cm: CompiledMapNetlist, k: int, cap: int
+    cm: NetArrays, k: int, cap: int
 ) -> List[Optional[List[Candidate]]]:
     """Per-node non-trivial candidate cuts with their cone functions.
 
@@ -353,9 +276,9 @@ def enumerate_cuts_ids(
     :data:`MAX_CONE_LEAVES` leaves). The trivial cut is not listed
     (the mapper skips it anyway); sources get None, constants ``[]``.
     """
-    candidates: List[Optional[List[Candidate]]] = [None] * len(cm.names)
-    for net_id in cm.by_level.get(0, ()):
-        candidates[net_id] = []
+    candidates: List[Optional[List[Candidate]]] = [None] * cm.n_nets
+    for gate in cm.by_level[0].tolist():
+        candidates[cm.n_sources + gate] = []
     for cuts in cut_levels(cm, k, cap):
         rows = [
             (tuple(ids[:s]),
@@ -372,7 +295,7 @@ def enumerate_cuts_ids(
 
 
 def cut_levels(
-    cm: CompiledMapNetlist, k: int, cap: int
+    cm: NetArrays, k: int, cap: int
 ) -> Iterator[LevelCuts]:
     """Per structural level >= 1, in order: its gates' kept cuts.
 
@@ -391,26 +314,19 @@ def cut_levels(
     return _cut_levels(cm, k, cap)
 
 
-def _cut_levels(cm: CompiledMapNetlist, k: int, cap: int):
-    n = len(cm.names)
+def _cut_levels(cm: NetArrays, k: int, cap: int):
     pool = _CutPool(cm, k)
-    for level, gates in cm.by_level.items():
-        if level == 0:
-            continue
-        width = max(len(cm.gate_inputs[g]) for g in gates)
-        fanin = np.array([
-            cm.gate_inputs[g] + (n,) * (width - len(cm.gate_inputs[g]))
-            for g in gates
-        ])
+    for gates in cm.by_level[1:]:
+        fanin = cm.fanin[gates, :cm.arity[gates].max()]
         gate, leaves, depth, prov = _cross_merge(pool, fanin, k)
         keep = _prune_and_order(gate, leaves, depth, pool.sentinel, cap)
         gate, leaves, depth, prov = (
             gate[keep], leaves[keep], depth[keep], prov[keep]
         )
         size = (leaves < pool.sentinel).sum(axis=1)
-        gate_ids = np.array(gates)
+        gate_ids = cm.n_sources + gates
         bits, inner = _carry_tables(
-            cm, pool, gate_ids, gate, leaves, size, prov
+            cm, pool, gates, gate, leaves, size, prov
         )
         first = pool.append(leaves, depth, bits, inner)
         offsets = np.zeros(len(gates) + 1, dtype=np.intp)
@@ -517,11 +433,12 @@ def _prune_and_order(
 
 
 def _carry_tables(
-    cm: CompiledMapNetlist, pool: _CutPool, gate_ids: np.ndarray,
+    cm: NetArrays, pool: _CutPool, gates: np.ndarray,
     gate: np.ndarray, leaves: np.ndarray, size: np.ndarray,
     prov: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Truth tables and cone filters of one level's kept cuts.
+    """Truth tables and cone filters of one level's kept cuts (of the
+    gates ``gates``).
 
     A cut's table is its gate's function applied to the tables of the
     fanin cuts that formed it, each expanded onto the cut's leaf
@@ -563,8 +480,8 @@ def _carry_tables(
     n_bytes = max(1, (1 << prov.shape[1]) // 8)
     functions = np.unpackbits(np.frombuffer(b"".join(
         cm.tables[g].bits.to_bytes(n_bytes, "little")
-        for g in gate_ids.tolist()
-    ), dtype=np.uint8).reshape(len(gate_ids), n_bytes), axis=1,
+        for g in gates.tolist()
+    ), dtype=np.uint8).reshape(len(gates), n_bytes), axis=1,
         bitorder="little")
     bits = functions[gate[:, None], index]
     bits[combo >= (1 << np.minimum(size, MAX_CONE_LEAVES))[:, None]] = 0
@@ -572,6 +489,7 @@ def _carry_tables(
 
     leaf_bits = np.bitwise_or.reduce(pool.leaf_bit[leaves], axis=1)
     redundant = np.flatnonzero(fits & ((leaf_bits & inner) != 0))
+    gate_ids = cm.n_sources + gates
     for row in redundant.tolist():
         names = [cm.names[i] for i in pool.id_of[leaves[row, :size[row]]]]
         table = cone_function(cm.netlist, cm.names[gate_ids[gate[row]]],

@@ -63,12 +63,12 @@ from repro.activity.transition import (
     pair_distribution,
     switching_activity,
 )
+from repro.netlist.compile import net_arrays
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.techmap.compile import (
     MAX_CONE_LEAVES,
     ConeMemo,
     HashedKey,
-    compile_map_netlist,
     cut_levels,
     npn_key,
     table_ints,
@@ -286,9 +286,9 @@ def _map_fast(
     exhaustive: bool,
     memo: ConeMemo,
 ) -> MapResult:
-    cm = compile_map_netlist(netlist)
+    cm = net_arrays(netlist)
     levels = cut_levels(cm, k, cut_cap)
-    n_nets = len(cm.names)
+    n_nets = cm.n_nets
     names = cm.names
 
     waveforms: Dict[str, GlitchWaveform] = {}
@@ -296,7 +296,7 @@ def _map_fast(
     chosen: Dict[str, Tuple[Tuple[str, ...], TruthTable]] = {}
     # Per-net arrays, indexed by net id; index n_nets is the padding
     # leaf of cut rows, which adds nothing to any row reduction.
-    fanout = np.array(cm.fanout + [1], dtype=np.float64)
+    fanout = np.append(np.maximum(np.diff(cm.fanout_ptr), 1), 1.0)
     depth_of = np.zeros(n_nets + 1, dtype=np.int64)
     first_step = np.full(n_nets + 1, _NO_STEP, dtype=np.int64)
     #: Per net: (SA-flow, area-flow) / fanout.
@@ -344,10 +344,10 @@ def _map_fast(
     # prepared, deduplicated, evaluated and selected together as array
     # rows, and Python work runs once per distinct memo key and once
     # per winner, not once per candidate.
-    for level, nodes in cm.by_level.items():
+    for level, gates in enumerate(cm.by_level):
         if not level:
-            for net_id in nodes:  # the constants
-                table = cm.tables[net_id]
+            for g in gates.tolist():  # the constants
+                net_id, table = cm.n_sources + g, cm.tables[g]
                 value = table.is_constant()
                 if value is None:
                     raise MappingError(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EstimationError
+from repro.activity.estimator import estimate_switching_activity
 from repro.activity.probability import (
     gate_output_probability,
     minterm_probabilities,
@@ -61,6 +62,19 @@ class TestGateProbability:
     def test_and_formula(self, p, q):
         table = TruthTable.for_type(GateType.AND, 2)
         assert gate_output_probability(table, [p, q]) == pytest.approx(p * q)
+
+    def test_rounding_past_one_is_capped(self):
+        """These minterm weights sum to one ulp above 1.0; a constant-1
+        gate must still give a probability its readers accept."""
+        inputs = {"a": 0.9571162814602269, "b": 0.005709129450392925}
+        one = TruthTable(2, 0b1111)
+        assert gate_output_probability(one, list(inputs.values())) == 1.0
+        netlist = Netlist()
+        fanins = [netlist.add_input(name) for name in inputs]
+        y = netlist.add_gate(one, fanins, "y")
+        netlist.set_output(netlist.add_simple(GateType.BUF, (y,), "z"))
+        report = estimate_switching_activity(netlist, input_probs=inputs)
+        assert report.waveforms["z"].probability == 1.0
 
     @given(st.integers(0, 2 ** 8 - 1), probs, probs, probs)
     def test_result_in_unit_interval(self, bits, p1, p2, p3):

@@ -127,10 +127,10 @@ def test_jitters_share_one_lowering(monkeypatch):
     netlist = rebuilt(design.netlist)
     design = dataclasses.replace(design, netlist=netlist)
     lowered = []
-    lower = simulate_mod._lower_netlist
+    lower = simulate_mod._lower
     monkeypatch.setattr(
-        simulate_mod, "_lower_netlist",
-        lambda netlist: lowered.append(netlist) or lower(netlist),
+        simulate_mod, "_lower",
+        lambda views: lowered.append(views) or lower(views),
     )
 
     def check_both_jitters():
@@ -177,7 +177,7 @@ def test_compiled_netlist_invalidated_on_mutation(mapped_design):
         assert recompiled.n_nets == first.n_nets + 1
     finally:
         netlist.inputs.remove(pi)
-        netlist._sim_compiled.clear()
+        netlist.touch()
 
 
 def test_compiled_netlist_rebuilt_after_in_place_rewrite():

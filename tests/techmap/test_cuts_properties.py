@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MappingError
+from repro.netlist.compile import net_arrays
 from repro.netlist.gates import Netlist, TruthTable
 from repro.techmap import (
-    compile_map_netlist,
     enumerate_cuts,
     enumerate_cuts_ids,
     map_netlist,
@@ -138,7 +138,7 @@ class TestCutProperties:
         """The array engine yields the reference candidate lists,
         element for element and in order."""
         reference = enumerate_cuts(netlist, k, cap)
-        cm = compile_map_netlist(netlist)
+        cm = net_arrays(netlist)
         compiled = enumerate_cuts_ids(cm, k, cap)
         for net, gate in netlist.gates.items():
             expected = [
@@ -154,7 +154,7 @@ class TestCutProperties:
     @given(random_netlists(max_arity=5), st.integers(2, 6),
            st.integers(1, 8))
     def test_carried_tables_equal_cone_function(self, netlist, k, cap):
-        cm = compile_map_netlist(netlist)
+        cm = net_arrays(netlist)
         for net_id, candidates in enumerate(enumerate_cuts_ids(cm, k, cap)):
             for leaf_ids, table in candidates or ():
                 leaves = tuple(cm.names[leaf] for leaf in leaf_ids)
@@ -214,7 +214,7 @@ class TestEdgeCases:
         b = netlist.add_input("b")
         x = netlist.add_simple(GateType.AND, (a, b), "x")
         netlist.set_output(netlist.add_simple(GateType.NOT, (x,), "y"))
-        cm = compile_map_netlist(netlist)
+        cm = net_arrays(netlist)
         compiled = enumerate_cuts_ids(cm, 4, 1)
         assert [compiled[cm.ids[net]] for net in ("x", "y")] == [[], []]
         assert compiled[cm.ids["a"]] is None  # sources list nothing
@@ -229,7 +229,7 @@ class TestEdgeCases:
         y = netlist.add_simple(GateType.XOR, (x, q), "y")
         netlist.add_simple(GateType.NOT, (y,), "d")
         netlist.set_output(y)
-        cm = compile_map_netlist(netlist)
+        cm = net_arrays(netlist)
         compiled = enumerate_cuts_ids(cm, 4, 8)
         assert compiled[cm.ids["one"]] == []
         leaf_sets = []
@@ -257,7 +257,7 @@ class TestEdgeCases:
         w = netlist.add_simple(GateType.NOT, (b,), "w")
         q = netlist.add_simple(GateType.AND, (x, w), "q")
         netlist.set_output(netlist.add_simple(GateType.NOR, (a, p, q), "y"))
-        cm = compile_map_netlist(netlist)
+        cm = net_arrays(netlist)
         tables = {
             tuple(cm.names[leaf] for leaf in leaf_ids): table
             for leaf_ids, table in enumerate_cuts_ids(cm, 3, 3)[cm.ids["y"]]
