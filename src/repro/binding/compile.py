@@ -515,7 +515,7 @@ def _bind_class_flow(
 # ---------------------------------------------------------------------------
 
 #: Largest number of pivot-search blocks evaluated per numpy batch.
-_PIVOT_CHUNK = 64
+_PIVOT_CHUNK = 8
 
 
 def _network_simplex(
@@ -532,9 +532,12 @@ def _network_simplex(
     ``ceil(sqrt(E))``-block Dantzig/Bland entering-edge rule with
     first-minimum tie-breaks, same leaving-edge rule — so the computed
     flow (not just its cost) matches networkx exactly. The entering
-    search evaluates whole blocks (batched up to :data:`_PIVOT_CHUNK`
-    at a time) as array expressions, which is where the seed
-    implementation burns one Python generator step per edge.
+    search evaluates reduced costs as array expressions over edge
+    arrays kept oriented by flow state (an edge carrying flow is stored
+    reversed with its weight negated, so no sign flip is needed): one
+    block at a time while pivots keep hitting, then in batches of
+    doubling size (up to :data:`_PIVOT_CHUNK` blocks) through the
+    optimality sweeps that must visit every block.
 
     All inputs are int64; raises :class:`~repro.errors.BindingError`
     when no flow satisfies the demands (networkx raises
@@ -560,17 +563,18 @@ def _network_simplex(
     )
     potentials = np.where(demands <= 0, faux_inf, -faux_inf).astype(np.int64)
 
-    # The entering-edge search gathers over these three; everything
-    # walked edge-at-a-time (cycle tracing, augmentation, tree
-    # surgery) uses plain Python lists — scalar numpy indexing would
-    # dominate the runtime. ``flow_zero`` mirrors "flow[i] == 0" for
-    # the vectorized reduced-cost sign flip and is maintained
-    # incrementally by augment_flow.
-    src_l = e_src.tolist()
-    tgt_l = e_tgt.tolist()
+    # Everything walked edge-at-a-time (cycle tracing, augmentation,
+    # tree surgery) uses plain Python lists in the true orientation —
+    # scalar numpy indexing would dominate the runtime. The endpoint
+    # lists share one int object per node id. The arrays hold the real
+    # edges for the entering-edge search, oriented by flow state:
+    # (s, t, w) while the flow is 0, (t, s, -w) once it is positive;
+    # augment_flow flips an entry when its flow crosses zero.
+    node_ids = np.array(range(n + 1), dtype=object)
+    src_l = node_ids[e_src].tolist()
+    tgt_l = node_ids[e_tgt].tolist()
     cap_l = caps.tolist() + [faux_inf] * n
     flow_l = [0] * n_real + [abs(int(d)) for d in demands]
-    flow_zero = np.ones(n_real, dtype=bool)
     weight_l = e_weight.tolist()
     parent: List[Optional[int]] = [root] * n + [None]
     parent_edge: List[Optional[int]] = list(range(n_real, n_real + n)) + [None]
@@ -620,34 +624,39 @@ def _network_simplex(
         edges += edges_r
         return nodes, edges
 
-    def residual_capacity(i: int, p: int) -> int:
-        if src_l[i] == p:
-            return cap_l[i] - flow_l[i]
-        return flow_l[i]
-
     def find_leaving_edge(
         cycle_nodes: List[int], cycle_edges: List[int]
-    ) -> Tuple[int, int, int]:
+    ) -> Tuple[int, int, int, int]:
+        # The first strict minimum of the residual capacities in the
+        # reversed walk. Residuals are never negative, so the first
+        # zero is that minimum and ends the walk.
         best = None
         best_res = None
         for j, s in zip(reversed(cycle_edges), reversed(cycle_nodes)):
-            res = residual_capacity(j, s)
+            res = cap_l[j] - flow_l[j] if src_l[j] == s else flow_l[j]
             if best_res is None or res < best_res:
                 best, best_res = (j, s), res
+                if res == 0:
+                    break
         j, s = best
         t = tgt_l[j] if src_l[j] == s else src_l[j]
-        return j, s, t
+        return j, s, t, best_res
 
     def augment_flow(
         cycle_nodes: List[int], cycle_edges: List[int], f: int
     ) -> None:
+        if f == 0:
+            return
         for i, p in zip(cycle_edges, cycle_nodes):
-            if src_l[i] == p:
-                flow_l[i] = flow_l[i] + f
-            else:
-                flow_l[i] = flow_l[i] - f
-            if i < n_real:
-                flow_zero[i] = flow_l[i] == 0
+            old = flow_l[i]
+            new = flow_l[i] = old + f if src_l[i] == p else old - f
+            if (old == 0 or new == 0) and i < n_real:
+                if new:
+                    e_src[i], e_tgt[i] = tgt_l[i], src_l[i]
+                    e_weight[i] = -weight_l[i]
+                else:
+                    e_src[i], e_tgt[i] = src_l[i], tgt_l[i]
+                    e_weight[i] = weight_l[i]
 
     def trace_subtree(p: int) -> List[int]:
         nodes = [p]
@@ -733,13 +742,11 @@ def _network_simplex(
     def entering_edges():
         """Entering edges by the batched Dantzig/Bland block search.
 
-        Blocks are evaluated lazily in growing batches: the search
-        state is frozen between pivots, so evaluating several blocks
-        at once and taking the first with a negative minimum selects
-        exactly the edge the one-block-at-a-time reference selects.
-        Most pivots hit in the first block (batch 1); the batch grows
-        geometrically for the optimality sweeps that must visit every
-        block.
+        The search state is frozen between pivots, so evaluating several
+        blocks at once and taking the first with a negative minimum
+        selects exactly the edge the one-block-at-a-time reference
+        selects. After a hit the next search reads a single block; each
+        miss doubles the batch up to :data:`_PIVOT_CHUNK` blocks.
         """
         if n_real == 0:
             return
@@ -750,44 +757,35 @@ def _network_simplex(
         batch = 1
         while misses < n_blocks:
             batch = min(batch, n_blocks - misses)
-            span = batch * block
-            if f + span <= n_real:
-                idx = np.arange(f, f + span)
-                sources = e_src[f: f + span]
-                targets = e_tgt[f: f + span]
-                c = e_weight[f: f + span] - potentials[sources]
-                c += potentials[targets]
-                zero = flow_zero[f: f + span]
+            end = f + batch * block
+            if end <= n_real:
+                c = e_weight[f:end] - potentials[e_src[f:end]]
+                c += potentials[e_tgt[f:end]]
             else:
-                idx = np.arange(f, f + span) % n_real
-                c = (
-                    e_weight[idx]
-                    - potentials[e_src[idx]]
-                    + potentials[e_tgt[idx]]
-                )
-                zero = flow_zero[idx]
-            reduced = np.where(zero, c, -c).reshape(batch, block)
-            block_min = reduced.min(axis=1)
-            negative = np.nonzero(block_min < 0)[0]
-            if negative.size == 0:
+                idx = np.arange(f, end) % n_real
+                c = e_weight[idx] - potentials[e_src[idx]]
+                c += potentials[e_tgt[idx]]
+            j = int(c.argmin())
+            if c[j] >= 0:
                 misses += batch
-                f = int((f + batch * block) % n_real)
-                batch = min(batch * 4, _PIVOT_CHUNK)
+                f = end % n_real
+                batch = min(batch * 2, _PIVOT_CHUNK)
                 continue
-            hit = int(negative[0])
-            i = int(idx[hit * block + int(reduced[hit].argmin())])
-            f = int((f + (hit + 1) * block) % n_real)
+            if batch > 1:
+                # The first minimum of the first block holding a
+                # negative reduced cost.
+                start = int((c < 0).argmax()) // block * block
+                j = start + int(c[start: start + block].argmin())
+            i = (f + j) % n_real
+            f = (f + (j // block + 1) * block) % n_real
             misses = 0
             batch = 1
-            if flow_l[i] == 0:
-                yield i, src_l[i], tgt_l[i]
-            else:
-                yield i, tgt_l[i], src_l[i]
+            yield i, e_src[i].item(), e_tgt[i].item()
 
     for i, p, q in entering_edges():
         cycle_nodes, cycle_edges = find_cycle(i, p, q)
-        j, s, t = find_leaving_edge(cycle_nodes, cycle_edges)
-        augment_flow(cycle_nodes, cycle_edges, residual_capacity(j, s))
+        j, s, t, f = find_leaving_edge(cycle_nodes, cycle_edges)
+        augment_flow(cycle_nodes, cycle_edges, f)
         if i != j:
             if parent[t] != s:
                 s, t = t, s

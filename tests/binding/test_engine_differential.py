@@ -91,6 +91,14 @@ class TestSmoke:
         reference, fast = both_engines(bench_name, binder, sa_table)
         assert_identical(reference, fast)
 
+    def test_wide_lopass_matches_reference(self, sa_table):
+        """A 96-operation instance, whose flow networks span more
+        pivot-search blocks than one batch holds."""
+        reference, fast = both_engines(
+            "wide-n96-m50-d90-s0", "lopass", sa_table
+        )
+        assert_identical(reference, fast)
+
     def test_memo_reuse_changes_nothing(self, sa_table):
         """A warm BindMemo must reproduce the cold run exactly."""
         schedule, limits, registers, ports = elaborated("honda")

@@ -17,6 +17,8 @@ Three invariant families back the binding engine work:
   over ``repro.cdfg.corpus`` instances silently relies on).
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,15 +137,90 @@ def flow_problems(draw):
     return n, list(zip(edges, attrs)), demands
 
 
+@st.composite
+def path_cover_networks(draw):
+    """LOPASS-shaped flow networks over 40-120 operations.
+
+    Built like ``lopass._bind_class``: S->T idle edge, per operation
+    in->out (cover reward), S->in (weight 2) and out->T, then out_i->in_j
+    for every later operation that starts after operation i ends, with
+    the two-port transition cost in {0, 1, 2}. Operations spread over
+    the schedule depth, so every network has hundreds of edges.
+    """
+    import networkx as nx
+
+    from repro.binding.lopass import _COVER_REWARD
+
+    n_ops = draw(st.integers(min_value=40, max_value=120))
+    depth = draw(st.integers(min_value=8, max_value=24))
+    ops = sorted(
+        (
+            k * depth // n_ops + draw(st.integers(0, 2)),  # start
+            k,
+            draw(st.integers(1, 2)),                      # duration
+            draw(st.integers(0, 2)),                      # port a
+            draw(st.integers(0, 2)),                      # port b
+        )
+        for k in range(n_ops)
+    )
+    busy = [0] * (depth + 4)
+    for start, _, duration, _, _ in ops:
+        for step in range(start, start + duration):
+            busy[step] += 1
+    limit = max(busy) + draw(st.integers(0, 2))
+
+    graph = nx.DiGraph()
+    graph.add_node("S", demand=-limit)
+    graph.add_node("T", demand=limit)
+    graph.add_edge("S", "T", capacity=limit, weight=0)
+    for _, k, _, _, _ in ops:
+        graph.add_edge(("in", k), ("out", k), capacity=1,
+                       weight=-_COVER_REWARD)
+        graph.add_edge("S", ("in", k), capacity=1, weight=2)
+        graph.add_edge(("out", k), "T", capacity=1, weight=0)
+    for i, (start_i, k, duration, a_i, b_i) in enumerate(ops):
+        for start_j, l, _, a_j, b_j in ops[i + 1:]:
+            if start_i + duration - 1 < start_j:
+                graph.add_edge(("out", k), ("in", l), capacity=1,
+                               weight=(a_i != a_j) + (b_i != b_j))
+    return graph
+
+
+def assert_same_flow_as_networkx(graph):
+    """The fast solver computes networkx's flow edge for edge on
+    ``graph``, or raises where networkx finds no feasible flow."""
+    import networkx as nx
+    import numpy as np
+
+    from repro.binding.compile import _network_simplex
+
+    # Present nodes and edges to the fast solver in networkx's own
+    # iteration order, exactly as the LOPASS engine builds its arrays.
+    index = {node: k for k, node in enumerate(graph)}
+    ordered = list(graph.edges(data=True))
+    srcs = np.array([index[e[0]] for e in ordered], dtype=np.int64)
+    tgts = np.array([index[e[1]] for e in ordered], dtype=np.int64)
+    caps = np.array([e[2]["capacity"] for e in ordered], dtype=np.int64)
+    weights = np.array([e[2]["weight"] for e in ordered], dtype=np.int64)
+    demands = [graph.nodes[node].get("demand", 0) for node in graph]
+    demand_arr = np.array(demands, dtype=np.int64)
+
+    try:
+        flow_dict = nx.min_cost_flow(graph)
+    except nx.NetworkXUnfeasible:
+        with pytest.raises(BindingError):
+            _network_simplex(demand_arr, srcs, tgts, caps, weights)
+        return
+    flow = _network_simplex(demand_arr, srcs, tgts, caps, weights)
+    for position, (u, v, _) in enumerate(ordered):
+        assert flow[position] == flow_dict[u][v], (u, v)
+
+
 class TestNetworkSimplexAgainstNetworkx:
     @settings(max_examples=120, deadline=None)
     @given(flow_problems())
     def test_same_flow_as_networkx(self, problem):
         import networkx as nx
-        import numpy as np
-
-        from repro.binding.compile import _network_simplex
-        from repro.errors import BindingError
 
         n, edges, demands = problem
         graph = nx.DiGraph()
@@ -151,24 +228,22 @@ class TestNetworkSimplexAgainstNetworkx:
             graph.add_node(node, demand=demands[node])
         for (u, v), (capacity, weight) in edges:
             graph.add_edge(u, v, capacity=capacity, weight=weight)
-        # Present edges to the fast solver in networkx's own iteration
-        # order, exactly as the LOPASS engine builds its arrays.
-        ordered = list(graph.edges(data=True))
-        srcs = np.array([e[0] for e in ordered], dtype=np.int64)
-        tgts = np.array([e[1] for e in ordered], dtype=np.int64)
-        caps = np.array([e[2]["capacity"] for e in ordered], dtype=np.int64)
-        weights = np.array([e[2]["weight"] for e in ordered], dtype=np.int64)
-        demand_arr = np.array(demands, dtype=np.int64)
+        assert_same_flow_as_networkx(graph)
 
-        try:
-            flow_dict = nx.min_cost_flow(graph)
-        except nx.NetworkXUnfeasible:
-            with pytest.raises(BindingError):
-                _network_simplex(demand_arr, srcs, tgts, caps, weights)
-            return
-        flow = _network_simplex(demand_arr, srcs, tgts, caps, weights)
-        for index, (u, v, _) in enumerate(ordered):
-            assert flow[index] == flow_dict[u][v], (u, v)
+    @settings(max_examples=8, deadline=None)
+    @given(path_cover_networks())
+    def test_lopass_networks_past_the_batch_cap(self, graph):
+        """Networks large enough that the final optimality sweep grows
+        its batch to the cap and wraps around the edge list."""
+        from repro.binding.compile import _PIVOT_CHUNK
+
+        n_edges = graph.number_of_edges()
+        block = math.isqrt(n_edges - 1) + 1  # ceil(sqrt(E))
+        n_blocks = -(-n_edges // block)
+        # The final sweep misses 1 + 2 + 4 + ... blocks before its
+        # first full-size batch; twice the cap guarantees it gets there.
+        assert n_blocks > 2 * _PIVOT_CHUNK, n_edges
+        assert_same_flow_as_networkx(graph)
 
 
 # ---------------------------------------------------------------------------
