@@ -9,7 +9,6 @@ The paper benchmarks stay in tier-1; the classic 90-instance corpus
 cross-product is slow-marked.
 """
 
-import gc
 import io
 import time
 from typing import Tuple
@@ -105,22 +104,13 @@ class TestClassicCorpusCrossProduct:
 def _best_cpu_times(runs: int, datapath) -> Tuple[float, float]:
     """Best process CPU time of the compiled elaborator and of the
     oracle over ``runs`` interleaved rounds. CPU time, so another
-    process sharing the CPUs does not skew the ratio; the heap the rest
-    of the suite left behind is frozen, so full collections walk only
-    what the elaborators allocate."""
+    process sharing the CPUs does not skew the ratio."""
     best = [float("inf"), float("inf")]
-    gc.collect()
-    gc.freeze()
-    try:
-        for _ in range(runs):
-            for k, elaborate in enumerate(
-                (elaborate_design, elaborate_datapath)
-            ):
-                started = time.process_time()
-                elaborate(datapath)
-                best[k] = min(best[k], time.process_time() - started)
-    finally:
-        gc.unfreeze()
+    for _ in range(runs):
+        for k, elaborate in enumerate((elaborate_design, elaborate_datapath)):
+            started = time.process_time()
+            elaborate(datapath)
+            best[k] = min(best[k], time.process_time() - started)
     return best[0], best[1]
 
 
