@@ -50,6 +50,7 @@ from repro.binding.base import (
 from repro.binding.compat import select_initial_sets
 from repro.binding.hlpower import HLPowerConfig, _port_registers
 from repro.binding.lopass import _COVER_REWARD
+from repro.binding.matching import _linear_sum_assignment
 from repro.binding.registers import assign_ports, bind_registers
 from repro.binding.sa_table import SATable
 from repro.binding.weights import DEFAULT_BETA
@@ -271,7 +272,7 @@ def bind_hlpower_fast(
     table = cfg.sa_table if cfg.sa_table is not None else SATable()
     scales = cfg.beta or DEFAULT_BETA
 
-    from scipy.optimize import linear_sum_assignment
+    linear_sum_assignment = _linear_sum_assignment()
 
     units: List[FunctionalUnit] = []
     constraint_met = True

@@ -27,8 +27,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, Optional
 
-import networkx as nx
-
 from repro.errors import BindingError, ResourceError
 from repro.binding.base import (
     BindingSolution,
@@ -94,6 +92,8 @@ def _bind_class(
     ports: PortAssignment,
 ) -> List[List[int]]:
     """Chains of operation ids, one chain per allocated FU."""
+    import networkx as nx  # only this oracle needs it
+
     cdfg = schedule.cdfg
     ops = sorted(
         (

@@ -11,17 +11,65 @@ maximum weight", Algorithm 1 line 14). Two implementations:
   (augmenting search over vertex orderings is exponential, so this uses
   the same Hungarian reduction implemented directly); retained for
   environments without scipy and as a differential-test oracle.
+
+The solver is scipy's compiled ``scipy/optimize/_lsap`` extension,
+loaded on its own by :func:`_linear_sum_assignment`. Importing
+``scipy.optimize`` would pull in ~500 modules (``scipy.linalg``,
+``numpy.f2py``, ...): 0.45 s and ~50 MB in every cold process, paid
+inside the first register binding. The loaded module is registered
+under its package name, so a later ``import scipy.optimize`` reuses it
+and both names give the same C function.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from typing import (
+    Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.errors import BindingError
 
 Edge = Tuple[Hashable, Hashable]
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _lsap_file() -> Optional[str]:
+    """Path of scipy's compiled assignment module, if it is installed."""
+    spec = importlib.util.find_spec("scipy")  # does not run scipy's __init__
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _linear_sum_assignment() -> Callable:
+    """scipy's ``linear_sum_assignment``, without ``scipy.optimize``.
+
+    Loads the compiled module directly when its file is where scipy
+    ships it; otherwise falls back to the public import.
+    """
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        path = _lsap_file()
+        if path is None:
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        spec = importlib.util.spec_from_file_location(_LSAP, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # an ExtensionFileLoader
+        sys.modules[_LSAP] = module
+    return module.linear_sum_assignment
 
 
 def max_weight_matching(
@@ -40,8 +88,6 @@ def max_weight_matching(
     _check(left, right, weights)
     if not weights:
         return {}
-    from scipy.optimize import linear_sum_assignment
-
     n = max(len(left), len(right))
     matrix = np.zeros((n, n), dtype=np.float64)
     left_index = {node: i for i, node in enumerate(left)}
@@ -49,7 +95,7 @@ def max_weight_matching(
     for (u, v), w in weights.items():
         matrix[left_index[u], right_index[v]] = w
 
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    rows, cols = _linear_sum_assignment()(matrix, maximize=True)
     result: Dict[Hashable, Hashable] = {}
     for row, col in zip(rows, cols):
         if row < len(left) and col < len(right) and matrix[row, col] > 0.0:

@@ -373,7 +373,7 @@ def _run_techmap(p: "Pipeline") -> MappedDesign:
 
 
 def _run_timing(p: "Pipeline") -> TimingReport:
-    return timing_report(p.artifact("techmap").mapping.netlist, p.cfg.device)
+    return timing_report(p.artifact("techmap").mapping, p.cfg.device)
 
 
 def _run_vectors(p: "Pipeline") -> VectorSet:

@@ -10,10 +10,12 @@ comparable depths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
 from repro.netlist.compile import net_arrays
 from repro.netlist.gates import Netlist
+from repro.techmap.mapper import MapResult
 
 
 @dataclass
@@ -29,8 +31,15 @@ class TimingReport:
 
 
 def timing_report(
-    mapped: Netlist, device: DeviceModel = CYCLONE_II_LIKE
+    mapped: Union[MapResult, Netlist], device: DeviceModel = CYCLONE_II_LIKE
 ) -> TimingReport:
-    """Clock period of a mapped netlist under ``device``'s delays."""
-    depth = int(net_arrays(mapped).level.max(initial=0))
+    """Clock period of a mapped netlist under ``device``'s delays.
+
+    A :class:`MapResult` already knows its LUT depth; a bare netlist
+    is levelized here.
+    """
+    if isinstance(mapped, MapResult):
+        depth = mapped.depth
+    else:
+        depth = int(net_arrays(mapped).level.max(initial=0))
     return TimingReport(depth, device.clock_period_ns(depth))

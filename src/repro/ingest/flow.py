@@ -137,7 +137,7 @@ def run_design_estimate(
                             cfg.device)
     timing: TimingReport = artifact(
         "timing", timing_fp,
-        lambda: timing_report(mapping.netlist, cfg.device))
+        lambda: timing_report(mapping, cfg.device))
 
     return DesignEstimate(
         design=design.name,

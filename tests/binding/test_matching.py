@@ -1,14 +1,26 @@
 """Tests for max-weight bipartite matching (scipy + pure-Python oracle)."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import BindingError
+from repro.binding import matching
+from repro.binding.compile import bind_hlpower_fast, bind_lopass_fast
+from repro.binding.hlpower import HLPowerConfig
 from repro.binding.matching import (
     matching_weight,
     max_weight_matching,
     max_weight_matching_python,
 )
+from repro.flow.run import prepare_flow_inputs
+from tests.binding.test_engine_differential import (
+    assert_identical,
+    elaborated,
+)
+from tests.conftest import run_fresh
 
 
 class TestBasics:
@@ -112,3 +124,54 @@ class TestOracle:
         used_right = set(result.values())
         for (u, v), _ in weights.items():
             assert u in result or v in used_right
+
+
+class TestSolverLoading:
+    def test_installed_scipy_loads_compiled_module_directly(self):
+        """The compiled ``_lsap`` file is found where scipy ships it, so
+        no ``scipy.optimize`` import happens. A scipy release that moves
+        the file fails here instead of silently paying the import."""
+        seen = run_fresh("""
+import json, sys
+from repro.binding.matching import _linear_sum_assignment
+solve = _linear_sum_assignment()
+package_loaded = "scipy.optimize" in sys.modules
+lsap = sys.modules["scipy.optimize._lsap"]
+import scipy.optimize
+print(json.dumps({
+    "package_loaded": package_loaded,
+    "file": lsap.__file__,
+    "direct": solve is lsap.linear_sum_assignment,
+    "public": solve is scipy.optimize.linear_sum_assignment,
+}))
+""")
+        assert seen["package_loaded"] is False
+        assert os.path.basename(os.path.dirname(seen["file"])) == "optimize"
+        assert seen["direct"] and seen["public"]
+
+    def test_missing_file_falls_back_to_public_import(self, monkeypatch):
+        from scipy.optimize import linear_sum_assignment
+
+        monkeypatch.setattr(matching, "_lsap_file", lambda: None)
+        monkeypatch.delitem(sys.modules, matching._LSAP, raising=False)
+        assert matching._linear_sum_assignment() is linear_sum_assignment
+
+    @pytest.mark.parametrize("binder", ["lopass", "hlpower"])
+    @pytest.mark.parametrize("instance", ["chem", "wide-n96-m50-d90-s0"])
+    def test_bindings_identical_both_ways(self, monkeypatch, sa_table,
+                                          instance, binder):
+        """Register, port and FU binding give the same solution with the
+        directly loaded solver and with the public fallback."""
+        schedule, limits, _, _ = elaborated(instance)
+
+        def bind():
+            registers, ports = prepare_flow_inputs(schedule)
+            if binder == "lopass":
+                return bind_lopass_fast(schedule, limits, registers, ports)
+            return bind_hlpower_fast(schedule, limits, registers, ports,
+                                     HLPowerConfig(sa_table=sa_table))
+
+        direct = bind()
+        monkeypatch.setattr(matching, "_lsap_file", lambda: None)
+        monkeypatch.delitem(sys.modules, matching._LSAP, raising=False)
+        assert_identical(direct, bind())

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.binding import (
     HLPowerConfig,
     SATable,
@@ -83,6 +88,21 @@ def rebuilt(netlist):
     for net in netlist.outputs:
         copy.set_output(net)
     return copy
+
+
+def run_fresh(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter
+    that imports this checkout's ``repro``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def random_assignment(netlist, rng: random.Random):

@@ -1,12 +1,23 @@
 """Tests for the device model, timing, and power reports."""
 
+import os
+
 import pytest
 
+from repro import BENCHMARK_NAMES, benchmark_spec
+from repro.cdfg import load_benchmark
+from repro.flow.cache import ArtifactCache
+from repro.flow.run import FlowConfig, run_estimate
 from repro.fpga.device import CYCLONE_II_LIKE, DeviceModel
 from repro.fpga.power import power_report
 from repro.fpga.simulate import SimulationResult
 from repro.fpga.timing import timing_report
+from repro.ingest import load_design, load_design_text, run_design_estimate
 from repro.netlist.gates import GateType, Netlist
+from repro.scheduling import list_schedule
+from tests.ingest.test_flow import TINY_TEXT
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
 def fake_sim(comb=1000, reg=100, pad=10, control=20, lanes=64, steps=4):
@@ -52,6 +63,29 @@ class TestTiming:
         assert report.fmax_mhz == pytest.approx(
             1e3 / report.clock_period_ns
         )
+
+
+class TestMapDepth:
+    """The flows take the clock's depth from ``MapResult.depth``; it must
+    be the levelized depth of the mapped netlist."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_estimate_flows(self, name, sa_table):
+        spec = benchmark_spec(name)
+        schedule = list_schedule(load_benchmark(name), spec.constraints)
+        cache = ArtifactCache()
+        for width in (4, 8):
+            cfg = FlowConfig(flow="estimate", width=width, sa_table=sa_table)
+            for binder in ("lopass", "hlpower"):
+                result = run_estimate(schedule, spec.constraints, binder,
+                                      cfg, cache=cache)
+                assert result.timing == timing_report(result.mapping.netlist)
+
+    def test_ingest_examples(self):
+        for design in (load_design(os.path.join(EXAMPLES, "mac4.json")),
+                       load_design_text(TINY_TEXT)):
+            result = run_design_estimate(design)
+            assert result.timing == timing_report(result.mapping.netlist)
 
 
 class TestPower:
