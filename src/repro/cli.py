@@ -52,6 +52,7 @@ from repro.cdfg.corpus import (
 )
 from repro.errors import ConfigError, ReproError
 from repro.flow import (
+    SweepResult,
     SweepSpec,
     format_sweep_summary,
     format_table,
@@ -486,6 +487,32 @@ def cmd_suite(args) -> int:
     return 0
 
 
+def _run_grid(args, spec_fields: Dict[str, object],
+              **options) -> SweepResult:
+    """Run a command's grid (its knob flags included) over its SA table,
+    print the sweep summary and return the result store."""
+    try:
+        # SweepSpec validates binder names eagerly at construction.
+        spec = SweepSpec(**spec_fields, **_knob_spec_fields(args))
+    except ReproError as exc:
+        raise SystemExit(f"error: {exc}")
+    table = _open_sa_table(args.sa_table)
+    try:
+        sweep = run_sweep(spec, jobs=args.jobs, sa_table=table, **options)
+    except ReproError as exc:
+        raise SystemExit(f"error: {exc}")
+    table.save_if_dirty()
+    print(format_sweep_summary(sweep))
+    return sweep
+
+
+def _save_store(sweep: SweepResult, path: Optional[str]) -> int:
+    if path:
+        sweep.save(path)
+        print(f"result store written to {path}")
+    return 0
+
+
 def cmd_sweep(args) -> int:
     designs = _load_designs(args.design)
     if designs and args.flow != "estimate":
@@ -493,63 +520,26 @@ def cmd_sweep(args) -> int:
             "error: --design cells run the estimate flow only; "
             "pass --flow estimate"
         )
-    try:
-        # SweepSpec validates binder names eagerly at construction.
-        spec = SweepSpec(
-            benchmarks=_select_benchmarks(args.benchmarks, designs),
-            binders=_comma_list(args.binders, str, "--binders"),
-            vector_seeds=args.seeds,
-            baseline=args.baseline,
-            designs=designs,
-            **_knob_spec_fields(args),
-        )
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    table = _open_sa_table(args.sa_table)
-    try:
-        sweep = run_sweep(
-            spec,
-            jobs=args.jobs,
-            sa_table=table,
-            precalc_max_mux=args.precalc_mux,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-        )
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
-    print(format_sweep_summary(sweep))
-    if args.out:
-        sweep.save(args.out)
-        print(f"result store written to {args.out}")
-    return 0
+    sweep = _run_grid(
+        args,
+        dict(benchmarks=_select_benchmarks(args.benchmarks, designs),
+             binders=_comma_list(args.binders, str, "--binders"),
+             vector_seeds=args.seeds, baseline=args.baseline,
+             designs=designs),
+        precalc_max_mux=args.precalc_mux, use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+    )
+    return _save_store(sweep, args.out)
 
 
 def cmd_estimate(args) -> int:
     designs = _load_designs(args.design)
-    try:
-        # SweepSpec validates binder names eagerly at construction.
-        spec = SweepSpec(
-            benchmarks=_select_benchmarks(args.benchmarks, designs),
-            binders=_comma_list(args.binders, str, "--binders"),
-            baseline=args.baseline,
-            flow="estimate",
-            designs=designs,
-            **_knob_spec_fields(args),
-        )
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    table = _open_sa_table(args.sa_table)
-    try:
-        sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
-    print(format_sweep_summary(sweep))
-    if args.out:
-        sweep.save(args.out)
-        print(f"result store written to {args.out}")
-    return 0
+    sweep = _run_grid(args, dict(
+        benchmarks=_select_benchmarks(args.benchmarks, designs),
+        binders=_comma_list(args.binders, str, "--binders"),
+        baseline=args.baseline, flow="estimate", designs=designs,
+    ))
+    return _save_store(sweep, args.out)
 
 
 def _corpus_selection(args):
@@ -621,7 +611,7 @@ def _corpus_profile(args, instances) -> int:
     """
     import tracemalloc
 
-    from repro.flow.report import _STAGE_ORDER
+    from repro.flow.report import in_stage_order
     from repro.flow.run import FlowConfig, execute_flow, prepare_flow_inputs
     from repro.scheduling import list_schedule
 
@@ -665,10 +655,8 @@ def _corpus_profile(args, instances) -> int:
     finally:
         tracemalloc.stop()
     table.save_if_dirty()
-    rank = {stage: index for index, stage in enumerate(_STAGE_ORDER)}
-    stages = sorted(
-        {stage for _, _, timings, _ in records for stage in timings},
-        key=lambda stage: (rank.get(stage, len(rank)), stage),
+    stages = in_stage_order(
+        {stage for _, _, timings, _ in records for stage in timings}
     )
     rows = []
     for name, label, timings, peak in records:
@@ -715,26 +703,13 @@ def cmd_corpus(args) -> int:
         return _corpus_profile(args, instances)
 
     binders = _comma_list(args.binders, str, "--binders")
-    try:
-        # SweepSpec validates binder names eagerly at construction.
-        spec = SweepSpec(
-            benchmarks=[inst.name for inst in instances],
-            binders=binders,
-            baseline="lopass" if "lopass" in binders else "none",
-            flow=args.flow,
-            **_knob_spec_fields(args),
-        )
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    table = _open_sa_table(args.sa_table)
-    try:
-        sweep = run_sweep(spec, jobs=args.jobs, sa_table=table)
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}")
-    table.save_if_dirty()
-    print(format_sweep_summary(sweep))
+    sweep = _run_grid(args, dict(
+        benchmarks=[inst.name for inst in instances], binders=binders,
+        baseline="lopass" if "lopass" in binders else "none",
+        flow=args.flow,
+    ))
     if not args.no_oracle:
-        configs = [config.label for config in spec.binder_configs()]
+        configs = [config.label for config in sweep.spec.binder_configs()]
         try:
             rows = _oracle_rows(sweep, instances, configs)
         except ReproError as exc:
@@ -752,10 +727,7 @@ def cmd_corpus(args) -> int:
             ))
         else:
             print("\nno oracle-feasible instances in the selection")
-    if args.out:
-        sweep.save(args.out)
-        print(f"result store written to {args.out}")
-    return 0
+    return _save_store(sweep, args.out)
 
 
 def cmd_synth(args) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.binding import SATable
@@ -50,12 +50,18 @@ from repro.flow.grid import (  # noqa: F401  (compatibility re-exports)
     SweepSpec,
     expand_grid,
 )
+from repro.flow.knobs import AXIS_KNOBS
 from repro.flow.run import FlowResult
 
 
 # ---------------------------------------------------------------------------
 # Result store.
 # ---------------------------------------------------------------------------
+
+
+def _stdev(values: List[float]) -> float:
+    """Sample standard deviation; 0.0 for a single value."""
+    return statistics.stdev(values) if len(values) > 1 else 0.0
 
 
 @dataclass
@@ -82,65 +88,46 @@ class SweepResult:
     #: ``run_sweep(..., keep_results=True)``.
     results: Dict[Tuple, Any] = field(default_factory=dict, repr=False)
 
-    def cell(
-        self,
-        benchmark: str,
-        config: str,
-        width: Optional[int] = None,
-        vector_seed: Optional[int] = None,
-        idle_selects: Optional[str] = None,
-        delay_jitter: Optional[int] = None,
-        map_effort: Optional[str] = None,
-    ) -> SweepCell:
-        """The unique cell matching the given coordinates."""
+    def cell(self, benchmark: str, config: str, **coords: Any) -> SweepCell:
+        """The unique cell matching the given coordinates: keyword
+        arguments name grid axes (``width=8``, ``vector_seed=7``, ...);
+        an axis left out matches any value."""
+        unknown = sorted(set(coords) - {knob.name for knob in AXIS_KNOBS})
+        if unknown:
+            raise TypeError(
+                f"unknown cell coordinate(s) {unknown}; the grid axes are "
+                f"{[knob.name for knob in AXIS_KNOBS]}"
+            )
         matches = [
             c
             for c in self.cells
             if c.benchmark == benchmark
             and c.config == config
-            and (width is None or c.width == width)
-            and (vector_seed is None or c.vector_seed == vector_seed)
-            and (idle_selects is None or c.idle_selects == idle_selects)
-            and (delay_jitter is None or c.delay_jitter == delay_jitter)
-            and (map_effort is None or c.map_effort == map_effort)
+            and all(getattr(c, name) == value
+                    for name, value in coords.items())
         ]
         if not matches:
-            raise KeyError(
-                (benchmark, config, width, vector_seed, idle_selects,
-                 delay_jitter, map_effort)
-            )
+            raise KeyError((benchmark, config, coords))
         if len(matches) > 1:
             raise KeyError(
                 f"ambiguous cell {(benchmark, config)}: {len(matches)} "
-                f"matches; pass width/vector_seed/idle_selects/"
-                f"delay_jitter/map_effort"
+                f"matches; pass "
+                + "/".join(knob.name for knob in AXIS_KNOBS)
             )
         return matches[0]
 
-    def result_of(
-        self,
-        benchmark: str,
-        config: str,
-        width: Optional[int] = None,
-        vector_seed: Optional[int] = None,
-        idle_selects: Optional[str] = None,
-        delay_jitter: Optional[int] = None,
-        map_effort: Optional[str] = None,
-    ) -> FlowResult:
+    def result_of(self, benchmark: str, config: str,
+                  **coords: Any) -> FlowResult:
         """The retained FlowResult for a cell (needs keep_results)."""
-        cell = self.cell(
-            benchmark, config, width, vector_seed, idle_selects,
-            delay_jitter, map_effort,
-        )
-        return self.results[cell.key]
+        return self.results[self.cell(benchmark, config, **coords).key]
 
     # -- aggregation -------------------------------------------------------
 
     def aggregates(self) -> List[Dict[str, Any]]:
         """Per-group stats across vector seeds.
 
-        Groups are ``(benchmark, config, width, idle, jitter, map
-        effort)`` — everything but the seed axis. Full-flow groups report
+        Groups are ``(benchmark, config)`` and every grid axis but the
+        averaged one (the vector seed). Full-flow groups report
         mean/stdev dynamic power and toggle rate (the seed-sensitive
         metrics); estimate-flow groups report the Equation-(3)
         switching-activity estimate and glitch fraction instead (keys
@@ -153,12 +140,11 @@ class SweepResult:
         from repro.flow.report import percent_change
         estimate = self.spec.flow == "estimate"
         primary_key = "estimated_sa" if estimate else "dynamic_power_mw"
+        axes = [knob.name for knob in AXIS_KNOBS if knob.column]
         groups: Dict[Tuple, List[SweepCell]] = {}
         for cell in self.cells:
-            group = (
-                cell.benchmark, cell.config, cell.width,
-                cell.idle_selects, cell.delay_jitter, cell.map_effort,
-            )
+            group = (cell.benchmark, cell.config,
+                     *(getattr(cell, name) for name in axes))
             groups.setdefault(group, []).append(cell)
 
         baseline = self.spec.baseline
@@ -176,17 +162,15 @@ class SweepResult:
 
         out = []
         for group, cells in groups.items():
-            benchmark, config, width, idle, jitter, map_effort = group
             primary = [c.metrics[primary_key] for c in cells]
-            base = baseline_primary.get((benchmark,) + group[2:])
+            base = baseline_primary.get((group[0],) + group[2:])
             mean_primary = statistics.fmean(primary)
+            delta = (percent_change(base, mean_primary) if base is not None
+                     else None)
             record = {
-                "benchmark": benchmark,
-                "config": config,
-                "width": width,
-                "idle_selects": idle,
-                "delay_jitter": jitter,
-                "map_effort": map_effort,
+                "benchmark": group[0],
+                "config": group[1],
+                **dict(zip(axes, group[2:])),
                 "n_seeds": len(cells),
                 "area_luts": cells[0].metrics["area_luts"],
                 "largest_mux": cells[0].metrics["largest_mux"],
@@ -194,32 +178,22 @@ class SweepResult:
                 "runtime_s": sum(c.runtime_s for c in cells),
             }
             if estimate:
-                record["sa_mean"] = mean_primary
-                record["sa_stdev"] = (
-                    statistics.stdev(primary) if len(primary) > 1 else 0.0
-                )
-                record["glitch_fraction"] = statistics.fmean(
-                    c.metrics["glitch_fraction"] for c in cells
-                )
-                record["d_sa_vs_baseline_pct"] = (
-                    percent_change(base, mean_primary)
-                    if base is not None
-                    else None
+                record.update(
+                    sa_mean=mean_primary,
+                    sa_stdev=_stdev(primary),
+                    glitch_fraction=statistics.fmean(
+                        c.metrics["glitch_fraction"] for c in cells
+                    ),
+                    d_sa_vs_baseline_pct=delta,
                 )
             else:
                 rates = [c.metrics["toggle_rate_mhz"] for c in cells]
-                record["power_mean_mw"] = mean_primary
-                record["power_stdev_mw"] = (
-                    statistics.stdev(primary) if len(primary) > 1 else 0.0
-                )
-                record["toggle_rate_mean_mhz"] = statistics.fmean(rates)
-                record["toggle_rate_stdev_mhz"] = (
-                    statistics.stdev(rates) if len(rates) > 1 else 0.0
-                )
-                record["d_power_vs_baseline_pct"] = (
-                    percent_change(base, mean_primary)
-                    if base is not None
-                    else None
+                record.update(
+                    power_mean_mw=mean_primary,
+                    power_stdev_mw=_stdev(primary),
+                    toggle_rate_mean_mhz=statistics.fmean(rates),
+                    toggle_rate_stdev_mhz=_stdev(rates),
+                    d_power_vs_baseline_pct=delta,
                 )
             out.append(record)
         return out
@@ -237,17 +211,7 @@ class SweepResult:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "spec": self.spec.to_dict(),
-            "jobs": self.jobs,
-            "wall_s": self.wall_s,
-            "schedule_cache_hits": self.schedule_cache_hits,
-            "schedule_cache_misses": self.schedule_cache_misses,
-            "sa_precalc_entries": self.sa_precalc_entries,
-            "sa_new_entries": self.sa_new_entries,
-            "stage_cache_hits": self.stage_cache_hits,
-            "stage_cache_misses": self.stage_cache_misses,
-            "sim_batches": self.sim_batches,
-            "sim_batched_cells": self.sim_batched_cells,
-            "sim_batch_wall_s": self.sim_batch_wall_s,
+            **{name: getattr(self, name) for name in _STATS},
             "stage_time_totals": self.stage_time_totals(),
             "cells": [asdict(cell) for cell in self.cells],
             "aggregates": self.aggregates(),
@@ -261,17 +225,7 @@ class SweepResult:
         return cls(
             spec=SweepSpec.from_dict(data["spec"]),
             cells=[SweepCell(**cell) for cell in data["cells"]],
-            jobs=data["jobs"],
-            wall_s=data["wall_s"],
-            schedule_cache_hits=data["schedule_cache_hits"],
-            schedule_cache_misses=data["schedule_cache_misses"],
-            sa_precalc_entries=data["sa_precalc_entries"],
-            sa_new_entries=data["sa_new_entries"],
-            stage_cache_hits=data.get("stage_cache_hits", 0),
-            stage_cache_misses=data.get("stage_cache_misses", 0),
-            sim_batches=data.get("sim_batches", 0),
-            sim_batched_cells=data.get("sim_batched_cells", 0),
-            sim_batch_wall_s=data.get("sim_batch_wall_s", 0.0),
+            **{name: data[name] for name in _STATS if name in data},
         )
 
     @classmethod
@@ -286,6 +240,13 @@ class SweepResult:
     def load(cls, path: str) -> "SweepResult":
         with open(path) as handle:
             return cls.from_json(handle.read())
+
+
+#: The run statistics a stored sweep holds besides its spec and cells.
+_STATS = tuple(
+    f.name for f in fields(SweepResult)
+    if f.name not in ("spec", "cells", "results")
+)
 
 
 # ---------------------------------------------------------------------------

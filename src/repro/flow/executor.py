@@ -38,7 +38,7 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.binding import SATable
@@ -46,7 +46,7 @@ from repro.cdfg import benchmark_spec, load_benchmark
 from repro.errors import ConfigError, WorkerLostError
 from repro.flow.cache import ArtifactCache, CacheStats, encode
 from repro.flow.grid import SweepCell, SweepJob, SweepSpec, expand_grid
-from repro.flow.knobs import CONFIG_KNOBS
+from repro.flow.knobs import AXIS_KNOBS, CONFIG_KNOBS
 from repro.flow.pipeline import (
     Pipeline,
     batch_simulate_pipelines,
@@ -180,17 +180,24 @@ def _cell(job: SweepJob, result: Any, schedule_hit: bool,
         config=job.config.label,
         binder=job.config.binder,
         alpha=job.config.alpha,
-        width=job.width,
-        vector_seed=job.vector_seed,
         metrics=result.metrics(),
         runtime_s=result.runtime_s,
         schedule_cache_hit=schedule_hit,
         sa_new_entries=sa_new_entries,
-        idle_selects=job.idle_selects,
-        delay_jitter=job.delay_jitter,
-        map_effort=job.map_effort,
         stage_timings=dict(result.stage_timings),
         cache_hits=list(result.cache_hits),
+        **{knob.name: getattr(job, knob.name) for knob in AXIS_KNOBS},
+    )
+
+
+def _job_label(job: SweepJob) -> str:
+    """``bench/config wW seed S``, then the job's other grid
+    coordinates as ``name=value``."""
+    return " ".join(
+        [f"{job.design or job.benchmark}/{job.config.label} "
+         f"w{job.width} seed {job.vector_seed}"]
+        + [f"{knob.name}={getattr(job, knob.name)}" for knob in AXIS_KNOBS
+           if knob.name not in ("width", "vector_seed")]
     )
 
 
@@ -350,20 +357,10 @@ class ExecutorStats:
     )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "submissions": self.submissions,
-            "cells": self.cells,
-            "chunks": self.chunks,
-            "schedule_cache_hits": self.schedule_cache_hits,
-            "schedule_cache_misses": self.schedule_cache_misses,
-            "sa_new_entries": self.sa_new_entries,
-            "sim_batches": self.sim_batches,
-            "sim_batched_cells": self.sim_batched_cells,
-            "sim_batch_wall_s": self.sim_batch_wall_s,
-            "wall_s": self.wall_s,
-            "cache": self.cache.to_dict(),
-            "cone_memo": dict(self.cone_memo),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["cache"] = self.cache.to_dict()
+        data["cone_memo"] = dict(self.cone_memo)
+        return data
 
 
 @dataclass
@@ -505,9 +502,7 @@ class FlowExecutor:
                     raise WorkerLostError(
                         "a pool worker died again on retry; lost cells: "
                         + ", ".join(
-                            f"{job.design or job.benchmark}/"
-                            f"{job.config.label} w{job.width} seed "
-                            f"{job.vector_seed}"
+                            _job_label(job)
                             for later in lost for job in chunks[later][1]
                         )
                     ) from None

@@ -14,12 +14,23 @@ single-cell grids out of HTTP requests through the same model.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.binding import BINDER_NAMES
 from repro.cdfg import benchmark_spec
 from repro.errors import ConfigError
-from repro.flow.knobs import KNOBS, SWEEP_KNOBS, check_knob, knob_fields
+from repro.flow.knobs import (
+    AXIS_KNOBS,
+    DESIGN_STAGES,
+    NESTED_AXES,
+    SWEEP_KNOBS,
+    Knob,
+    check_knob,
+    full_flow_only,
+    knob_fields,
+    read_only_by,
+)
 
 
 @dataclass(frozen=True)
@@ -52,21 +63,22 @@ def _sweep_fields():
 class SweepSpec:
     """Declarative description of one experiment grid.
 
-    The grid is the cross product ``benchmarks x binder_configs x
-    widths x map efforts x idle_modes x jitters x vector_seeds``.
-    Binder configurations come either from the ``binders x alphas``
-    cross product (the default) or from an explicit ``configs`` list
-    when the columns are not a product — e.g. the bench suite's
-    ``lopass / hlpower_a1 / hlpower_a05``. The simulation-only axes
-    (idle mode, jitter, seed) vary nothing before the simulate
-    stage, so the pipeline cache turns them into simulate-only work.
+    The grid is the cross product of ``benchmarks``, the binder
+    configurations and the grid axes of the knob table
+    (:data:`~repro.flow.knobs.NESTED_AXES`: width, mapper effort, the
+    simulation model, vector seed). Binder configurations come either
+    from the ``binders x alphas`` cross product (the default) or from
+    an explicit ``configs`` list when the columns are not a product —
+    e.g. the bench suite's ``lopass / hlpower_a1 / hlpower_a05``. The
+    full-flow-only axes vary nothing before the vectors stage, so the
+    pipeline cache turns them into simulation-only work.
 
     Besides the fields below, each ``scalar`` row of the knob table
     (:mod:`repro.flow.knobs`) is a field shared by all cells (``k``,
     ``n_vectors``, ``flow``, ``sim_batch``, ...) and each ``axis`` row
-    a tuple field (``widths``, ``alphas``, ``vector_seeds``,
-    ``idle_modes``, ``jitters``; ``map_efforts`` None = ``(map_effort,)``).
-    Every value is checked on construction and by :meth:`validate`.
+    a tuple field named by its ``axis`` (``widths``, ``alphas``, ...;
+    ``map_efforts`` None = ``(map_effort,)``). Every value is checked
+    on construction and by :meth:`validate`.
     """
 
     benchmarks: Sequence[str] = ()
@@ -125,11 +137,20 @@ class SweepSpec:
                 out.append(BinderConfig(label, binder, alpha))
         return out
 
-    def efforts(self) -> List[str]:
-        """The mapper-effort axis (scalar unless overridden)."""
-        if self.map_efforts is not None:
-            return list(self.map_efforts)
-        return [self.map_effort]
+    def axis_values(self, knob: Knob) -> Tuple[Any, ...]:
+        """The values grid axis ``knob`` takes in this spec's cells.
+
+        An axis left None takes its scalar field's value. The estimate
+        flow keeps only the first value of a full-flow-only axis: it
+        cannot move an estimate metric, so more cells would only
+        duplicate records.
+        """
+        values = getattr(self, knob.axis)
+        if values is None:
+            values = (getattr(self, knob.name),)
+        if self.flow == "estimate" and full_flow_only(knob):
+            values = values[:1]
+        return tuple(values)
 
     def validate(self) -> None:
         self._check_knobs()
@@ -212,18 +233,20 @@ class SweepSpec:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+def _axis_fields(knobs: Sequence[Knob]):
+    """A ``(name, type, default)`` coordinate field per grid axis."""
+    return [(knob.name, knob.type, knob.default) for knob in knobs]
+
+
+@dataclass(frozen=True, kw_only=True)
+@knob_fields(*_axis_fields(AXIS_KNOBS))
 class SweepJob:
-    """One expanded grid cell, ready to run."""
+    """One expanded grid cell, ready to run: a field per grid axis
+    (``width``, ``vector_seed``, ...) holds its coordinate."""
 
     index: int
     benchmark: str
     config: BinderConfig
-    width: int
-    vector_seed: int
-    idle_selects: str = KNOBS["idle_selects"].default
-    delay_jitter: int = KNOBS["delay_jitter"].default
-    map_effort: str = KNOBS["map_effort"].default
     #: Set for external-design cells: the key into ``spec.designs``.
     design: Optional[str] = None
 
@@ -236,26 +259,32 @@ class SweepJob:
 #: Binder column shown for external-design cells (which have none).
 INGEST_CONFIG = BinderConfig("ingest", "ingest", 0.0)
 
+#: A cell record holds the grid axes in row order, around the
+#: measurements as stored sweep files have them: the axes up to the
+#: averaged one (no summary column) before ``metrics``, the later ones
+#: before ``stage_timings``.
+_SPLIT = [knob.column for knob in AXIS_KNOBS].index(None) + 1
+#: (position, value) of the ``SweepCell.key`` slots that held the
+#: retired sim_kernel / bind_engine / elab_engine knobs.
+_RETIRED_KEY_SLOTS = ((6, "event"), (8, "fast"), (9, "fast"))
 
-@dataclass
+
+@dataclass(kw_only=True)
+@knob_fields(*_axis_fields(AXIS_KNOBS[_SPLIT:]), before="stage_timings")
+@knob_fields(*_axis_fields(AXIS_KNOBS[:_SPLIT]), before="metrics")
 class SweepCell:
-    """The record one job produces."""
+    """The record one job produces: its grid coordinates + metrics."""
 
     benchmark: str
     config: str
     binder: str
     alpha: float
-    width: int
-    vector_seed: int
     #: Deterministic measurements (see :meth:`FlowResult.metrics` /
     #: :meth:`EstimateResult.metrics` depending on the spec's flow).
     metrics: Dict[str, float]
     runtime_s: float
     schedule_cache_hit: bool
     sa_new_entries: int
-    idle_selects: str = KNOBS["idle_selects"].default
-    delay_jitter: int = KNOBS["delay_jitter"].default
-    map_effort: str = KNOBS["map_effort"].default
     #: Per-pipeline-stage wall clock of this cell's flow run.
     stage_timings: Dict[str, float] = field(default_factory=dict)
     #: Pipeline stages served from the worker's artifact cache.
@@ -268,62 +297,57 @@ class SweepCell:
     sim_batch_s: float = 0.0
 
     @property
-    def key(self) -> Tuple[str, str, int, int, str, int, str, str, str, str]:
-        # Slots 7, 9 and 10 held the retired sim_kernel / bind_engine /
-        # elab_engine knobs and stay as their only former values: the
-        # benchmark's committed output digests key sweep cells by
-        # "|".join(map(str, key)), so dropping them waits for a change
-        # that re-records those digests.
-        return (
-            self.benchmark, self.config, self.width, self.vector_seed,
-            self.idle_selects, self.delay_jitter, "event",
-            self.map_effort, "fast", "fast",
-        )
+    def key(self) -> Tuple:
+        """``(benchmark, config, *axis coordinates in row order)``.
+
+        The retired knobs' slots stay as their only former values: the
+        benchmark's committed output digests key sweep cells by
+        ``"|".join(map(str, key))``, so dropping them waits for a change
+        that re-records those digests.
+        """
+        key = [self.benchmark, self.config]
+        key += [getattr(self, knob.name) for knob in AXIS_KNOBS]
+        for slot, value in _RETIRED_KEY_SLOTS:
+            key.insert(slot, value)
+        return tuple(key)
 
 
 def expand_grid(spec: SweepSpec) -> List[SweepJob]:
     """Expand the spec into jobs, benchmark-major.
 
     Benchmark-major order keeps jobs that share an elaboration-memo key
-    adjacent, and simulation-only axes (idle/jitter/seed)
-    innermost so consecutive jobs share the longest cached pipeline
-    prefix. In estimate mode the simulation-only axes are collapsed to
-    their first value — they cannot move any estimate metric, so
-    multiplying cells over them would only duplicate records.
+    adjacent; within a binder column the axes nest in
+    :data:`~repro.flow.knobs.NESTED_AXES` order, so consecutive jobs
+    share the longest cached pipeline prefix. Each axis takes
+    :meth:`SweepSpec.axis_values` (one value per full-flow-only axis
+    in the estimate flow).
     """
     spec.validate()
-    idle_modes: Sequence[str] = spec.idle_modes
-    jitters: Sequence[int] = spec.jitters
-    seeds: Sequence[int] = spec.vector_seeds
-    if spec.flow == "estimate":
-        idle_modes = idle_modes[:1]
-        jitters = jitters[:1]
-        seeds = seeds[:1]
+    names = [knob.name for knob in NESTED_AXES]
+    axes = [spec.axis_values(knob) for knob in NESTED_AXES]
     jobs: List[SweepJob] = []
     for benchmark in spec.benchmarks:
         for config in spec.binder_configs():
-            for width in spec.widths:
-                # The mapper-effort axis sits outside the
-                # simulation-only axes: cells that share (benchmark,
-                # binder, width, effort) share the mapped prefix.
-                for effort in spec.efforts():
-                    for idle in idle_modes:
-                        for jitter in jitters:
-                            for seed in seeds:
-                                jobs.append(SweepJob(
-                                    len(jobs), benchmark, config, width,
-                                    seed, idle, jitter, effort,
-                                ))
-    if spec.designs:
-        # Design cells: estimate flow only (validate() enforces it), so
-        # the simulation axes are already collapsed; the mapper-effort
-        # axis is the only one that can move a design metric. width=0
-        # marks "the design defines its own widths".
-        for name in sorted(spec.designs):
-            for effort in spec.efforts():
+            for coords in product(*axes):
                 jobs.append(SweepJob(
-                    len(jobs), f"design:{name}", INGEST_CONFIG, 0,
-                    seeds[0], idle_modes[0], jitters[0], effort,
-                    design=name,
+                    index=len(jobs), benchmark=benchmark, config=config,
+                    **dict(zip(names, coords)),
+                ))
+    if spec.designs:
+        # Design cells run the estimate flow only (validate() enforces
+        # it) and have no schedule or binder: only an axis the design
+        # stages alone read can move a design metric, and the others
+        # keep their first value. width=0 marks "the design defines its
+        # own widths".
+        axes = [
+            values if read_only_by(knob, DESIGN_STAGES) else values[:1]
+            for knob, values in zip(NESTED_AXES, axes)
+        ]
+        for name in sorted(spec.designs):
+            for coords in product(*axes):
+                jobs.append(SweepJob(
+                    index=len(jobs), benchmark=f"design:{name}",
+                    config=INGEST_CONFIG, design=name,
+                    **dict(zip(names, coords), width=0),
                 ))
     return jobs

@@ -51,6 +51,10 @@ class Knob:
     #: The list-valued SweepSpec field sweeping this knob, if any. With
     #: ``scalar`` set too it defaults to None, meaning ``[scalar]``.
     axis: Optional[str] = None
+    #: A grid axis's sweep-summary labels: its column header (None for
+    #: the axis the summary averages over) and its count in the title.
+    column: Optional[str] = None
+    title: Optional[str] = None
     #: Settable per ``/estimate`` / ``/flow`` request.
     serve: bool = False
     #: CLI flag taking one value / a comma-separated axis, and the
@@ -65,7 +69,8 @@ KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
         Knob("width", int, 8, "datapath bit-width", low=1,
-             stages=("datapath", "vectors"), axis="widths", serve=True,
+             stages=("datapath", "vectors"), axis="widths", column="width",
+             title="widths", serve=True,
              flag="--width", commands=("bench", "suite", "estimate",
                                        "corpus", "synth"),
              axis_flag="--widths", axis_commands=("sweep",)),
@@ -78,7 +83,8 @@ KNOBS: Dict[str, Knob] = {
              stages=("vectors",), scalar=True, serve=True, flag="--vectors",
              commands=("bench", "suite", "sweep")),
         Knob("vector_seed", int, 7, "random-vector seed",
-             stages=("vectors",), axis="vector_seeds", serve=True),
+             stages=("vectors",), axis="vector_seeds", title="seeds",
+             serve=True),
         Knob("alpha", float, DEFAULT_ALPHA, "Equation (4) alpha", low=0.0,
              high=1.0, stages=("bind",), axis="alphas", serve=True,
              flag="--alpha", commands=("bench", "suite"),
@@ -100,8 +106,8 @@ KNOBS: Dict[str, Knob] = {
              "idle-step control policy: 'zero' (plain FSM synthesis, the "
              "paper's flow) or 'hold' (operand isolation)",
              choices=("zero", "hold"), stages=("simulate",),
-             axis="idle_modes", serve=True, axis_flag="--idle-modes",
-             axis_commands=("sweep",)),
+             axis="idle_modes", column="idle", title="idle", serve=True,
+             axis_flag="--idle-modes", axis_commands=("sweep",)),
         # The .vwf time base shared by every design under comparison;
         # the achieved clock period is reported separately (Table 3).
         Knob("sim_clock_ns", float, 40.0, "stimulus clock period (ns)",
@@ -111,12 +117,14 @@ KNOBS: Dict[str, Knob] = {
         Knob("delay_jitter", int, 0,
              "per-gate delay jitter (0 = pure unit delay, the paper's "
              "model)", low=0, stages=("simulate",), axis="jitters",
-             serve=True, axis_flag="--jitters", axis_commands=("sweep",)),
+             column="jit", title="jitters", serve=True,
+             axis_flag="--jitters", axis_commands=("sweep",)),
         Knob("map_effort", str, MAP_EFFORTS[0],
              "technology-mapper effort ('exhaustive' evaluates every "
              "surviving cut per node)", choices=MAP_EFFORTS,
              stages=("techmap",), scalar=True, axis="map_efforts",
-             serve=True, flag="--map-effort",
+             column="effort", title="efforts", serve=True,
+             flag="--map-effort",
              commands=("bench", "suite", "estimate", "corpus"),
              axis_flag="--map-effort", axis_commands=("sweep",)),
         Knob("flow", str, FLOW_MODES[0],
@@ -157,6 +165,40 @@ CONFIG_KNOBS: Tuple[Knob, ...] = tuple(k for k in KNOBS.values() if k.config)
 SWEEP_KNOBS: Tuple[Knob, ...] = tuple(
     k for k in KNOBS.values() if k.scalar or k.axis
 )
+
+#: The stages only the full flow runs (the estimate flow stops before
+#: them) and the ones an external design runs (it has no schedule or
+#: binder).
+FULL_FLOW_STAGES = ("vectors", "simulate", "power")
+DESIGN_STAGES = ("techmap", "timing")
+
+
+def read_only_by(knob: Knob, stages: Tuple[str, ...]) -> bool:
+    """Whether ``knob`` enters fingerprints, all of them in ``stages``."""
+    return bool(knob.stages) and set(knob.stages) <= set(stages)
+
+
+def full_flow_only(knob: Knob) -> bool:
+    """Whether only the full flow reads ``knob``: an estimate grid keeps
+    the first value of its axis, and ``/estimate`` does not take it."""
+    return read_only_by(knob, FULL_FLOW_STAGES)
+
+
+#: The grid axes in record order (row order): the coordinates of every
+#: sweep job and cell. ``alpha`` is not among them: it rides in the
+#: binder column (``SweepSpec.binder_configs``).
+AXIS_KNOBS: Tuple[Knob, ...] = tuple(
+    k for k in KNOBS.values() if k.axis and k.name != "alpha"
+)
+
+#: The grid axes in nesting order, outermost first: the axes the
+#: estimate flow reads too, then the full-flow-only ones with the
+#: averaged axis (no summary column) innermost, each part in row order.
+#: Cells sharing a mapped design stay adjacent, so consecutive cells
+#: share the longest cached pipeline prefix.
+NESTED_AXES: Tuple[Knob, ...] = tuple(sorted(
+    AXIS_KNOBS, key=lambda k: (full_flow_only(k), k.column is None)
+))
 
 
 def _expects(knob: Knob) -> str:
@@ -202,19 +244,22 @@ def check_knob(name: str, value: Any) -> Any:
     return value
 
 
-def knob_fields(*fields: Tuple[str, Any, Any]):
+def knob_fields(*fields: Tuple[str, Any, Any],
+                before: Optional[str] = None):
     """Class decorator: declare ``name: type = default`` per field.
 
     Apply it under ``@dataclass`` so the knob-derived fields become
-    ordinary dataclass fields, after the class's own annotated fields.
+    ordinary dataclass fields, after the class's own annotated fields
+    or, with ``before``, in front of that one.
     """
 
     def declare(cls):
-        annotations = dict(cls.__dict__.get("__annotations__", {}))
-        for name, kind, default in fields:
-            annotations[name] = kind
+        own = list(cls.__dict__.get("__annotations__", {}).items())
+        at = [name for name, _ in own].index(before) if before else len(own)
+        added = [(name, kind) for name, kind, _ in fields]
+        cls.__annotations__ = dict(own[:at] + added + own[at:])
+        for name, _, default in fields:
             setattr(cls, name, default)
-        cls.__annotations__ = annotations
         return cls
 
     return declare

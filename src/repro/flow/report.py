@@ -7,17 +7,20 @@ changes the paper reports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+
+from repro.flow.knobs import NESTED_AXES
+from repro.flow.pipeline import STAGE_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.flow.batch import SweepResult
 
-#: Pipeline order for the per-stage wall-clock line; stages the
-#: pipeline grows later sort after these, alphabetically.
-_STAGE_ORDER = (
-    "bind", "datapath", "elaborate", "techmap", "timing",
-    "vectors", "simulate", "power",
-)
+
+def in_stage_order(stages: Iterable[str]) -> List[str]:
+    """``stages`` in pipeline order; names the pipeline does not know
+    sort after its stages, alphabetically."""
+    rank = {stage: index for index, stage in enumerate(STAGE_NAMES)}
+    return sorted(stages, key=lambda s: (rank.get(s, len(rank)), s))
 
 
 def percent_change(before: float, after: float) -> float:
@@ -63,32 +66,24 @@ def format_table(
 def format_sweep_summary(sweep: "SweepResult") -> str:
     """Aggregate table + execution stats for one sweep.
 
-    One row per (benchmark, config, width, effort, idle, jitter)
-    group. Full-flow sweeps show seed-averaged power (with stdev when
+    One row per aggregate group (every grid axis but the seed).
+    Full-flow sweeps show seed-averaged power (with stdev when
     several seeds ran), toggle rate, the seed-invariant area/clock
     numbers, and the power change versus the sweep's baseline binder;
     estimate-only sweeps show the Equation-(3) switching-activity
     estimate and glitch fraction instead. Grid axes held at a single
-    value are omitted from the columns.
+    value (or collapsed by the estimate flow) are omitted from the
+    columns and the title; the axis rows of the knob table declare
+    their column and title labels.
     """
     spec = sweep.spec
     estimate = spec.flow == "estimate"
+    counts = [(len(spec.axis_values(knob)), knob) for knob in NESTED_AXES]
+    columns = [knob for count, knob in counts if count > 1 and knob.column]
     rows = []
-    multi_width = len(spec.widths) > 1
-    extra_axes = []
-    if len(spec.efforts()) > 1:
-        extra_axes.append(("effort", "map_effort"))
-    if not estimate:
-        if len(spec.idle_modes) > 1:
-            extra_axes.append(("idle", "idle_selects"))
-        if len(spec.jitters) > 1:
-            extra_axes.append(("jit", "delay_jitter"))
     for agg in sweep.aggregates():
         row = [agg["benchmark"], agg["config"]]
-        if multi_width:
-            row.append(agg["width"])
-        for _, key in extra_axes:
-            row.append(agg[key])
+        row += [agg[knob.name] for knob in columns]
         if estimate:
             delta = agg["d_sa_vs_baseline_pct"]
             row += [
@@ -108,32 +103,16 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
             format_change(delta) if delta is not None else "n/a",
         ]
         rows.append(row)
-    headers = ["bench", "config"]
-    if multi_width:
-        headers.append("width")
-    headers += [label for label, _ in extra_axes]
+    headers = ["bench", "config"] + [knob.column for knob in columns]
     if estimate:
         headers += ["est SA", "glitch", "clk ns", "LUTs", "lrg mux", "dSA"]
     else:
         headers += ["power mW", "tog MHz", "clk ns", "LUTs", "lrg mux",
                     "dPow"]
-    axes = [
-        (len(spec.benchmarks), "benchmarks"),
-        (len(spec.binder_configs()), "configs"),
-        (len(spec.widths), "widths"),
-        (len(spec.efforts()), "efforts"),
-    ]
-    if not estimate:
-        # Estimate sweeps collapse the simulation-only axes, so only
-        # full sweeps multiply over them.
-        axes += [
-            (len(spec.idle_modes), "idle"),
-            (len(spec.jitters), "jitters"),
-            (len(spec.vector_seeds), "seeds"),
-        ]
     grid = " x ".join(
-        f"{count} {label}" for count, label in axes
-        if count > 1 or label in ("benchmarks", "configs")
+        [f"{len(spec.benchmarks)} benchmarks",
+         f"{len(spec.binder_configs())} configs"]
+        + [f"{count} {knob.title}" for count, knob in counts if count > 1]
     )
     flow_tag = "estimate-only, " if estimate else ""
     title = (
@@ -169,12 +148,7 @@ def format_sweep_summary(sweep: "SweepResult") -> str:
     ]
     totals = sweep.stage_time_totals()
     if totals:
-        rank = {stage: index for index, stage in enumerate(_STAGE_ORDER)}
-        ordered = sorted(
-            totals.items(),
-            key=lambda item: (rank.get(item[0], len(rank)), item[0]),
-        )
         lines.append("stage wall: " + ", ".join(
-            f"{stage} {seconds:.2f}s" for stage, seconds in ordered
+            f"{stage} {totals[stage]:.2f}s" for stage in in_stage_order(totals)
         ))
     return "\n".join(lines)

@@ -28,7 +28,7 @@ from repro.ingest.module import ExternalDesign
 from repro.techmap.mapper import MapResult, map_netlist
 
 #: Stage names reuse the pipeline vocabulary so report ordering
-#: (:data:`repro.flow.report._STAGE_ORDER`) applies as-is.
+#: (:func:`repro.flow.report.in_stage_order`) applies as-is.
 INGEST_STAGES = ("elaborate", "techmap", "timing")
 
 

@@ -20,16 +20,19 @@ from typing import Any, Dict, Mapping, Tuple
 from repro.errors import ConfigError, ReproError
 from repro.flow.cache import fingerprint
 from repro.flow.grid import BinderConfig, SweepCell, SweepSpec
-from repro.flow.knobs import KNOBS, Knob, check_knob
+from repro.flow.knobs import (
+    AXIS_KNOBS,
+    DESIGN_STAGES,
+    KNOBS,
+    Knob,
+    check_knob,
+    full_flow_only,
+    read_only_by,
+)
 
 
 class RequestError(ConfigError):
     """A malformed request body (maps to HTTP 400)."""
-
-
-def _read_only_by(knob: Knob, stages: Tuple[str, ...]) -> bool:
-    """Whether ``knob`` enters fingerprints, all of them in ``stages``."""
-    return bool(knob.stages) and set(knob.stages) <= set(stages)
 
 
 _SERVE_KNOBS = tuple(k for k in KNOBS.values() if k.serve)
@@ -37,10 +40,7 @@ _SERVE_KNOBS = tuple(k for k in KNOBS.values() if k.serve)
 #: ``serve`` rows; ``/estimate`` drops those only a full flow reads.
 _CELL_KNOBS: Dict[str, Tuple[Knob, ...]] = {
     "full": _SERVE_KNOBS,
-    "estimate": tuple(
-        k for k in _SERVE_KNOBS
-        if not _read_only_by(k, ("vectors", "simulate", "power"))
-    ),
+    "estimate": tuple(k for k in _SERVE_KNOBS if not full_flow_only(k)),
 }
 #: What the cell runs (not knobs): defaults match a bare ``run_flow``.
 _CELL_FIELDS: Dict[str, Any] = {
@@ -96,12 +96,10 @@ def single_cell_spec(body: Mapping[str, Any], flow: str) -> SweepSpec:
     if fields["benchmark"] is None:
         raise RequestError("field 'benchmark' is required")
     kwargs: Dict[str, Any] = {}
-    for knob in knobs:
-        if knob.name == "alpha":
-            continue  # rides in the binder column below
+    for knob in knobs:  # alpha rides in the binder column below
         if knob.scalar:
             kwargs[knob.name] = fields[knob.name]
-        else:
+        elif knob.name != "alpha":
             kwargs[knob.axis] = (fields[knob.name],)
     try:
         spec = SweepSpec(
@@ -124,7 +122,7 @@ def single_cell_spec(body: Mapping[str, Any], flow: str) -> SweepSpec:
 #: The knobs an external design consumes: it has no schedule, binder
 #: or simulation, only the mapping stages.
 _INGEST_KNOBS = tuple(
-    k for k in _SERVE_KNOBS if _read_only_by(k, ("techmap", "timing"))
+    k for k in _SERVE_KNOBS if read_only_by(k, DESIGN_STAGES)
 )
 #: Accepted non-knob fields of a ``POST /ingest`` request.
 _INGEST_FIELDS: Dict[str, Any] = {
@@ -228,17 +226,14 @@ def request_key(kind: str, spec: SweepSpec) -> str:
 
 
 def cell_payload(cell: SweepCell) -> Dict[str, Any]:
-    """The JSON shape of one result cell."""
+    """The JSON shape of one result cell: its grid coordinates in row
+    order, then its measurements."""
     return {
         "benchmark": cell.benchmark,
         "config": cell.config,
         "binder": cell.binder,
         "alpha": cell.alpha,
-        "width": cell.width,
-        "vector_seed": cell.vector_seed,
-        "idle_selects": cell.idle_selects,
-        "delay_jitter": cell.delay_jitter,
-        "map_effort": cell.map_effort,
+        **{knob.name: getattr(cell, knob.name) for knob in AXIS_KNOBS},
         "metrics": cell.metrics,
         "runtime_s": cell.runtime_s,
         "cache_hits": list(cell.cache_hits),

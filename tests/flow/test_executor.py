@@ -336,3 +336,18 @@ class TestDeadWorker:
             after = executor.run_jobs(spec)
         assert [c.metrics for c in after.cells] == \
             [c.metrics for c in run_sweep(spec, jobs=1).cells]
+
+    def test_lost_cells_differing_in_idle_mode_are_told_apart(
+            self, monkeypatch, tmp_path):
+        doom = tmp_path / "doom"
+        doom.touch()
+        self._dying_execute(monkeypatch, doom.exists)
+        spec = small_spec(binders=("lopass",), vector_seeds=(7,),
+                          idle_modes=("zero", "hold"))
+        with FlowExecutor(jobs=2) as executor:
+            with pytest.raises(WorkerLostError) as info:
+                executor.run_jobs(spec)
+        message = str(info.value)
+        for idle in ("zero", "hold"):
+            assert (f"pr/lopass w4 seed 7 idle_selects={idle} "
+                    f"delay_jitter=0 map_effort=fast") in message

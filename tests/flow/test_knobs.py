@@ -25,8 +25,16 @@ from repro.flow import (
     build_pipeline,
     expand_grid,
 )
+from repro.flow.batch import run_sweep
 from repro.flow.executor import _flow_config
-from repro.flow.knobs import CONFIG_KNOBS, KNOBS, SWEEP_KNOBS, check_knob
+from repro.flow.knobs import (
+    AXIS_KNOBS,
+    CONFIG_KNOBS,
+    KNOBS,
+    SWEEP_KNOBS,
+    check_knob,
+)
+from repro.serve.api import cell_payload
 from repro.scheduling import list_schedule
 from tests.knob_values import bad_values, cases, other_value
 
@@ -83,6 +91,43 @@ class TestTableConsistency:
             assert getattr(_flow_config(jobs[0], spec, None), name) == value
         else:
             assert getattr(spec, name) == value
+
+
+class TestAxisSurfaces:
+    """Each grid axis row reaches every surface derived from it."""
+
+    @pytest.mark.parametrize("name", [k.name for k in AXIS_KNOBS])
+    def test_axis_value_reaches_every_surface(self, name):
+        knob = KNOBS[name]
+        value = other_value(knob)
+        fields = dict(benchmarks=["pr"], binders=("lopass",), widths=(4,),
+                      n_vectors=8, baseline="none")
+        spec = SweepSpec(**dict(fields, **{knob.axis: (value,)}))
+        (job,) = expand_grid(spec)
+        assert getattr(job, name) == value
+        sweep = run_sweep(spec)
+        (cell,) = sweep.cells
+        assert getattr(cell, name) == value
+        assert cell_payload(cell)[name] == value
+        (aggregate,) = sweep.aggregates()
+        if knob.column:
+            assert aggregate[name] == value
+        else:  # the averaged axis: one seed in the group
+            assert name not in aggregate and aggregate["n_seeds"] == 1
+        assert sweep.cell("pr", "lopass", **{name: value}) is cell
+        with pytest.raises(KeyError):
+            sweep.cell("pr", "lopass", **{name: knob.default})
+
+    @pytest.mark.parametrize("lookup", ["cell", "result_of"])
+    def test_unknown_coordinate_names_the_axes(self, lookup):
+        sweep = run_sweep(SweepSpec(
+            benchmarks=["pr"], binders=("lopass",), widths=(4,),
+            n_vectors=8, baseline="none",
+        ), keep_results=True)
+        with pytest.raises(TypeError, match="widht") as info:
+            getattr(sweep, lookup)("pr", "lopass", widht=4)
+        for knob in AXIS_KNOBS:
+            assert knob.name in str(info.value)
 
 
 def _downstream(stages):

@@ -10,6 +10,7 @@ cross-product is slow-marked.
 """
 
 import io
+import os
 import time
 from typing import Tuple
 
@@ -24,6 +25,7 @@ from repro.fpga.elaborate import elaborate_datapath
 from repro.netlist.blif import write_blif
 from repro.rtl.datapath import build_datapath
 from repro.scheduling import list_schedule
+from tests.conftest import run_fresh
 
 #: Every ~15th classic corpus instance: cheap tier-1 sampling across
 #: all three families (the full 90 runs slow-marked below).
@@ -114,11 +116,24 @@ def _best_cpu_times(runs: int, datapath) -> Tuple[float, float]:
     return best[0], best[1]
 
 
+#: The speedup timing, run in a fresh interpreter: inside a test
+#: session the heap is large, and the full collections it triggers
+#: land in whichever timed elaboration crosses the threshold, so the
+#: ratio swung with the suite order.
+_FRESH_SPEEDUP = """
+import json, sys
+sys.path.insert(0, {root!r})
+from tests.fpga.test_elab_differential import _best_cpu_times, datapath_for
+print(json.dumps(_best_cpu_times(3, datapath_for("huge-n1024-m40-d100-s0"))))
+"""
+
+
 @pytest.mark.slow
 def test_compiled_elaborator_speedup():
     # The compiled elaborator exists to be faster; on a 1024-op
     # instance it must stay at least 2x ahead of the oracle
     # (elaborate + clean, best of 3).
-    datapath = datapath_for("huge-n1024-m40-d100-s0")
-    fast, reference = _best_cpu_times(3, datapath)
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    fast, reference = run_fresh(_FRESH_SPEEDUP.format(root=root))
     assert reference / fast >= 2.0, (fast, reference)
