@@ -45,12 +45,14 @@ semantics (modular add/sub/mult) via :func:`golden_outputs`.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.activity.transition import MAX_EXACT_INPUTS
 from repro.errors import SimulationError
 from repro.fpga.elaborate import ElaboratedDesign
 from repro.fpga.vectors import (
@@ -60,7 +62,7 @@ from repro.fpga.vectors import (
     popcount,
     unpack_lane_values,
 )
-from repro.netlist.compile import NetArrays, net_arrays
+from repro.netlist.compile import NetArrays, net_arrays, permutation_maps
 from repro.netlist.gates import Netlist, TruthTable
 from repro.rtl.controller import build_controller
 
@@ -239,6 +241,24 @@ def _compile_table_int(table: TruthTable) -> Callable:
 _ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
+@functools.lru_cache(maxsize=None)
+def _class_key(n: int, bits: int) -> Tuple[int, Tuple[int, ...]]:
+    """The least truth table over permutations of the ``n`` inputs of
+    ``bits``, and the first permutation ``order`` reaching it, in
+    :meth:`TruthTable.permute`'s convention (new input ``k`` reads old
+    input ``order[k]``). Tables wider than :data:`MAX_EXACT_INPUTS`
+    keep their input order. Cached process-wide per function.
+    """
+    if n > MAX_EXACT_INPUTS:
+        return bits, tuple(range(n))
+    orders, index = permutation_maps(n)
+    places = np.arange(1 << n, dtype=np.uint64)
+    column = (np.uint64(bits) >> places) & np.uint64(1)
+    packed = (column[index] << places).sum(axis=1)
+    best = int(np.argmin(packed))
+    return int(packed[best]), orders[best]
+
+
 # ---------------------------------------------------------------------------
 # Compiled netlist: the integer-indexed array form the kernel operates on.
 # Derived once per netlist version from its NetArrays view and cached there
@@ -254,8 +274,9 @@ class CompiledNetlist:
     Net ids are assigned sources-first (primary inputs, then latch
     outputs), then gate outputs in topological order. Gate *positions*
     are class-major: gates are sorted by evaluator class (one class per
-    distinct truth table), then topologically, so any sorted array of
-    positions is already grouped by class.
+    distinct truth table up to input order, see :func:`_class_key`),
+    then topologically, so any sorted array of positions is already
+    grouped by class.
     """
 
     n_nets: int
@@ -265,7 +286,8 @@ class CompiledNetlist:
     net_names: List[str]
     #: Per gate position: output net id.
     gate_out: np.ndarray
-    #: ``(n_gates, max arity)`` fanin net ids in port order; a row is
+    #: ``(n_gates, max arity)`` fanin net ids in the port order of the
+    #: gate's class table (its own ports permuted); a row is
     #: zero-padded past its gate's arity.
     gate_fanins: np.ndarray
     #: Per gate position: propagation delay in ticks.
@@ -339,23 +361,35 @@ def _lower(
 
     View ``v``'s net ``i`` is net ``offsets[v] + i`` (the offsets are
     the running net counts); names repeat across views, so a union has
-    no name map. Classes merge by truth-table key and gates sort
-    class-major, stably: position ``p`` holds gate ``order[p]``
-    (returned) of the views' gates laid end to end.
+    no name map. Classes merge by truth-table key up to input order
+    (:func:`_class_key`; each gate's fanin row is permuted to its
+    class table's ports) and gates sort class-major, stably: position
+    ``p`` holds gate ``order[p]`` (returned) of the views' gates laid
+    end to end.
     """
     offsets = np.cumsum([0] + [view.n_nets for view in views])
+    width = max(view.fanin.shape[1] for view in views)
+    identity = tuple(range(width))
     class_of: Dict[Tuple[int, int], int] = {}
-    classes = np.array([
-        class_of.setdefault((table.n_inputs, table.bits), len(class_of))
-        for view in views for table in view.tables
-    ], dtype=np.intp)
+    classes, ports = [], []
+    for view in views:
+        for table in view.tables:
+            bits, ports_of = _class_key(table.n_inputs, table.bits)
+            classes.append(class_of.setdefault(
+                (table.n_inputs, bits), len(class_of)))
+            ports.append(ports_of + identity[table.n_inputs:])
     order = np.argsort(classes, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    width = max(view.fanin.shape[1] for view in views)
     gate_base = np.cumsum([0] + [len(view.tables) for view in views])
     port_base = np.cumsum([0] + [len(view.fanout_gates) for view in views])
     parts = list(zip(views, offsets))
+    # Each gate's fanin row, zero-padded, in its class table's port order.
+    fanins = np.take_along_axis(np.concatenate([
+        np.pad(np.where(view.fanin == view.n_nets, 0, o + view.fanin),
+               ((0, 0), (0, width - view.fanin.shape[1])))
+        for view, o in parts
+    ]), np.array(ports, dtype=np.intp).reshape(len(ports), width), axis=1)
     latches = np.array([
         (o + view.ids[latch.output], o + view.ids[latch.data])
         for view, o in parts for latch in view.netlist.latches.values()
@@ -368,16 +402,13 @@ def _lower(
             o + view.n_sources + np.arange(len(view.tables))
             for view, o in parts
         ])[order],
-        gate_fanins=np.concatenate([
-            np.pad(np.where(view.fanin == view.n_nets, 0, o + view.fanin),
-                   ((0, 0), (0, width - view.fanin.shape[1])))
-            for view, o in parts
-        ])[order],
+        gate_fanins=fanins[order],
         gate_delays=np.ones(len(order), dtype=np.int64),
         class_evals=[_compile_table_int(TruthTable(*key)) for key in class_of],
         class_keys=list(class_of),
         class_start=np.searchsorted(
-            classes[order], np.arange(len(class_of) + 1)
+            np.array(classes, dtype=np.intp)[order],
+            np.arange(len(class_of) + 1),
         ),
         fanout_ptr=np.concatenate(
             [view.fanout_ptr[:-1] + b for view, b in zip(views, port_base)]
@@ -466,48 +497,6 @@ def _block_mask(words: int, start: int, lanes: int) -> np.ndarray:
     return mask
 
 
-def _delay_plan(
-    delays: np.ndarray, segments: List[Tuple[int, int]]
-) -> Tuple[List[Tuple[int, Optional[List[Tuple[int, int]]]]],
-           Optional[np.ndarray]]:
-    """Wheel entries and per-gate membership for the word segments.
-
-    ``delays`` is ``(n_segments, n_gates)``; segment ``s`` owns the
-    words ``segments[s]`` (a ``[start, end)`` range, laid out in
-    order). Per gate, segments whose delay coincides merge into one
-    entry ``(delay, word runs)``; runs of ``None`` cover every segment.
-    Returns the distinct entries and an ``(n_gates, n_entries)``
-    membership matrix (``None`` when there is one entry, which every
-    gate then has).
-    """
-    plans, inverse = np.unique(delays, axis=1, return_inverse=True)
-    entry_of: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    members: List[Tuple[int, int]] = []
-    for plan in range(plans.shape[1]):
-        column = plans[:, plan]
-        for delay in np.unique(column):
-            groups = tuple(np.flatnonzero(column == delay).tolist())
-            entry = entry_of.setdefault((int(delay), groups), len(entry_of))
-            members.append((plan, entry))
-    entries = []
-    for delay, groups in entry_of:
-        runs = None
-        if len(groups) < len(segments):
-            runs = []
-            for group in groups:
-                start, end = segments[group]
-                if runs and runs[-1][1] == start:
-                    start = runs.pop()[0]
-                runs.append((start, end))
-        entries.append((delay, runs))
-    if len(entries) == 1:
-        return entries, None
-    member = np.zeros((plans.shape[1], len(entries)), dtype=bool)
-    for plan, entry in members:
-        member[plan, entry] = True
-    return entries, member[inverse.reshape(-1)]
-
-
 def simulate_batch(
     design: Union[ElaboratedDesign, Sequence[ElaboratedDesign]],
     configs: List[BatchConfig],
@@ -527,12 +516,13 @@ def simulate_batch(
     group* has one per-gate delay vector). Bitwise ops never move bits
     across lanes, so one evaluation serves every configuration; lanes
     outside a member's blocks stay at power-on and never toggle. The
-    groups of all members cut the words into segments; per gate,
-    segments whose delay (its own member's) coincides share one wheel
-    entry (see :func:`_delay_plan`). Each member drives its own pads
-    and control bits under its own lane masks, composed per idle mode;
-    a member with fewer control steps goes quiet after its last one
-    while the other members' latches keep clocking together. Toggles
+    groups of all members cut the words into *segments*, and each
+    segment settles on its own column slice of the pass's arrays, with
+    one per-gate delay vector (each gate its own member's delay for the
+    segment). Each member drives its own pads and control bits under
+    its own lane masks, composed per idle mode; a member with fewer
+    control steps goes quiet after its last one while the other
+    members' latches keep clocking together. Toggles
     accumulate per net and word and are summed per configuration and
     category (pad, control, latch, gate output) at the end.
     """
@@ -563,21 +553,14 @@ def simulate_batch(
             member_of[ci], configs[ci].delay_jitter]):
         starts[ci] = widths[member_of[ci]]
         widths[member_of[ci]] += n_words(configs[ci].vectors.lanes)
-    compiled_by_jitter = [
-        {jitter: compile_netlist(each.netlist, jitter)
-         for owner, jitter in first if owner == m}
-        for m, each in enumerate(members)
-    ]
-    bases = [next(iter(by_jitter.values())) for by_jitter in compiled_by_jitter]
+    bases = [compile_netlist(each.netlist) for each in members]
     views = [net_arrays(each.netlist) for each in members]
     offsets = np.cumsum([0] + [view.n_nets for view in views])
-    # Position ``p`` of the pass holds gate ``order[p]`` of the members'
-    # topological orders laid end to end; one member runs on its cached
-    # lowering.
+    # One member runs on its cached lowering.
     if len(members) == 1:
-        compiled, order = bases[0], bases[0].gate_out - views[0].n_sources
+        compiled = bases[0]
     else:
-        compiled, order = _lower(views)
+        compiled = _lower(views)[0]
         compiled.power_on = np.concatenate([base.power_on for base in bases])
 
     # Per member and word, its delay group's jitter; past the member's
@@ -589,14 +572,17 @@ def simulate_batch(
         word_jitter[member_of[ci], starts[ci]:] = configs[ci].delay_jitter
     cuts = np.flatnonzero((np.diff(word_jitter, axis=1) != 0).any(axis=0))
     bounds = [0, *(cuts + 1).tolist(), total_words]
-    segments = list(zip(bounds, bounds[1:]))
-    # Per member, its gate positions in topological order.
-    topological = [np.argsort(base.gate_out) for base in bases]
-    entries, member = _delay_plan(np.concatenate([
-        np.stack([by_jitter[int(word_jitter[owner, begin])].gate_delays
-                  for begin, _ in segments])[:, topological[owner]]
-        for owner, by_jitter in enumerate(compiled_by_jitter)
-    ], axis=1)[:, order], segments)
+    # Per segment, its words and every gate's delay (its own member's,
+    # for the segment's jitter), looked up by output net.
+    segments = []
+    for begin, end in zip(bounds, bounds[1:]):
+        net_delay = np.zeros(compiled.n_nets, dtype=np.int64)
+        for owner, each in enumerate(members):
+            jittered = compile_netlist(each.netlist,
+                                       int(word_jitter[owner, begin]))
+            net_delay[offsets[owner] + jittered.gate_out] = jittered.gate_delays
+        delays = net_delay[compiled.gate_out]
+        segments.append((begin, end, delays, np.unique(delays).tolist()))
 
     block_masks = [
         _block_mask(total_words, start, config.vectors.lanes)
@@ -618,8 +604,9 @@ def simulate_batch(
     toggles = np.zeros((compiled.n_nets, total_words), dtype=np.int64)
 
     def drive(nets: np.ndarray, owners: np.ndarray, new: np.ndarray,
-              live: np.ndarray) -> np.ndarray:
-        """Set live members' source rows; returns the changed ids."""
+              live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Set live members' source rows; returns the changed ids and
+        their per-word deltas."""
         if not live.all():
             take = live[owners]
             nets, owners, new = nets[take], owners[take], new[take]
@@ -629,14 +616,17 @@ def simulate_batch(
             new = (new & keep) | (old & ~keep)
         delta = old ^ new
         hit = delta.any(axis=1)
-        nets = nets[hit]
-        toggles[nets] += np.bitwise_count(delta[hit])
+        nets, delta = nets[hit], delta[hit]
+        toggles[nets] += np.bitwise_count(delta)
         state[nets] = new[hit]
-        return nets
+        return nets, delta
 
-    def settle(changed: np.ndarray) -> None:
-        _settle(compiled, state, pending, toggles, changed, ones, entries,
-                member)
+    def settle(nets: np.ndarray, delta: np.ndarray) -> None:
+        """Settle each segment from the nets that changed in its words."""
+        for a, b, delays, lags in segments:
+            _settle(compiled, state[:, a:b], pending[:, a:b],
+                    toggles[:, a:b], nets[delta[:, a:b].any(axis=1)],
+                    ones[a:b], delays, lags)
 
     # Every member's pad and control bits: (member, bus key, bit, id).
     pads: List[Tuple[int, object, int, int]] = []
@@ -695,13 +685,13 @@ def simulate_batch(
         for bits, mask in control_bits:
             control_rows[bits[step]] |= mask
         changed.append(drive(control_ids, control_owner, control_rows, live))
-        settle(np.concatenate(changed))
+        settle(*map(np.concatenate, zip(*changed)))
 
         # Clock edge: all flip-flops load their data nets at once, then
         # the network settles again (counted — the paper's simulator
         # sees these transitions too, including after the final edge).
-        settle(drive(compiled.latch_q, latch_owner,
-                     state[compiled.latch_d], live))
+        settle(*drive(compiled.latch_q, latch_owner,
+                      state[compiled.latch_d], live))
 
     results: List[SimulationResult] = []
     for owner, start, config in zip(member_of, starts, configs):
@@ -767,8 +757,8 @@ def _settle(
     toggles: np.ndarray,
     changed: np.ndarray,
     ones: np.ndarray,
-    entries: List[Tuple[int, Optional[List[Tuple[int, int]]]]],
-    member: Optional[np.ndarray],
+    delays: np.ndarray,
+    lags: List[int],
 ) -> None:
     """Event-driven settling after source changes at time 0.
 
@@ -778,19 +768,18 @@ def _settle(
     with a fanin among them re-evaluates against its *pending* value
     (its last evaluation, not the not-yet-updated net). A difference
     adds ``popcount(change)`` per word to ``toggles`` and schedules the
-    output transition, per delay-plan entry whose words changed,
-    ``delay`` ticks later. All delays are >= 1, so a tick's evaluations
-    only read transitions scheduled strictly earlier: they are
-    independent, and the whole tick runs as array operations.
+    output transition ``delays[gate]`` ticks later (``lags``: the
+    distinct delays). All delays are >= 1, so a tick's evaluations only
+    read transitions scheduled strictly earlier: they are independent,
+    and the whole tick runs as array operations.
 
-    The wheel maps a tick to chunks ``(out ids, values, word runs)``,
-    one per evaluation tick and plan entry, so out ids are distinct
-    within a chunk. Two chunks landing on one net at one tick come from
-    different entries of its gate's plan, whose words are disjoint.
+    The wheel maps a tick to chunks ``(out ids, values)``, one per
+    evaluation tick and delay; a gate has one delay, so the out ids
+    landing at one tick are distinct.
     """
     fanout_ptr = compiled.fanout_ptr
     fanout_gates = compiled.fanout_gates
-    wheel: Dict[int, List[Tuple[np.ndarray, np.ndarray, Optional[list]]]] = {}
+    wheel: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
     time = 0
     while True:
         # Triggered gates: CSR gather of the changed nets' fanouts.
@@ -810,41 +799,27 @@ def _settle(
             toggles[outs] += counts
             hit = counts.any(axis=1)
             if not hit.all():
-                outs, new, counts = outs[hit], new[hit], counts[hit]
-                gates = gates[hit]
-            if member is None:
-                if len(outs):
-                    wheel.setdefault(time + entries[0][0], []).append(
-                        (outs, new, None)
-                    )
-            else:
-                plans = member[gates]
-                for entry, (delay, runs) in enumerate(entries):
-                    take = plans[:, entry]
-                    if runs is not None:
-                        take &= np.any(
-                            [counts[:, a:b].any(axis=1) for a, b in runs],
-                            axis=0,
-                        )
+                outs, new, gates = outs[hit], new[hit], gates[hit]
+            if len(lags) == 1 and len(outs):
+                wheel.setdefault(time + lags[0], []).append((outs, new))
+            elif len(lags) > 1:
+                gate_lags = delays[gates]
+                for lag in lags:
+                    take = gate_lags == lag
                     if take.any():
-                        wheel.setdefault(time + delay, []).append(
-                            (outs[take], new[take], runs)
-                        )
+                        wheel.setdefault(time + lag, []).append(
+                            (outs[take], new[take]))
         if not wheel:
             return
         time = min(wheel)
         chunks = wheel.pop(time)
-        for outs, values, runs in chunks:
-            if runs is None:
-                # Every group's words; the lanes past a block's last
-                # vector hold power-on values in both rows.
-                state[outs] = values
-            else:
-                for a, b in runs:
-                    state[outs, a:b] = values[:, a:b]
+        for outs, values in chunks:
+            # The lanes past a block's last vector hold power-on values
+            # in both rows.
+            state[outs] = values
         changed = (
             chunks[0][0] if len(chunks) == 1
-            else np.concatenate([outs for outs, _, _ in chunks])
+            else np.concatenate([outs for outs, _ in chunks])
         )
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import chain
+from itertools import chain, permutations
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -139,6 +139,19 @@ def net_arrays(netlist: Netlist) -> NetArrays:
     if cached is None or cached.version != netlist.version:
         cached = netlist._arrays = NetArrays(netlist)
     return cached
+
+
+@functools.lru_cache(maxsize=None)
+def permutation_maps(n: int) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+    """The permutations of ``n`` table inputs, in ``itertools`` order,
+    and an ``(n!, 2**n)`` index matrix: row ``r`` maps each index of
+    the table :meth:`TruthTable.permute` makes with permutation ``r``
+    (new input ``k`` reads old input ``order[k]``) to its index in the
+    original table."""
+    orders = list(permutations(range(n)))
+    inputs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    old = np.array(orders, dtype=np.int64).reshape(len(orders), 1, n)
+    return orders, (inputs << old).sum(axis=2)
 
 
 def make_gate(

@@ -54,7 +54,7 @@ dictates three implementation rules:
 
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import (
     Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -62,7 +62,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import MappingError
-from repro.netlist.compile import NetArrays
+from repro.netlist.compile import NetArrays, permutation_maps
 from repro.netlist.gates import TruthTable
 from repro.techmap.cuts import cone_function
 
@@ -75,32 +75,20 @@ NPN_EXACT_MAX = 4
 # NPN canonical keys.
 # ---------------------------------------------------------------------------
 
-#: Per-arity transform tables: an int matrix of shape
-#: ``(n! * 2**n, 2**n)`` whose row r maps output-column positions
-#: through one (permutation, input-negation) pair.
-_NPN_TRANSFORMS: Dict[int, np.ndarray] = {}
-
 #: Memoized keys per concrete function (process-wide; tables repeat
 #: heavily across netlists).
 _NPN_KEYS: Dict[Tuple[int, int], Tuple] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _npn_transforms(n: int) -> np.ndarray:
-    matrix = _NPN_TRANSFORMS.get(n)
-    if matrix is None:
-        size = 1 << n
-        combos = np.arange(size)
-        rows = []
-        for perm in itertools.permutations(range(n)):
-            # new input k reads old input perm[k]
-            base = np.zeros(size, dtype=np.int64)
-            for new_pos, old_pos in enumerate(perm):
-                base |= ((combos >> new_pos) & 1) << old_pos
-            for neg in range(size):
-                rows.append(base ^ neg)
-        matrix = np.array(rows, dtype=np.int64)
-        _NPN_TRANSFORMS[n] = matrix
-    return matrix
+    """Per-arity transform table: an int matrix of shape
+    ``(n! * 2**n, 2**n)`` whose row r maps output-column positions
+    through one (permutation, input-negation) pair."""
+    size = 1 << n
+    perms = permutation_maps(n)[1]
+    return (perms[:, None, :] ^ np.arange(size)[None, :, None]).reshape(
+        -1, size)
 
 
 def npn_key(n: int, bits: int) -> Tuple:

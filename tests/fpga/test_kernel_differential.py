@@ -14,12 +14,18 @@ so the same contract holds per configuration of a batch: every
 per-config record must equal a solo reference run of that
 configuration (a fast chem smoke here, the full benchmark
 cross-product slow-marked, and hypothesis properties over batches of
-one and over random small netlists with mixed batches).
+one and over random small netlists with mixed batches). The last
+sections pin the settle per delay segment (eight jitters in one pass,
+segments of unequal width) and the evaluator classes up to input
+order (chem's class count, every gate's permuted fanin row, and the
+input order of a table wider than six inputs).
 """
 
 import dataclasses
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,8 +41,9 @@ from repro.fpga import (
     simulate_design,
 )
 from repro.errors import SimulationError
+from repro.flow import FlowConfig, build_pipeline
 import repro.fpga.simulate as simulate_mod
-from repro.fpga.simulate import _gate_delay, _simulate_reference
+from repro.fpga.simulate import _class_key, _gate_delay, _simulate_reference
 from repro.fpga.vectors import VectorSet
 from repro.netlist.gates import Gate, GateType, Netlist, TruthTable
 from repro.netlist.transform import propagate_constants
@@ -508,3 +515,139 @@ def test_random_netlist_unions_match_reference(seed):
         for design in designs
     ]
     _assert_members_match(designs, configs)
+
+
+# ---------------------------------------------------------------------------
+# Delay segments: each word range where every member has one jitter
+# settles on its own, with one per-gate delay vector.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.slow
+def test_eight_jitters_in_one_pass():
+    """Eight delay groups cut one pass into eight segments, each with
+    its own delay vector; every config equals its solo and reference
+    runs (~4 s, most of it the eight reference runs)."""
+    design, _ = build_mapped("pr")
+    designs = [design] * 8
+    configs = [
+        BatchConfig(
+            random_vectors(_n_pads(design), WIDTH, 16, seed=SEED + jitter),
+            ("zero", "hold")[jitter % 2], jitter,
+        )
+        for jitter in (3, 0, 7, 1, 5, 2, 6, 4)
+    ]
+    _assert_members_match(designs, configs)
+
+
+def test_union_segments_of_unequal_width():
+    """pr's delay groups span words [0, 3) and [3, 4), wang's [0, 1)
+    and [1, 3) (and its last group's jitter past them), so the pass
+    settles segments of 1, 2 and 1 words."""
+    pr, _ = build_mapped("pr")
+    wang, _ = build_mapped("wang")
+
+    def vectors(design, lanes, seed):
+        return random_vectors(_n_pads(design), WIDTH, lanes, seed=seed)
+
+    designs = [pr, wang, pr, wang]
+    configs = [
+        BatchConfig(vectors(pr, 130, SEED), "zero", 0),
+        BatchConfig(vectors(wang, 48, SEED + 1), "hold", 2),
+        BatchConfig(vectors(pr, 48, SEED + 2), "hold", 1),
+        BatchConfig(vectors(wang, 65, SEED + 3), "zero", 0),
+    ]
+    _assert_members_match(designs, configs)
+
+
+# ---------------------------------------------------------------------------
+# Evaluator classes: one per distinct truth table up to input order.
+# ---------------------------------------------------------------------------
+
+def _class_of(compiled, position):
+    return int(np.searchsorted(compiled.class_start, position,
+                               side="right")) - 1
+
+
+def _assert_class_tables_match(netlist, compiled):
+    """Every gate's class table, read over its permuted fanin row,
+    computes the gate's own table."""
+    for position, out in enumerate(compiled.gate_out.tolist()):
+        gate = netlist.gates[compiled.net_names[out]]
+        n = gate.table.n_inputs
+        own = [compiled.net_id[net] for net in gate.inputs]
+        row = compiled.gate_fanins[position, :n].tolist()
+        assert sorted(row) == sorted(own)
+        table = TruthTable(*compiled.class_keys[_class_of(compiled, position)])
+        for index in range(1 << n):
+            value = {net: bool((index >> k) & 1) for k, net in enumerate(own)}
+            assert table.evaluate([value[net] for net in row]) == \
+                gate.table.evaluate([value[net] for net in own])
+
+
+def test_chem_classes_merge_up_to_input_order():
+    """chem's LOPASS design (width 8, k=4, as the flow maps it) has 23
+    distinct LUT tables in 11 classes up to input order."""
+    spec = benchmark_spec("chem")
+    schedule = list_schedule(load_benchmark("chem"), spec.constraints)
+    design = build_pipeline(
+        schedule, spec.constraints, "lopass", FlowConfig(width=8, k=4),
+    ).artifact("techmap").design
+    compiled = compile_netlist(design.netlist)
+    tables = {(gate.table.n_inputs, gate.table.bits)
+              for gate in design.netlist.gates.values()}
+    assert (len(tables), len(compiled.class_keys)) == (23, 11)
+    _assert_class_tables_match(design.netlist, compiled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=0, max_value=4), data=st.data())
+def test_class_key_is_the_least_permuted_table(n, data):
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    least, order = _class_key(n, bits)
+    table = TruthTable(n, bits)
+    assert table.permute(order).bits == least
+    assert least == min(table.permute(each).bits
+                        for each in itertools.permutations(range(n)))
+
+
+def test_seven_input_gate_keeps_its_input_order():
+    """A table wider than MAX_EXACT_INPUTS is its own class, read in
+    port order, and still simulates as the reference does."""
+    netlist = _source_netlist()
+    design = _custom_design(netlist, {})
+    sources = [net for nets in design.pad_nets.values() for net in nets]
+    wide = netlist.add_gate(
+        TruthTable(7, random.Random(SEED).getrandbits(1 << 7)),
+        sources[:7],
+    )
+    narrow = netlist.add_gate(TruthTable(3, 0b10010110),
+                              [wide, sources[7], sources[0]])
+    design.output_nets[0] = [wide, narrow]
+    compiled = compile_netlist(netlist)
+    position = compiled.gate_out.tolist().index(compiled.net_id[wide])
+    assert compiled.class_keys[_class_of(compiled, position)] == (
+        7, netlist.gates[wide].table.bits
+    )
+    assert compiled.gate_fanins[position].tolist() == [
+        compiled.net_id[net] for net in sources[:7]
+    ]
+    _assert_class_tables_match(netlist, compiled)
+    vectors = random_vectors(_n_pads(design), WIDTH, LANES, seed=SEED)
+    for jitter in (0, 2):
+        assert simulate_design(
+            design, vectors, collect_per_net=True, delay_jitter=jitter
+        ) == _simulate_reference(
+            design, vectors, collect_per_net=True, delay_jitter=jitter
+        )
+
+
+def test_constant_gates_only():
+    """No gate has a fanin, so the fanin matrix has no columns."""
+    netlist = _source_netlist()
+    design = _custom_design(netlist, {})
+    design.output_nets[0] = [
+        netlist.add_gate(TruthTable(0, bits), []) for bits in (0, 1)
+    ]
+    vectors = random_vectors(_n_pads(design), WIDTH, LANES, seed=SEED)
+    assert simulate_design(design, vectors, collect_per_net=True) == \
+        _simulate_reference(design, vectors, collect_per_net=True)
