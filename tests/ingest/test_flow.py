@@ -1,6 +1,8 @@
 """Flow entry for external designs: caching, sweeps, pool, CLI."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,13 @@ from repro.flow.run import FlowConfig
 from repro.ingest import (
     INGEST_STAGES,
     design_fingerprint,
+    load_design,
     load_design_text,
     run_design_estimate,
 )
+from repro.techmap.mapper import MAP_EFFORTS
+
+MAC4_PATH = Path(__file__).resolve().parents[2] / "examples" / "mac4.json"
 
 TINY_TEXT = json.dumps({
     "format": "repro-module-v1",
@@ -85,6 +91,61 @@ class TestRunDesignEstimate:
         k4 = run_design_estimate(design, FlowConfig(k=4, flow="estimate"))
         k2 = run_design_estimate(design, FlowConfig(k=2, flow="estimate"))
         assert k2.metrics()["area_luts"] > k4.metrics()["area_luts"]
+
+
+def _digest(records):
+    """SHA-256 of the records' JSON dump (key order included)."""
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+class TestBytePins:
+    """Byte pins of the design flow's observable output: a change to
+    how design stages run (their engine, digests or bookkeeping) must
+    leave every metric, cache outcome and stage name as it is."""
+
+    def test_design_grid_cold_and_warm(self):
+        records = []
+        for design in (load_design(str(MAC4_PATH)),
+                       load_design_text(TINY_TEXT)):
+            cache = ArtifactCache(256)
+            for phase in ("cold", "warm"):
+                for k in range(2, 7):
+                    for effort in MAP_EFFORTS:
+                        for activity in (0.1, 0.5):
+                            result = run_design_estimate(design, FlowConfig(
+                                k=k, map_effort=effort,
+                                control_activity=activity, flow="estimate",
+                            ), cache=cache)
+                            records.append([
+                                design.name, phase, k, effort, activity,
+                                result.metrics(), result.cache_hits,
+                                list(result.stage_timings),
+                            ])
+        assert _digest(records) == (
+            "3e5c653fd15be42acccacbeae59775c9b48b41432cd7117708e9d4b52ed2ed02"
+        )
+
+    def test_mixed_benchmark_and_design_sweep_cells(self):
+        from repro.flow.executor import FlowExecutor
+
+        mac4 = MAC4_PATH.read_text()
+        spec = _design_spec(
+            benchmarks=["pr"], binders=("lopass", "hlpower"), widths=(4,),
+            designs={"mac4": mac4, "tiny": TINY_TEXT},
+            map_efforts=("fast", "exhaustive"),
+        )
+        records = []
+        with FlowExecutor() as executor:
+            for _ in ("cold", "warm"):
+                sweep = run_sweep(spec, executor=executor)
+                records.append([
+                    [list(cell.key), cell.metrics, cell.cache_hits,
+                     cell.schedule_cache_hit]
+                    for cell in sweep.cells
+                ])
+        assert _digest(records) == (
+            "ee7f9af38ed19b8c2aa2ea3cf0e51dc3d29b3c8be9e0d34041f7aa8b3a82fb1e"
+        )
 
 
 def _design_spec(**overrides):

@@ -358,3 +358,41 @@ class TestMetricsEndpoint:
         assert "hit_rate" in metrics["executor"]["cache"]
         assert metrics["executor"]["cone_memo"]["misses"] > 0
         assert metrics["uptime_s"] >= 0.0
+
+
+class TestWireSchemaPins:
+    """The key sets and order clients read from a ``/sweep`` summary
+    line and from ``/metrics``' executor record."""
+
+    CACHE_KEYS = [
+        "disk_corrupt", "disk_evictions", "disk_hits", "disk_read_s",
+        "disk_write_s", "entries", "evictions", "hit_rate", "hits",
+        "lookup_s", "misses", "stores",
+    ]
+
+    def test_sweep_summary_and_executor_metrics_keys(self):
+        async def scenario(server):
+            sweep = await http_request(server.port, "POST", "/sweep", {
+                "spec": {"benchmarks": ["pr"], "binders": ["lopass"],
+                         "widths": [4], "n_vectors": 16},
+            })
+            metrics = await http_request(server.port, "GET", "/metrics")
+            return sweep, metrics
+
+        sweep, metrics = run_scenario(scenario)
+        lines = [json.loads(line) for line in sweep[2].splitlines() if line]
+        (summary,) = [line["summary"] for line in lines if "summary" in line]
+        assert list(summary) == [
+            "cache", "cells", "sa_new_entries", "sim_batch_wall_s",
+            "sim_batched_cells", "sim_batches",
+        ]
+        assert list(summary["cache"]) == self.CACHE_KEYS
+        executor = json.loads(metrics[2])["executor"]
+        assert list(executor) == [
+            "cache", "cells", "chunks", "cone_memo", "sa_new_entries",
+            "schedule_cache_hits", "schedule_cache_misses",
+            "sim_batch_wall_s", "sim_batched_cells", "sim_batches",
+            "submissions", "wall_s",
+        ]
+        assert list(executor["cache"]) == self.CACHE_KEYS
+        assert list(executor["cone_memo"]) == ["hits", "misses", "resets"]
