@@ -248,7 +248,6 @@ _STATS = tuple(
     if f.name not in ("spec", "cells", "results")
 )
 
-
 # ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
@@ -294,51 +293,34 @@ def run_sweep(
     execution knobs — passing ``jobs``/``sa_table``/cache arguments
     alongside it is a configuration conflict and raises.
     """
-    if executor is not None:
-        if (jobs != 1 or sa_table is not None or not use_cache
-                or cache_entries != DEFAULT_CACHE_ENTRIES
-                or cache_dir is not None):
-            raise ConfigError(
-                "run_sweep(executor=...) conflicts with jobs/sa_table/"
-                "use_cache/cache_entries/cache_dir — the resident "
-                "executor owns those knobs"
-            )
-        if keep_results and executor.jobs > 1:
-            raise ConfigError(
-                "keep_results requires jobs=1 (in-process mode)"
-            )
-    else:
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if keep_results and jobs > 1:
-            raise ConfigError(
-                "keep_results requires jobs=1 (in-process mode)"
-            )
-        if cache_dir is not None and not use_cache:
-            raise ConfigError(
-                "cache_dir requires use_cache=True (the disk layer lives "
-                "inside the artifact cache)"
-            )
+    if executor is not None and (
+            jobs != 1 or sa_table is not None or not use_cache
+            or cache_entries != DEFAULT_CACHE_ENTRIES
+            or cache_dir is not None):
+        raise ConfigError(
+            "run_sweep(executor=...) conflicts with jobs/sa_table/"
+            "use_cache/cache_entries/cache_dir — the resident "
+            "executor owns those knobs"
+        )
     started = time.perf_counter()
     job_list = expand_grid(spec)
 
     transient: Optional[FlowExecutor] = None
     if executor is None:
-        table = sa_table if sa_table is not None else SATable()
-        transient = FlowExecutor(
+        transient = executor = FlowExecutor(
             jobs=jobs,
-            sa_table=table,
+            sa_table=sa_table,
             use_cache=use_cache,
             cache_entries=cache_entries,
             cache_dir=cache_dir,
         )
-        executor = transient
-    table = executor.sa_table
-    precalc_entries = (
-        table.precalculate(precalc_max_mux) if precalc_max_mux > 0 else 0
-    )
-
     try:
+        executor.check(keep_results)
+        table = executor.sa_table
+        precalc_entries = (
+            table.precalculate(precalc_max_mux) if precalc_max_mux > 0
+            else 0
+        )
         submission = executor.run_jobs(
             spec, job_list, keep_results=keep_results, progress=progress,
         )
@@ -346,8 +328,7 @@ def run_sweep(
         if transient is not None:
             transient.shutdown()
 
-    cells = submission.cells
-    hits = sum(1 for cell in cells if cell.schedule_cache_hit)
+    cells, stats = submission.cells, submission.stats
     stage_hits = sum(len(cell.cache_hits) for cell in cells)
     stage_total = sum(len(cell.stage_timings) for cell in cells)
     return SweepResult(
@@ -355,14 +336,14 @@ def run_sweep(
         cells=cells,
         jobs=executor.jobs,
         wall_s=time.perf_counter() - started,
-        schedule_cache_hits=hits,
-        schedule_cache_misses=len(cells) - hits,
+        schedule_cache_hits=stats.schedule_cache_hits,
+        schedule_cache_misses=stats.schedule_cache_misses,
         sa_precalc_entries=precalc_entries,
-        sa_new_entries=submission.sa_new_entries,
+        sa_new_entries=stats.sa_new_entries,
         stage_cache_hits=stage_hits,
         stage_cache_misses=stage_total - stage_hits,
-        sim_batches=submission.sim_batches,
-        sim_batched_cells=submission.sim_batched_cells,
-        sim_batch_wall_s=submission.sim_batch_wall_s,
+        sim_batches=stats.sim_batches,
+        sim_batched_cells=stats.sim_batched_cells,
+        sim_batch_wall_s=stats.sim_batch_wall_s,
         results=submission.results,
     )

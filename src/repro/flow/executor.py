@@ -46,7 +46,13 @@ from repro.cdfg import benchmark_spec, load_benchmark
 from repro.errors import ConfigError, WorkerLostError
 from repro.flow.cache import ArtifactCache, CacheStats, encode
 from repro.flow.grid import SweepCell, SweepJob, SweepSpec, expand_grid
-from repro.flow.knobs import AXIS_KNOBS, CONFIG_KNOBS
+from repro.flow.knobs import (
+    AXIS_KNOBS,
+    CONFIG_KNOBS,
+    DESIGN_STAGES,
+    Knob,
+    read_only_by,
+)
 from repro.flow.pipeline import (
     Pipeline,
     batch_simulate_pipelines,
@@ -146,30 +152,27 @@ def _elaborate(state: Dict[str, Any], benchmark: str,
     return memo[key], hit
 
 
-def _flow_config(job: SweepJob, spec: SweepSpec, table: SATable) -> FlowConfig:
+#: The FlowConfig rows an external design reads: it has no schedule,
+#: binder or simulation (``POST /ingest`` takes the same rows).
+_DESIGN_KNOBS = tuple(
+    k for k in CONFIG_KNOBS if read_only_by(k, DESIGN_STAGES)
+)
+
+
+def _flow_config(job: SweepJob, spec: SweepSpec, table: SATable,
+                 knobs: Tuple[Knob, ...] = CONFIG_KNOBS) -> FlowConfig:
     """The FlowConfig of one job.
 
-    Swept knobs take the job's grid coordinate, the spec's scalar
-    knobs apply to every cell, and the rest keep their defaults.
+    Of the ``knobs`` rows, swept knobs take the job's grid coordinate
+    and the spec's scalar knobs apply to every cell; every other
+    field keeps its default.
     """
     values = {
         knob.name: getattr(job if knob.axis else spec, knob.name)
-        for knob in CONFIG_KNOBS
+        for knob in knobs
         if knob.scalar or knob.axis
     }
     return FlowConfig(sa_table=table, **values)
-
-
-def _load_design(state: Dict[str, Any], name: str, text: str):
-    """Memoized parse + canonicalization of one external design."""
-    key = ("design", name, text)
-    memo = state["memo"]
-    hit = key in memo
-    if not hit:
-        from repro.ingest import load_design_text
-
-        memo[key] = load_design_text(text, name=name)
-    return memo[key], hit
 
 
 def _cell(job: SweepJob, result: Any, schedule_hit: bool,
@@ -201,23 +204,23 @@ def _job_label(job: SweepJob) -> str:
     )
 
 
-def _execute_design(state: Dict[str, Any], job: SweepJob,
-                    spec: SweepSpec) -> Tuple[SweepCell, Any, Dict[Any, float]]:
-    """Run one external-design job (estimate flow, no schedule/binder)."""
-    from repro.ingest import run_design_estimate
-
-    design, hit = _load_design(state, job.design, spec.designs[job.design])
-    cfg = FlowConfig(k=spec.k, map_effort=job.map_effort, flow="estimate")
-    result = run_design_estimate(design, cfg, cache=state["cache"])
-    return _cell(job, result, hit, 0), result, {}
-
-
-def _prepare(state: Dict[str, Any], job: SweepJob,
-             spec: SweepSpec) -> Tuple[Optional[Pipeline], bool]:
-    """The job's pipeline over a worker's shared state (``None`` for an
-    external design), and whether its inputs were memoized."""
+def _prepare(
+    state: Dict[str, Any], job: SweepJob, spec: SweepSpec,
+) -> Tuple[Pipeline, bool, Callable[[Pipeline], Any]]:
+    """The job's pipeline over a worker's shared state, whether its
+    inputs (schedule or parsed design) were memoized, and the function
+    reading its result."""
     if job.design is not None:
-        return None, False
+        from repro.ingest import DesignPipeline, load_design_text
+
+        # Memoized parse + canonicalization of the design text.
+        key = ("design", job.design, spec.designs[job.design])
+        hit = key in state["memo"]
+        if not hit:
+            state["memo"][key] = load_design_text(key[2], name=job.design)
+        cfg = _flow_config(job, spec, state["sa_table"], _DESIGN_KNOBS)
+        return (DesignPipeline(state["memo"][key], cfg, state["cache"]),
+                hit, DesignPipeline.result)
     (schedule, constraints, registers, ports, token), hit = _elaborate(
         state, job.benchmark, spec
     )
@@ -225,18 +228,15 @@ def _prepare(state: Dict[str, Any], job: SweepJob,
         schedule, constraints, job.config.binder,
         _flow_config(job, spec, state["sa_table"]), registers, ports,
         cache=state["cache"], input_token=token,
-    ), hit
+    ), hit, flow_result if spec.flow == "full" else estimate_result
 
 
-def _execute(state: Dict[str, Any], job: SweepJob, spec: SweepSpec,
-             pipe: Optional[Pipeline],
-             hit: bool) -> Tuple[SweepCell, Any, Dict[Any, float]]:
+def _execute(state: Dict[str, Any], job: SweepJob, pipe: Pipeline,
+             hit: bool, finish: Callable[[Pipeline], Any],
+             ) -> Tuple[SweepCell, Any, Dict[Any, float]]:
     """Run one job's flow to its end on its pipeline."""
-    if pipe is None:
-        return _execute_design(state, job, spec)
     table: SATable = state["sa_table"]
-    result = flow_result(pipe) if spec.flow == "full" else \
-        estimate_result(pipe)
+    result = finish(pipe)
     # The table only ever grows, so an unchanged size means no new
     # entries and no copy of the table.
     known: set = state["sa_known"]
@@ -262,23 +262,20 @@ def _run_chunk(
     spec: SweepSpec,
     keep_results: bool = False,
     progress: Optional[Callable[[SweepCell], None]] = None,
-) -> Tuple[List[Tuple[SweepCell, Any, Dict[Any, float]]], Dict[str, Any]]:
+) -> Tuple[List[Tuple[SweepCell, Any, Dict[Any, float]]], "ExecutorStats"]:
     """The flows of one chunk of jobs, ``spec.sim_batch`` at a time: a
     window's pipelines simulate in batched passes, then each job's flow
     finishes on its own pipeline.
 
-    Alongside the batching stats the returned dict carries a
-    ``"cache"`` :class:`CacheStats` delta covering exactly this chunk's
-    artifact-cache traffic, and a ``"cone_memo"`` delta of the cache's
-    cone-memo counters — computed here so pool children can ship them
-    back without the parent ever seeing their cache objects.
+    The returned :class:`ExecutorStats` counts exactly this chunk,
+    artifact-cache traffic and cone-memo counters included — computed
+    here so pool children can ship them back without the parent ever
+    seeing their cache objects.
     """
     cache: Optional[ArtifactCache] = state["cache"]
     before = cache.stats_typed() if cache is not None else None
     memo_before = _cone_memo_counts(cache)
-    stats: Dict[str, Any] = {
-        "batches": 0, "batched_cells": 0, "batch_wall_s": 0.0,
-    }
+    stats = ExecutorStats(chunks=1)
     batching = (cache is not None and spec.sim_batch > 1
                 and spec.flow == "full")
     out = []
@@ -286,31 +283,33 @@ def _run_chunk(
     for start in range(0, len(chunk), spec.sim_batch):
         window = [(job, *_prepare(state, job, spec))
                   for job in chunk[start:start + spec.sim_batch]]
-        pipes = [(job, pipe) for job, pipe, _ in window if pipe is not None]
         notes: Dict[int, Tuple[int, float]] = {}
         passes = batch_simulate_pipelines(
-            [pipe for _, pipe in pipes], max_batch=spec.sim_batch
+            [pipe for _, pipe, _, _ in window], max_batch=spec.sim_batch
         ) if batching else []
         for members, wall in passes:
             for member in members:
-                notes[pipes[member][0].index] = (len(members),
-                                                 wall / len(members))
-            stats["batches"] += 1
-            stats["batched_cells"] += len(members)
-            stats["batch_wall_s"] += wall
-        for job, pipe, hit in window:
-            cell, result, new_entries = _execute(state, job, spec, pipe, hit)
+                notes[window[member][0].index] = (len(members),
+                                                  wall / len(members))
+            stats.sim_batches += 1
+            stats.sim_batched_cells += len(members)
+            stats.sim_batch_wall_s += wall
+        for job, pipe, hit, finish in window:
+            cell, result, new_entries = _execute(state, job, pipe, hit,
+                                                 finish)
             if job.index in notes:
                 cell.sim_batch, cell.sim_batch_s = notes[job.index]
+            stats.cells += 1
+            stats.schedule_cache_hits += int(hit)
+            stats.sa_new_entries += len(new_entries)
             out.append((cell, result if keep_results else None, new_entries))
             if progress is not None:
                 progress(cell)
-    stats["cache"] = (
-        cache.stats_typed().since(before) if cache is not None
-        else CacheStats()
-    )
+    stats.schedule_cache_misses = stats.cells - stats.schedule_cache_hits
+    if cache is not None:
+        stats.cache = cache.stats_typed().since(before)
     memo_after = _cone_memo_counts(cache)
-    stats["cone_memo"] = {
+    stats.cone_memo = {
         name: memo_after[name] - memo_before[name]
         for name in _CONE_MEMO_COUNTERS
     }
@@ -319,7 +318,7 @@ def _run_chunk(
 
 def _execute_chunk_remote(
     work: Tuple[SweepSpec, List[SweepJob]],
-) -> Tuple[List[Tuple[SweepCell, Dict[Any, float]]], Dict[str, Any]]:
+) -> Tuple[List[Tuple[SweepCell, Dict[Any, float]]], "ExecutorStats"]:
     """Pool entry point: drop the heavyweight FlowResults before pickling."""
     spec, chunk = work
     executed, stats = _run_chunk(_WORKER, chunk, spec)
@@ -329,14 +328,11 @@ def _execute_chunk_remote(
     )
 
 
-def _add_counts(total: Dict[str, int], delta: Dict[str, int]) -> None:
-    for name, count in delta.items():
-        total[name] += count
-
-
 @dataclass
 class ExecutorStats:
-    """Lifetime counters of one :class:`FlowExecutor`."""
+    """Counters of executed work: one chunk's, one submission's, or a
+    :class:`FlowExecutor`'s lifetime (each the :meth:`merge` of the
+    one before)."""
 
     submissions: int = 0
     cells: int = 0
@@ -348,34 +344,48 @@ class ExecutorStats:
     sim_batched_cells: int = 0
     sim_batch_wall_s: float = 0.0
     wall_s: float = 0.0
-    #: Artifact-cache traffic accumulated over every submission (pool
-    #: children included — their per-chunk deltas merge in here).
+    #: Artifact-cache traffic (pool children's chunks included).
     cache: CacheStats = field(default_factory=CacheStats)
     #: Tech-mapper cone-memo counters, merged the same way.
     cone_memo: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(_CONE_MEMO_COUNTERS, 0)
     )
 
+    def merge(self, other: "ExecutorStats") -> None:
+        """Add ``other``'s counters into this record."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.cache.merge(other.cache)
+        for name, count in other.cone_memo.items():
+            self.cone_memo[name] += count
+
     def to_dict(self) -> Dict[str, Any]:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data: Dict[str, Any] = {name: getattr(self, name)
+                                for name in _COUNTERS}
         data["cache"] = self.cache.to_dict()
         data["cone_memo"] = dict(self.cone_memo)
         return data
+
+
+#: The plain number fields of :class:`ExecutorStats`, in field order
+#: (computed once: :meth:`ExecutorStats.merge` runs per submission).
+_COUNTERS = tuple(
+    f.name for f in fields(ExecutorStats)
+    if f.name not in ("cache", "cone_memo")
+)
 
 
 @dataclass
 class Submission:
     """What one :meth:`FlowExecutor.run_jobs` call produced."""
 
-    cells: List[SweepCell]
+    cells: List[SweepCell] = field(default_factory=list)
     #: Full FlowResults keyed by cell key (only with keep_results).
-    results: Dict[Tuple, Any]
-    sa_new_entries: int
-    sim_batches: int
-    sim_batched_cells: int
-    sim_batch_wall_s: float
-    #: Artifact-cache traffic of exactly this submission.
-    cache: CacheStats
+    results: Dict[Tuple, Any] = field(default_factory=dict)
+    #: The counters of exactly this submission.
+    stats: ExecutorStats = field(
+        default_factory=lambda: ExecutorStats(submissions=1)
+    )
 
 
 class FlowExecutor:
@@ -458,12 +468,6 @@ class FlowExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown()
 
-    # -- introspection -----------------------------------------------------
-
-    def cache_stats(self) -> CacheStats:
-        """Lifetime artifact-cache traffic (in-process + pool deltas)."""
-        return self.stats.cache
-
     def _respawn(self) -> None:
         """Replace a broken pool with fresh, cold workers."""
         assert self._pool is not None
@@ -474,7 +478,7 @@ class FlowExecutor:
     def _map_chunks(
         self, chunks: List[Tuple[SweepSpec, List[SweepJob]]]
     ) -> Iterator[Tuple[List[Tuple[SweepCell, Dict[Any, float]]],
-                        Dict[str, Any]]]:
+                        ExecutorStats]]:
         """Each chunk's pool result, in chunk order.
 
         A dead worker breaks the pool and every unfinished chunk. The
@@ -517,6 +521,16 @@ class FlowExecutor:
 
     # -- submission --------------------------------------------------------
 
+    def check(self, keep_results: bool = False) -> None:
+        """Raise :class:`ConfigError` unless a submission with these
+        options can run on this executor."""
+        if self._closed:
+            raise ConfigError("executor has been shut down")
+        if keep_results and self.jobs > 1:
+            raise ConfigError(
+                "keep_results requires jobs=1 (in-process mode)"
+            )
+
     def run_jobs(
         self,
         spec: SweepSpec,
@@ -533,12 +547,7 @@ class FlowExecutor:
         the full FlowResult objects and therefore requires the
         in-process mode.
         """
-        if self._closed:
-            raise ConfigError("executor has been shut down")
-        if keep_results and self.jobs > 1:
-            raise ConfigError(
-                "keep_results requires jobs=1 (in-process mode)"
-            )
+        self.check(keep_results)
         if job_list is None:
             job_list = expand_grid(spec)
         else:
@@ -546,32 +555,18 @@ class FlowExecutor:
         with self._lock:
             started = time.perf_counter()
             self.start()
-            cells: List[SweepCell] = []
-            results: Dict[Tuple, Any] = {}
-            sa_new_total = 0
-            batch_stats: Dict[str, Any] = {
-                "batches": 0, "batched_cells": 0, "batch_wall_s": 0.0,
-            }
-            cache_delta = CacheStats()
-            memo_delta = dict.fromkeys(_CONE_MEMO_COUNTERS, 0)
-            n_chunks = 0
-
+            submission = Submission()
             if self.jobs == 1 or len(job_list) <= 1:
                 assert self._state is not None
                 executed, stats = _run_chunk(
                     self._state, job_list, spec,
                     keep_results=keep_results, progress=progress,
                 )
-                n_chunks = 1
-                for key in batch_stats:
-                    batch_stats[key] += stats[key]
-                cache_delta.merge(stats["cache"])
-                _add_counts(memo_delta, stats["cone_memo"])
-                for cell, result, new_entries in executed:
-                    sa_new_total += len(new_entries)
-                    cells.append(cell)
+                submission.stats.merge(stats)
+                for cell, result, _ in executed:
+                    submission.cells.append(cell)
                     if keep_results:
-                        results[cell.key] = result
+                        submission.results[cell.key] = result
             else:
                 # Explicit chunks keep same-benchmark jobs on one
                 # worker (memo locality) and give each worker whole
@@ -584,42 +579,21 @@ class FlowExecutor:
                     (spec, list(job_list[start:start + chunksize]))
                     for start in range(0, len(job_list), chunksize)
                 ]
-                n_chunks = len(chunks)
                 table = self.sa_table
                 # The in-process state shares this table: entries merged
                 # here are not new to a later in-process submission.
                 known: set = self._state["sa_known"]
                 for executed, stats in self._map_chunks(chunks):
-                    for key in batch_stats:
-                        batch_stats[key] += stats[key]
-                    cache_delta.merge(stats["cache"])
-                    _add_counts(memo_delta, stats["cone_memo"])
+                    # New to a worker child is not new to the shared
+                    # table: count what the merge adds.
+                    stats.sa_new_entries = 0
                     for cell, new_entries in executed:
-                        sa_new_total += table.merge(new_entries)
+                        stats.sa_new_entries += table.merge(new_entries)
                         known.update(new_entries)
-                        cells.append(cell)
+                        submission.cells.append(cell)
                         if progress is not None:
                             progress(cell)
-
-            hits = sum(1 for cell in cells if cell.schedule_cache_hit)
-            self.stats.submissions += 1
-            self.stats.cells += len(cells)
-            self.stats.chunks += n_chunks
-            self.stats.schedule_cache_hits += hits
-            self.stats.schedule_cache_misses += len(cells) - hits
-            self.stats.sa_new_entries += sa_new_total
-            self.stats.sim_batches += batch_stats["batches"]
-            self.stats.sim_batched_cells += batch_stats["batched_cells"]
-            self.stats.sim_batch_wall_s += batch_stats["batch_wall_s"]
-            self.stats.wall_s += time.perf_counter() - started
-            self.stats.cache.merge(cache_delta)
-            _add_counts(self.stats.cone_memo, memo_delta)
-            return Submission(
-                cells=cells,
-                results=results,
-                sa_new_entries=sa_new_total,
-                sim_batches=batch_stats["batches"],
-                sim_batched_cells=batch_stats["batched_cells"],
-                sim_batch_wall_s=batch_stats["batch_wall_s"],
-                cache=cache_delta,
-            )
+                    submission.stats.merge(stats)
+            submission.stats.wall_s = time.perf_counter() - started
+            self.stats.merge(submission.stats)
+            return submission

@@ -51,6 +51,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -158,10 +159,11 @@ def run_binder(
 @dataclass
 class MappedDesign:
     """The tech-map stage's artifact: the mapping plus the remapped
-    design (same name maps, LUT netlist) the simulator consumes."""
+    design (same name maps, LUT netlist) the simulator consumes —
+    ``None`` for an ingested design, which nothing simulates."""
 
     mapping: MapResult
-    design: ElaboratedDesign
+    design: Optional[ElaboratedDesign]
 
 
 @dataclass
@@ -349,16 +351,22 @@ def cone_memo(cache: Optional[ArtifactCache]) -> ConeMemo:
     return cache.cone_memo if cache is not None else ConeMemo()
 
 
+def techmap_netlist(p: "Pipeline", netlist,
+                    control_nets: Iterable[str]) -> MapResult:
+    """Map ``netlist`` with ``p``'s techmap knobs, ``control_nets``
+    taking the control-activity hint (the design flow's techmap too)."""
+    return map_netlist(
+        netlist, k=p.cfg.k,
+        input_activities=dict.fromkeys(control_nets, p.cfg.control_activity),
+        effort=p.cfg.map_effort, cone_memo=cone_memo(p.cache),
+    )
+
+
 def _run_techmap(p: "Pipeline") -> MappedDesign:
     design = p.artifact("elaborate")
-    input_activities = {
-        net: p.cfg.control_activity
-        for nets in design.control_nets.values()
-        for net in nets
-    }
-    mapping = map_netlist(
-        design.netlist, k=p.cfg.k, input_activities=input_activities,
-        effort=p.cfg.map_effort, cone_memo=cone_memo(p.cache),
+    mapping = techmap_netlist(
+        p, design.netlist,
+        (net for nets in design.control_nets.values() for net in nets),
     )
     mapped = ElaboratedDesign(
         datapath=design.datapath,
@@ -488,8 +496,12 @@ class Pipeline:
     partial flows — estimate-only, map-only — first-class. Per-stage
     wall clock lands in :attr:`timings` and cache outcomes in
     :attr:`cache_hits` (both keyed by stage name, only for stages that
-    were materialized).
+    were materialized). The stage graph is :attr:`stages`; a subclass
+    with its own graph (:class:`repro.ingest.DesignPipeline`) runs on
+    the same engine.
     """
+
+    stages: Mapping[str, Stage] = STAGES
 
     def __init__(
         self,
@@ -505,14 +517,9 @@ class Pipeline:
         self.schedule = schedule
         self.constraints = dict(constraints)
         self.binder = binder
-        self.cfg = cfg
         self.registers = registers
         self.ports = ports
-        self.cache = cache if cache is not None else ArtifactCache()
-        self.timings: Dict[str, float] = {}
-        self.cache_hits: Dict[str, bool] = {}
-        self._artifacts: Dict[str, Any] = {}
-        self._fingerprints: Dict[str, Optional[str]] = {}
+        self._start(cfg, cache)
         # Callers holding immutable inputs (the executor's elaboration
         # memo) pass the token pre-encoded; the digests are the same.
         self._input_token = (
@@ -520,6 +527,25 @@ class Pipeline:
             else flow_input_token(schedule, self.constraints, registers,
                                   ports)
         )
+
+    def _start(self, cfg: "FlowConfig",
+               cache: Optional[ArtifactCache]) -> None:
+        """Empty per-run state over ``cache`` (a fresh one if None)."""
+        self.cfg = cfg
+        self.cache = cache if cache is not None else ArtifactCache()
+        self.timings: Dict[str, float] = {}
+        self.cache_hits: Dict[str, bool] = {}
+        self._artifacts: Dict[str, Any] = {}
+        self._fingerprints: Dict[str, Optional[str]] = {}
+
+    def _stage(self, name: str) -> Stage:
+        try:
+            return self.stages[name]
+        except KeyError:
+            raise ConfigError(
+                f"unknown pipeline stage {name!r}; choose from "
+                f"{tuple(self.stages)}"
+            )
 
     # -- fingerprints ------------------------------------------------------
 
@@ -531,7 +557,7 @@ class Pipeline:
         """
         if name in self._fingerprints:
             return self._fingerprints[name]
-        stage = _stage(name)
+        stage = self._stage(name)
         parts: List[Any] = [CACHE_SALT, stage.name]
         uncacheable = False
         for dep in stage.deps:
@@ -561,7 +587,7 @@ class Pipeline:
         """Materialize (or fetch) the artifact of stage ``name``."""
         if name in self._artifacts:
             return self._artifacts[name]
-        stage = _stage(name)
+        stage = self._stage(name)
         for dep in stage.deps:
             self.artifact(dep)
         digest = self.stage_fingerprint(name)
@@ -608,16 +634,7 @@ class Pipeline:
     @property
     def hit_stages(self) -> List[str]:
         """Names of materialized stages served from the cache."""
-        return [name for name in STAGE_NAMES if self.cache_hits.get(name)]
-
-
-def _stage(name: str) -> Stage:
-    try:
-        return STAGES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown pipeline stage {name!r}; choose from {STAGE_NAMES}"
-        )
+        return [name for name in self.stages if self.cache_hits.get(name)]
 
 
 def batch_simulate_pipelines(

@@ -4,8 +4,8 @@ Everything between "bytes a user uploads" and the staged flow: the
 versioned word-level module format and its strict validator
 (:mod:`repro.ingest.module`), the bit-blasting elaboration onto the
 gate library (:mod:`repro.ingest.bitblast`), and flow entry at the
-``elaborate``/``techmap`` boundary with content-addressed stage
-fingerprints (:mod:`repro.ingest.flow`). Flat BLIF rides the same path
+``elaborate``/``techmap`` boundary on the pipeline's stage engine
+(:mod:`repro.ingest.flow`). Flat BLIF rides the same path
 via the hardened :func:`repro.netlist.blif.parse_blif`.
 """
 
@@ -24,7 +24,7 @@ from repro.ingest.bitblast import IngestedDesign, bit_blast, elaborate_design
 from repro.ingest.flow import (
     INGEST_STAGES,
     DesignEstimate,
-    design_fingerprint,
+    DesignPipeline,
     run_design_estimate,
 )
 
@@ -43,6 +43,6 @@ __all__ = [
     "elaborate_design",
     "INGEST_STAGES",
     "DesignEstimate",
-    "design_fingerprint",
+    "DesignPipeline",
     "run_design_estimate",
 ]

@@ -1,35 +1,48 @@
 """Flow entry for ingested designs.
 
 External designs join the staged pipeline at the ``elaborate``/
-``techmap`` boundary: there is no schedule or binder to run, so the
-elaborate artifact is fingerprinted from the **canonicalized design
-text** (see :func:`repro.ingest.module.canonical_text`) instead of from
-flow inputs, and everything downstream — LUT mapping, timing, the
-shared :class:`~repro.flow.cache.ArtifactCache`, the mapper's
-cross-design ConeMemo — is the exact machinery the generator flow uses.
-Stage names (``elaborate``/``techmap``/``timing``) and the
-:class:`DesignEstimate` metrics schema deliberately mirror
+``techmap`` boundary: there is no schedule or binder to run, so a
+:class:`DesignPipeline` has three stage rows on the
+:class:`~repro.flow.pipeline.Pipeline` engine. Its root ``elaborate``
+is addressed by the **canonicalized design text** (see
+:func:`repro.ingest.module.canonical_text`) instead of by flow inputs;
+its ``techmap`` reads the generator techmap's knob rows, and ``timing``
+is the generator's own row. Fingerprints, the shared
+:class:`~repro.flow.cache.ArtifactCache`, the mapper's cross-design
+ConeMemo and per-stage timing are therefore the generator flow's
+machinery, not a copy of it. Stage names and the
+:class:`DesignEstimate` metrics schema mirror
 :class:`repro.flow.run.EstimateResult`, so sweep cells, reports, the
 resident executor and ``repro serve`` handle design jobs unchanged.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.flow.cache import ArtifactCache, fingerprint
-from repro.flow.pipeline import CACHE_SALT, cone_memo
+from repro.flow.cache import ArtifactCache
+from repro.flow.pipeline import (
+    STAGES,
+    MappedDesign,
+    Pipeline,
+    Stage,
+    techmap_netlist,
+)
 from repro.flow.run import FlowConfig
-from repro.fpga.timing import TimingReport, timing_report
-from repro.ingest.bitblast import IngestedDesign, elaborate_design
+from repro.fpga.timing import TimingReport
+from repro.ingest.bitblast import elaborate_design
 from repro.ingest.module import ExternalDesign
-from repro.techmap.mapper import MapResult, map_netlist
+from repro.techmap.mapper import MapResult
 
-#: Stage names reuse the pipeline vocabulary so report ordering
-#: (:func:`repro.flow.report.in_stage_order`) applies as-is.
-INGEST_STAGES = ("elaborate", "techmap", "timing")
+
+def _run_techmap(p: "DesignPipeline") -> MappedDesign:
+    elaborated = p.artifact("elaborate")
+    return MappedDesign(
+        mapping=techmap_netlist(p, elaborated.netlist,
+                                elaborated.control_nets),
+        design=None,
+    )
 
 
 @dataclass
@@ -75,10 +88,48 @@ class DesignEstimate:
         }
 
 
-def design_fingerprint(design: ExternalDesign) -> str:
-    """Content address of the elaborate artifact for ``design``."""
-    return fingerprint(CACHE_SALT, "ingest-elaborate", design.kind,
-                       design.canonical)
+class DesignPipeline(Pipeline):
+    """The estimate flow of one external design: elaborate → techmap →
+    timing on the :class:`~repro.flow.pipeline.Pipeline` engine."""
+
+    stages = {
+        stage.name: stage
+        for stage in (
+            Stage("elaborate", deps=(), config_fields=(),
+                  run=lambda p: elaborate_design(p.design),
+                  uses_flow_inputs=False,
+                  extra=lambda p: ("design", p.design.kind,
+                                   p.design.canonical)),
+            Stage("techmap", deps=("elaborate",),
+                  config_fields=STAGES["techmap"].config_fields,
+                  run=_run_techmap),
+            STAGES["timing"],
+        )
+    }
+
+    def __init__(self, design: ExternalDesign,
+                 cfg: Optional[FlowConfig] = None,
+                 cache: Optional[ArtifactCache] = None):
+        self.design = design
+        self._start(cfg or FlowConfig(flow="estimate"), cache)
+
+    def result(self) -> DesignEstimate:
+        """Run every stage; the estimate read from their artifacts."""
+        self.run_stages(INGEST_STAGES)
+        return DesignEstimate(
+            design=self.design.name,
+            mapping=self.artifact("techmap").mapping,
+            timing=self.artifact("timing"),
+            n_registers=self.artifact("elaborate").n_registers,
+            runtime_s=sum(self.timings.values()),
+            stage_timings=dict(self.timings),
+            cache_hits=self.hit_stages,
+        )
+
+
+#: Stage names reuse the pipeline vocabulary so report ordering
+#: (:func:`repro.flow.report.in_stage_order`) applies as-is.
+INGEST_STAGES = tuple(DesignPipeline.stages)
 
 
 def run_design_estimate(
@@ -92,59 +143,4 @@ def run_design_estimate(
     text, config); the cache only ever substitutes byte-identical
     recomputations, so cold, warm and daemon runs agree exactly.
     """
-    cfg = cfg or FlowConfig(flow="estimate")
-    started = time.perf_counter()
-    timings: Dict[str, float] = {}
-    hits: List[str] = []
-
-    def artifact(name, digest, compute, persist=True):
-        stage_started = time.perf_counter()
-        hit = False
-        value = None
-        if cache is not None:
-            hit, value = cache.lookup(digest)
-        if not hit:
-            value = compute()
-            if cache is not None:
-                cache.store(digest, value, persist=persist)
-        else:
-            hits.append(name)
-        timings[name] = time.perf_counter() - stage_started
-        return value
-
-    elaborate_fp = design_fingerprint(design)
-    elaborated: IngestedDesign = artifact(
-        "elaborate", elaborate_fp, lambda: elaborate_design(design))
-
-    techmap_fp = fingerprint(CACHE_SALT, "ingest-techmap", elaborate_fp,
-                             cfg.k, cfg.control_activity, cfg.map_effort)
-
-    def run_techmap() -> MapResult:
-        input_activities = {
-            net: cfg.control_activity for net in elaborated.control_nets
-        }
-        return map_netlist(
-            elaborated.netlist,
-            k=cfg.k,
-            input_activities=input_activities,
-            effort=cfg.map_effort,
-            cone_memo=cone_memo(cache),
-        )
-
-    mapping: MapResult = artifact("techmap", techmap_fp, run_techmap)
-
-    timing_fp = fingerprint(CACHE_SALT, "ingest-timing", techmap_fp,
-                            cfg.device)
-    timing: TimingReport = artifact(
-        "timing", timing_fp,
-        lambda: timing_report(mapping, cfg.device))
-
-    return DesignEstimate(
-        design=design.name,
-        mapping=mapping,
-        timing=timing,
-        n_registers=elaborated.n_registers,
-        runtime_s=time.perf_counter() - started,
-        stage_timings=timings,
-        cache_hits=hits,
-    )
+    return DesignPipeline(design, cfg, cache).result()

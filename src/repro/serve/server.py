@@ -432,14 +432,15 @@ class FlowServer:
             )
         try:
             submission = future.result() if future.done() else await future
+            stats = submission.stats
             summary = {
                 "summary": {
-                    "cells": len(submission.cells),
-                    "sa_new_entries": submission.sa_new_entries,
-                    "sim_batches": submission.sim_batches,
-                    "sim_batched_cells": submission.sim_batched_cells,
-                    "sim_batch_wall_s": submission.sim_batch_wall_s,
-                    "cache": submission.cache.to_dict(),
+                    "cells": stats.cells,
+                    "sa_new_entries": stats.sa_new_entries,
+                    "sim_batches": stats.sim_batches,
+                    "sim_batched_cells": stats.sim_batched_cells,
+                    "sim_batch_wall_s": stats.sim_batch_wall_s,
+                    "cache": stats.cache.to_dict(),
                 }
             }
         except ReproError as exc:

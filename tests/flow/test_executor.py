@@ -47,7 +47,7 @@ class TestWarmState:
         # Simulate artifacts are memory-only but resident, so even the
         # seed-specific stages hit on the second pass.
         assert all(c.schedule_cache_hit for c in second.cells)
-        assert second.sa_new_entries == 0
+        assert second.stats.sa_new_entries == 0
 
     def test_warm_submission_metrics_identical(self):
         """Warm state only ever substitutes byte-identical work."""
@@ -111,7 +111,7 @@ class TestWarmRepeat:
                           baseline="none", flow="estimate")
         with FlowExecutor(jobs=1) as executor:
             cold = executor.run_jobs(spec, expand_grid(spec))
-            assert cold.sa_new_entries > 0
+            assert cold.stats.sa_new_entries > 0
             assert (calls["schedule_token"], calls["build_controller"],
                     calls["mux_report"]) == (1, 1, 1)
             calls.clear()
@@ -139,19 +139,20 @@ class TestStats:
         with FlowExecutor() as executor:
             cold = executor.run_jobs(spec, expand_grid(spec))
             warm = executor.run_jobs(spec, expand_grid(spec))
-        assert isinstance(cold.cache, CacheStats)
-        assert cold.cache.hits == 0 and cold.cache.misses > 0
-        assert warm.cache.misses == 0 and warm.cache.hits > 0
-        assert warm.cache.hit_rate == 1.0
+        assert isinstance(cold.stats.cache, CacheStats)
+        assert cold.stats.cache.hits == 0 and cold.stats.cache.misses > 0
+        assert warm.stats.cache.misses == 0 and warm.stats.cache.hits > 0
+        assert warm.stats.cache.hit_rate == 1.0
 
     def test_lifetime_cache_stats_merge_submissions(self):
         spec = small_spec(binders=("lopass",), vector_seeds=(7,))
         with FlowExecutor() as executor:
             cold = executor.run_jobs(spec, expand_grid(spec))
             warm = executor.run_jobs(spec, expand_grid(spec))
-            total = executor.cache_stats()
-        assert total.hits == cold.cache.hits + warm.cache.hits
-        assert total.misses == cold.cache.misses + warm.cache.misses
+            total = executor.stats.cache
+        assert total.hits == cold.stats.cache.hits + warm.stats.cache.hits
+        assert (total.misses
+                == cold.stats.cache.misses + warm.stats.cache.misses)
 
     def test_cone_memo_counters_accumulate(self):
         """The cache's one cone memo serves both binders' netlists; its
@@ -166,6 +167,41 @@ class TestStats:
                           "resets": memo.resets}
         assert counts["hits"] > 0 and counts["misses"] > 0
         assert data["cone_memo"] == counts
+
+    def test_lifetime_is_the_sum_of_in_process_and_pooled_submissions(
+            self):
+        """One counter record: the lifetime stats are the field-wise sum
+        of the submissions' (one in-process, one over the pool), and the
+        pooled sa_new_entries is what the shared table grew by."""
+        with FlowExecutor(jobs=2) as executor:
+            # A one-cell submission runs in-process even with jobs=2.
+            single = executor.run_jobs(small_spec(
+                binders=("lopass",), vector_seeds=(7,), flow="estimate",
+            ))
+            before = len(executor.sa_table)
+            pooled = executor.run_jobs(small_spec(
+                binders=("hlpower",), baseline="none", widths=(4, 8),
+                vector_seeds=(7,), flow="estimate",
+            ))
+            grown = len(executor.sa_table) - before
+            lifetime = executor.stats.to_dict()
+        assert single.stats.chunks == 1 and pooled.stats.chunks == 2
+        assert pooled.stats.sa_new_entries == grown > 0
+        parts = [single.stats.to_dict(), pooled.stats.to_dict()]
+        for name, value in lifetime.items():
+            if name == "wall_s":
+                continue
+            if name in ("cache", "cone_memo"):
+                for key, count in value.items():
+                    if key == "entries":  # a gauge: the largest size
+                        assert count == max(part[name][key]
+                                            for part in parts)
+                    elif key != "hit_rate":
+                        assert count == pytest.approx(
+                            sum(part[name][key] for part in parts))
+            else:
+                assert value == pytest.approx(
+                    sum(part[name] for part in parts))
 
     def test_stats_to_dict_round_trips_cache(self):
         spec = small_spec(binders=("lopass",), vector_seeds=(7,))
@@ -218,6 +254,27 @@ class TestLifecycle:
                     executor=executor,
                 )
 
+    @pytest.mark.parametrize("options", [
+        {"jobs": 0},
+        {"cache_dir": "unused", "use_cache": False},
+        {"keep_results": True, "jobs": 2},
+        {"jobs": 2, "executor": True},
+    ])
+    def test_run_sweep_rejects_before_precalculating(self, options):
+        """A bad option raises before precalc_max_mux fills the table."""
+        table = SATable()
+        spec = small_spec(binders=("lopass",), vector_seeds=(7,))
+        if options.pop("executor", False):
+            with FlowExecutor(sa_table=table) as executor:
+                with pytest.raises(ConfigError):
+                    run_sweep(spec, precalc_max_mux=3, executor=executor,
+                              **options)
+        else:
+            with pytest.raises(ConfigError):
+                run_sweep(spec, precalc_max_mux=3, sa_table=table,
+                          **options)
+        assert len(table) == 0
+
     def test_keep_results_retains_flow_results(self):
         spec = small_spec(binders=("lopass",), vector_seeds=(7,))
         with FlowExecutor() as executor:
@@ -259,12 +316,12 @@ class TestResidentPool:
                 binders=("hlpower",), baseline="none", widths=(4, 8),
                 vector_seeds=(7,), flow="estimate",
             ))
-            assert len(pooled.cells) == 2 and pooled.sa_new_entries > 0
+            assert len(pooled.cells) == 2 and pooled.stats.sa_new_entries > 0
             single = executor.run_jobs(small_spec(
                 binders=("lopass",), vector_seeds=(7,), flow="estimate",
             ))
         assert len(single.cells) == 1
-        assert single.sa_new_entries == 0
+        assert single.stats.sa_new_entries == 0
 
     def test_pool_children_merge_cone_memo_counters(self):
         """jobs>1: each child's cone-memo deltas ship back with its

@@ -130,11 +130,12 @@ class TestAxisSurfaces:
             assert knob.name in str(info.value)
 
 
-def _downstream(stages):
-    """The named stages plus every stage depending on one of them."""
-    closure = set(stages)
-    for name in STAGE_NAMES:  # topological order
-        if closure & set(STAGES[name].deps):
+def _downstream(stages, graph=STAGES):
+    """The named stages of ``graph`` plus every stage depending on one
+    of them."""
+    closure = set(stages) & set(graph)
+    for name, stage in graph.items():  # topological order
+        if closure & set(stage.deps):
             closure.add(name)
     return closure
 
@@ -160,6 +161,36 @@ def test_knob_moves_exactly_its_stages_fingerprints(pr_inputs, name):
     after = digests(FlowConfig(**{name: other_value(knob)}))
     changed = {s for s in STAGE_NAMES if before[s] != after[s]}
     assert changed == _downstream(knob.stages)
+
+
+@pytest.mark.parametrize("name", [k.name for k in CONFIG_KNOBS])
+def test_knob_moves_exactly_its_design_stages_fingerprints(pr_inputs,
+                                                           name):
+    """The same rule for an ingested design's stage rows: a knob moves
+    its design stages (control_activity the techmap, device the
+    timing) and their downstream, nothing else."""
+    from repro.ingest import DesignPipeline, load_design_text
+    from tests.ingest.test_flow import TINY_TEXT
+
+    knob = KNOBS[name]
+    design = load_design_text(TINY_TEXT)
+    graph = DesignPipeline.stages
+
+    def digests(cfg):
+        pipe = DesignPipeline(design, cfg)
+        return {s: pipe.stage_fingerprint(s) for s in graph}
+
+    before = digests(FlowConfig())
+    after = digests(FlowConfig(**{name: other_value(knob)}))
+    changed = {s for s in graph if before[s] != after[s]}
+    assert changed == _downstream(knob.stages, graph)
+    # Design and generator digests live in one cache: they never meet.
+    schedule, constraints = pr_inputs
+    generator = build_pipeline(schedule, constraints, "lopass",
+                               FlowConfig())
+    assert before["elaborate"] not in {
+        generator.stage_fingerprint(s) for s in STAGE_NAMES
+    }
 
 
 class TestMalformedFlowConfig:

@@ -13,7 +13,7 @@ from repro.flow.grid import SweepSpec, expand_grid
 from repro.flow.run import FlowConfig
 from repro.ingest import (
     INGEST_STAGES,
-    design_fingerprint,
+    DesignPipeline,
     load_design,
     load_design_text,
     run_design_estimate,
@@ -78,6 +78,9 @@ class TestRunDesignEstimate:
         assert design_keys == flow_keys
 
     def test_fingerprint_is_content_addressed(self):
+        def design_fingerprint(design):
+            return DesignPipeline(design).stage_fingerprint("elaborate")
+
         base = load_design_text(TINY_TEXT)
         again = load_design_text(TINY_TEXT, name="other")
         assert design_fingerprint(base) == design_fingerprint(again)
